@@ -19,7 +19,6 @@ import argparse
 import configparser
 import csv
 import datetime as dt
-import json
 import sys
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from .empirical import (
     summarize_index,
     tail_filter,
     total_returns,
+    write_report,
     write_returns_csv,
 )
 from .errors import (
@@ -45,49 +45,13 @@ from .errors import (
 )
 from .gbm import PricePath, build_panel, write_panel_csv
 from .index_model import DriftModelParams, implied_lognormal, model_ratios, sample_ratio_summary, simulate_index
-from .lognormal_sum import NARROW_MAX_SIGMA_SQ, VERY_BROAD_MIN_SIGMA_SQ, regime_curve
+from .lognormal_sum import CURVE_FIELDS, NARROW_MAX_SIGMA_SQ, VERY_BROAD_MIN_SIGMA_SQ, curve_rows, regime_curve
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_FIT_FAILURE = 3
 
 DEFAULT_N_GRID = [2 ** k for k in range(11)]  # 1 .. 1024
-
-
-# ---------------------------------------------------------------------------
-# Report writing
-# ---------------------------------------------------------------------------
-
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_report(path: Path, fieldnames, rows, fmt: str, meta: dict | None = None) -> None:
-    """Write rows as RFC-4180 CSV (with ``# key=value`` header comments) or
-    as a JSON array of row objects (meta as a leading ``_meta`` object)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if meta:
-                for key, value in meta.items():
-                    fh.write(f"# {key}={value}\n")
-            writer = csv.DictWriter(fh, fieldnames=list(fieldnames), lineterminator="\n")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _format_value(row.get(k)) for k in fieldnames})
-    elif fmt == "json":
-        payload = ([{"_meta": meta}] if meta else []) + [
-            {k: row.get(k) for k in fieldnames} for row in rows
-        ]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    else:
-        raise ParameterError(f"unknown output format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,22 +111,6 @@ def _parse_inputs(value) -> list[str]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _summary_row(name: str, summary, fit_row: dict | None = None) -> dict:
-    return {
-        "index": name,
-        "n": summary.n,
-        "top5_pct": summary.top5,
-        "top10_pct": summary.top10,
-        "top25_pct": summary.top25,
-        "mean": summary.mean,
-        "median": summary.median,
-        "mode": summary.mode,
-        "mean_over_median": summary.mean_over_median,
-        "mean_over_mode": summary.mean_over_mode,
-        "mode_note": summary.mode_note,
-    }
-
-
 _SUMMARY_FIELDS = [
     "index", "n", "top5_pct", "top10_pct", "top25_pct",
     "mean", "median", "mode", "mean_over_median", "mean_over_mode", "mode_note",
@@ -171,6 +119,7 @@ _FIT_FIELDS = [
     "index", "mu", "sigma", "mean", "median", "mode", "sigma_sq", "c",
     "n_used", "n_removed", "degenerate",
 ]
+_QQ_FIELDS = ["theoretical_quantile", "empirical_quantile"]
 
 
 def cmd_analyze(args, config) -> int:
@@ -185,8 +134,8 @@ def cmd_analyze(args, config) -> int:
     fmt = _merged(args, config, "format", None, "csv")
     want_qq = bool(_merged(args, config, "qq", lambda s: s.lower() == "true", False))
 
-    summary_rows: list[dict] = []
-    fit_rows: list[dict] = []
+    summary_rows: list[tuple] = []
+    fit_rows: list[tuple] = []
     exit_code = EXIT_OK
     for source in inputs:
         name = Path(source).stem
@@ -198,42 +147,36 @@ def cmd_analyze(args, config) -> int:
             print(f"analyze: {name}: {exc}", file=sys.stderr)
             exit_code = EXIT_INPUT_ERROR
             continue
-        summary_rows.append(_summary_row(name, summary))
+        summary_rows.append(
+            (
+                name, summary.n, summary.top5, summary.top10, summary.top25,
+                summary.mean, summary.median, summary.mode,
+                summary.mean_over_median, summary.mean_over_mode, summary.mode_note,
+            )
+        )
 
         try:
             filtered = tail_filter(sample, threshold_log=threshold)
             params, moments, c = fit_macroscopic(filtered)
         except (FitFailureError, InsufficientDataError) as exc:
             print(f"analyze: {name}: fit failure: {exc}", file=sys.stderr)
-            exit_code = max(exit_code, EXIT_FIT_FAILURE) if exit_code != EXIT_INPUT_ERROR else exit_code
+            exit_code = EXIT_FIT_FAILURE if exit_code == EXIT_OK else exit_code
             continue
+        central = (moments.mean, moments.median, moments.mode) if moments else (None, None, None)
         fit_rows.append(
-            {
-                "index": name,
-                "mu": params.mu,
-                "sigma": params.sigma,
-                "mean": moments.mean if moments else None,
-                "median": moments.median if moments else None,
-                "mode": moments.mode if moments else None,
-                "sigma_sq": params.sigma_sq,
-                "c": c,
-                "n_used": len(filtered),
-                "n_removed": filtered.removed,
-                "degenerate": params.degenerate,
-            }
+            (
+                name, params.mu, params.sigma, *central, params.sigma_sq, c,
+                len(filtered), filtered.removed, params.degenerate,
+            )
         )
         if want_qq and not params.degenerate:
-            pairs = qq_data(filtered, params)
-            qq_rows = [
-                {"theoretical_quantile": float(t), "empirical_quantile": float(e)}
-                for t, e in pairs
-            ]
-            write_report(
-                out_dir / f"qq_{name}.{fmt}",
-                ["theoretical_quantile", "empirical_quantile"],
-                qq_rows,
-                fmt,
-            )
+            try:
+                pairs = qq_data(filtered, params)
+            except InsufficientDataError as exc:
+                print(f"analyze: {name}: qq skipped: {exc}", file=sys.stderr)
+                exit_code = EXIT_FIT_FAILURE if exit_code == EXIT_OK else exit_code
+            else:
+                write_report(out_dir / f"qq_{name}.{fmt}", _QQ_FIELDS, pairs.tolist(), fmt)
 
     write_report(out_dir / f"summary.{fmt}", _SUMMARY_FIELDS, summary_rows, fmt)
     write_report(out_dir / f"lognormal_fit.{fmt}", _FIT_FIELDS, fit_rows, fmt)
@@ -246,7 +189,7 @@ def _regime_param_sets(args, config) -> list[tuple[str, LogNormalParams]]:
     sigma = _merged(args, config, "sigma", float, None)
     sets: list[tuple[str, LogNormalParams]] = []
     if params_file:
-        with open(params_file, newline="", encoding="utf-8") as fh:
+        with open(params_file, newline="", encoding="utf-8-sig") as fh:
             rows = [r for r in csv.DictReader(fh) if not r.get("index", "").startswith("#")]
         if not rows or "mu" not in rows[0] or "sigma" not in rows[0]:
             raise DataError(f"params file {params_file} needs index,mu,sigma columns")
@@ -286,7 +229,7 @@ def cmd_regime(args, config) -> int:
         print("regime: --seed is required when reps > 0", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    fields = ["n", "ratio_analytic", "ratio_mc", "mc_stderr"]
+    meta = {"seed": seed, "reps": reps, "version": __version__} if reps > 0 else {"version": __version__}
     for name, params in sorted(sets, key=lambda item: item[0]):
         try:
             curve = regime_curve(
@@ -300,19 +243,7 @@ def cmd_regime(args, config) -> int:
         except ParameterError as exc:
             print(f"regime: {name}: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        rows = [
-            {
-                "n": pt.n,
-                "ratio_analytic": pt.ratio_analytic,
-                "ratio_mc": pt.ratio_mc,
-                "mc_stderr": pt.mc_stderr,
-            }
-            for pt in curve.points
-        ]
-        meta = {"version": __version__}
-        if reps > 0:
-            meta = {"seed": seed, "reps": reps, "version": __version__}
-        write_report(out_dir / f"curve_{name}.{fmt}", fields, rows, fmt, meta=meta)
+        write_report(out_dir / f"curve_{name}.{fmt}", CURVE_FIELDS, curve_rows(curve), fmt, meta=meta)
     return EXIT_OK
 
 
@@ -321,8 +252,6 @@ _ESTIMATE_FIELDS = ["ticker", "mu_hat", "sigma_hat", "sigma_sq_raw", "clamped"]
 
 def cmd_gbm(args, config) -> int:
     source = _merged(args, config, "input", None, None)
-    if isinstance(source, list):
-        source = source[0] if source else None
     if not source:
         print("gbm: an --input price file is required", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -332,33 +261,21 @@ def cmd_gbm(args, config) -> int:
     out_dir = Path(_merged(args, config, "out", None, "."))
     fmt = _merged(args, config, "format", None, "csv")
 
-    try:
-        panel_data = load_panel(source)
-        paths = {}
-        for ticker in panel_data.tickers:
-            _, prices = panel_data.series[ticker]
-            if prices.size < 2:
-                continue
-            paths[ticker] = PricePath(x0=float(prices[0]), prices=prices, dt=dt_years)
-        panel = build_panel(paths, method=method, min_coverage=min_coverage)
-    except (ParseError, DataError, InsufficientDataError, ParameterError, OSError) as exc:
-        print(f"gbm: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    panel_data = load_panel(source)
+    paths = {}
+    for ticker in panel_data.tickers:
+        _, prices = panel_data.series[ticker]
+        if prices.size < 2:
+            continue
+        paths[ticker] = PricePath(x0=float(prices[0]), prices=prices, dt=dt_years)
+    panel = build_panel(paths, method=method, min_coverage=min_coverage)
 
     estimate_rows = [
-        {
-            "ticker": ticker,
-            "mu_hat": est.mu_hat,
-            "sigma_hat": est.sigma_hat,
-            "sigma_sq_raw": est.sigma_sq_raw,
-            "clamped": est.clamped,
-        }
+        (ticker, est.mu_hat, est.sigma_hat, est.sigma_sq_raw, est.clamped)
         for ticker, est in panel.estimates
     ]
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_report(out_dir / f"estimates.{fmt}", _ESTIMATE_FIELDS, estimate_rows, fmt)
-    with open(out_dir / "panel.csv", "w", newline="", encoding="utf-8") as fh:
-        write_panel_csv(panel, fh)
+    write_panel_csv(panel, out_dir / "panel.csv")
 
     if panel.fit_errors:
         for name, message in panel.fit_errors:
@@ -390,45 +307,23 @@ def cmd_model(args, config) -> int:
     if simulate > 0 and seed is None:
         print("model: --seed is required with --simulate", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    try:
-        params = DriftModelParams(mu_d=mu_d, sigma_d=sigma_d, sigma=sigma, horizon=horizon)
-    except ParameterError as exc:
-        print(f"model: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
+    params = DriftModelParams(mu_d=mu_d, sigma_d=sigma_d, sigma=sigma, horizon=horizon)
     implied = implied_lognormal(params)
     ratios = model_ratios(params)
-    row = {
-        "mu_d": mu_d,
-        "sigma_d": sigma_d,
-        "sigma": sigma,
-        "horizon": horizon,
-        "mu_m": implied.mu_m,
-        "sigma_m": implied.sigma_m,
-        "mean_over_median": ratios.mean_over_median,
-        "mean_over_mode": ratios.mean_over_mode,
-        "mc_mean_over_median": None,
-        "mc_ci_low": None,
-        "mc_ci_high": None,
-        "mc_stderr": None,
-    }
+    mc_columns = (None, None, None, None)
     meta = {"version": __version__}
     if simulate > 0:
         sample = simulate_index(params, simulate, seed)
         summary = sample_ratio_summary(sample, seed=seed + 1)
-        row.update(
-            {
-                "mc_mean_over_median": summary.mean_over_median,
-                "mc_ci_low": summary.ci_low,
-                "mc_ci_high": summary.ci_high,
-                "mc_stderr": summary.stderr,
-            }
-        )
+        mc_columns = (summary.mean_over_median, summary.ci_low, summary.ci_high, summary.stderr)
         meta = {"seed": seed, "reps": simulate, "version": __version__}
         if _merged(args, config, "export_sample", lambda s: s.lower() == "true", False):
-            out_dir.mkdir(parents=True, exist_ok=True)
             write_returns_csv(sample, out_dir / "sample.csv")
-    write_report(Path(out_dir) / f"model.{fmt}", _MODEL_FIELDS, [row], fmt, meta=meta)
+    row = (
+        mu_d, sigma_d, sigma, horizon, implied.mu_m, implied.sigma_m,
+        ratios.mean_over_median, ratios.mean_over_mode, *mc_columns,
+    )
+    write_report(out_dir / f"model.{fmt}", _MODEL_FIELDS, [row], fmt, meta=meta)
     return EXIT_OK
 
 
@@ -514,7 +409,7 @@ def main(argv=None) -> int:
     except FitFailureError as exc:
         print(f"{args.command}: fit failure: {exc}", file=sys.stderr)
         return EXIT_FIT_FAILURE
-    except BigWinnersError as exc:
+    except (BigWinnersError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -322,23 +322,14 @@ def _(params: GammaParams, q) -> np.ndarray:
 # Fitters
 # ---------------------------------------------------------------------------
 
-def _clean_positive(x, min_len: int, who: str) -> np.ndarray:
+def _clean(x, min_len: int, who: str, positive: bool = False) -> np.ndarray:
     arr = np.asarray(x, dtype=float).ravel()
     if arr.size < min_len:
         raise InsufficientDataError(f"{who} needs at least {min_len} points, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise ParameterError(f"{who} requires finite values")
-    if np.any(arr <= 0):
+    if positive and np.any(arr <= 0):
         raise ParameterError(f"{who} requires strictly positive values")
-    return arr
-
-
-def _clean_real(x, min_len: int, who: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float).ravel()
-    if arr.size < min_len:
-        raise InsufficientDataError(f"{who} needs at least {min_len} points, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{who} requires finite values")
     return arr
 
 
@@ -349,7 +340,7 @@ def fit_lognormal(x) -> LogNormalParams:
     flags it instead of raising, so downstream regime classification can
     still run.
     """
-    arr = _clean_positive(x, 2, "fit_lognormal")
+    arr = _clean(x, 2, "fit_lognormal", positive=True)
     logs = np.log(arr)
     mu = float(np.mean(logs))
     sigma = float(np.sqrt(np.mean((logs - mu) ** 2)))
@@ -396,7 +387,7 @@ def fit_skew_normal(x, alpha_cap: float = SKEW_ALPHA_CAP) -> SkewNormalParams:
     MLE (alpha = 0, zeta = mean, omega = std) unless asymmetry improves
     the likelihood ratio beyond the chi-square(1) 95% cutoff.
     """
-    arr = _clean_real(x, 3, "fit_skew_normal")
+    arr = _clean(x, 3, "fit_skew_normal")
     sd = float(np.std(arr))
     if sd == 0.0:
         raise FitFailureError("fit_skew_normal: zero dispersion")
@@ -449,7 +440,7 @@ def fit_gamma(x) -> GammaParams:
     Falls back to method of moments when Newton stalls; the result's
     ``method`` field records which route produced it.
     """
-    arr = _clean_positive(x, 3, "fit_gamma")
+    arr = _clean(x, 3, "fit_gamma", positive=True)
     xbar = float(np.mean(arr))
     s = math.log(xbar) - float(np.mean(np.log(arr)))
     if s <= 0 or not math.isfinite(s):
@@ -488,7 +479,7 @@ def fit_asymmetric_laplace(x) -> AsymmetricLaplaceParams:
     point, so the profile is evaluated at every interior order statistic
     via prefix sums and the best candidate wins.
     """
-    arr = _clean_real(x, 3, "fit_asymmetric_laplace")
+    arr = _clean(x, 3, "fit_asymmetric_laplace")
     xs = np.sort(arr)
     n = xs.size
     prefix = np.concatenate(([0.0], np.cumsum(xs)))
@@ -532,8 +523,8 @@ def huber_regression(
     re-estimated each iteration.  R^2 is reported on all points against the
     robust line, so it can go negative for adversarial data.
     """
-    xa = _clean_real(x, 3, "huber_regression")
-    ya = _clean_real(y, 3, "huber_regression")
+    xa = _clean(x, 3, "huber_regression")
+    ya = _clean(y, 3, "huber_regression")
     if xa.size != ya.size:
         raise ParameterError("huber_regression requires equal-length vectors")
     if float(np.ptp(xa)) == 0.0:
@@ -580,8 +571,8 @@ def huber_regression(
 
 def pearson_correlation(x, y) -> float:
     """Pearson correlation coefficient, clipped to [-1, 1]."""
-    xa = _clean_real(x, 2, "pearson_correlation")
-    ya = _clean_real(y, 2, "pearson_correlation")
+    xa = _clean(x, 2, "pearson_correlation")
+    ya = _clean(y, 2, "pearson_correlation")
     if xa.size != ya.size:
         raise ParameterError("pearson_correlation requires equal-length vectors")
     if float(np.ptp(xa)) == 0.0 or float(np.ptp(ya)) == 0.0:

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import json
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import ndimage, optimize
@@ -33,6 +36,7 @@ __all__ = [
     "fit_macroscopic",
     "qq_data",
     "write_returns_csv",
+    "write_report",
 ]
 
 # Nearest trading date accepted this many calendar days from a window edge.
@@ -135,7 +139,7 @@ def load_panel(source) -> PricePanel:
     out-of-order rows are sorted and noted in the panel's load report.
     """
     raw: dict[str, list[tuple[np.datetime64, float]]] = {}
-    with open(source, newline="", encoding="utf-8") as fh:
+    with open(source, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -279,17 +283,24 @@ def _scott_bandwidth(t: np.ndarray) -> float:
     return float(np.std(t)) * t.size ** (-0.2)
 
 
-def _binned_density(t: np.ndarray, h: float, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+def _histogram(t: np.ndarray, h: float, grid_size: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Bin centers, counts and bin width of ``t`` on a grid padded by 4h."""
     lo = float(np.min(t)) - 4.0 * h
     hi = float(np.max(t)) + 4.0 * h
     edges = np.linspace(lo, hi, grid_size + 1)
-    width = edges[1] - edges[0]
     counts, _ = np.histogram(t, bins=edges)
-    dens = ndimage.gaussian_filter1d(
+    return 0.5 * (edges[:-1] + edges[1:]), counts, edges[1] - edges[0]
+
+
+def _smooth(counts: np.ndarray, h: float, width: float) -> np.ndarray:
+    return ndimage.gaussian_filter1d(
         counts.astype(float), sigma=h / width, mode="constant", truncate=6.0
-    ) / (t.size * width)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, dens
+    )
+
+
+def _binned_density(t: np.ndarray, h: float, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    centers, counts, width = _histogram(t, h, grid_size)
+    return centers, _smooth(counts, h, width) / (t.size * width)
 
 
 def _grid_mode(t: np.ndarray, h: float, log_scale: bool, grid_size: int) -> float:
@@ -402,20 +413,14 @@ def kde_mode_bootstrap_stderr(
         log_scale = bool(np.all(arr > 0))
     t = np.log(arr) if log_scale else arr
     h = _scott_bandwidth(t) * bandwidth_factor
-    lo = float(np.min(t)) - 4.0 * h
-    hi = float(np.max(t)) + 4.0 * h
-    edges = np.linspace(lo, hi, grid_size + 1)
-    width = edges[1] - edges[0]
-    counts, _ = np.histogram(t, bins=edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    centers, counts, width = _histogram(t, h, grid_size)
     tilt = np.exp(-centers) if log_scale else 1.0
 
     rng = np.random.default_rng(seed)
     probs = counts / counts.sum()
     modes = np.empty(replicates)
     for i in range(replicates):
-        boot = rng.multinomial(arr.size, probs).astype(float)
-        dens = ndimage.gaussian_filter1d(boot, sigma=h / width, mode="constant", truncate=6.0)
+        dens = _smooth(rng.multinomial(arr.size, probs), h, width)
         t_star = centers[int(np.argmax(dens * tilt))]
         modes[i] = math.exp(t_star) if log_scale else t_star
     return float(np.std(modes, ddof=1))
@@ -490,30 +495,57 @@ def fit_macroscopic(sample: ReturnSample) -> tuple[LogNormalParams, MomentSummar
 
 
 # ---------------------------------------------------------------------------
-# QQ data
+# Reports
 # ---------------------------------------------------------------------------
 
-def write_returns_csv(sample: ReturnSample, destination) -> None:
-    """Write a return sample as CSV: ``ticker,rho`` (or a single ``rho``
-    column when the sample carries no tickers)."""
+def write_report(destination, fieldnames, rows, fmt: str = "csv", meta: dict | None = None,
+                 footer: dict | None = None) -> None:
+    """Write report rows to a path (creating its directory) or an open text handle.
+
+    ``rows`` are sequences of scalars or None in ``fieldnames`` order.  CSV
+    is RFC-4180 with None as an empty field, floats as their shortest
+    round-trip repr, and ``meta`` / ``footer`` as ``# key=value`` lines
+    before the header / after the rows.  JSON is an array of row objects,
+    led by a ``{"_meta": meta}`` object when meta is given.
+    """
+    if fmt not in ("csv", "json"):
+        raise ParameterError(f"unknown output format {fmt!r}")
 
     def _write(fh) -> None:
+        if fmt == "json":
+            payload = ([{"_meta": meta}] if meta else []) + [dict(zip(fieldnames, row)) for row in rows]
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+            return
+        for key, value in (meta or {}).items():
+            fh.write(f"# {key}={value}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        if sample.tickers is not None:
-            writer.writerow(["ticker", "rho"])
-            for ticker, rho in zip(sample.tickers, sample.rho):
-                writer.writerow([ticker, repr(float(rho))])
-        else:
-            writer.writerow(["rho"])
-            for rho in sample.rho:
-                writer.writerow([repr(float(rho))])
+        writer.writerow(fieldnames)
+        writer.writerows(rows)
+        for key, value in (footer or {}).items():
+            fh.write(f"# {key}={value}\n")
 
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        with open(destination, "w", newline="", encoding="utf-8") as fh:
+    if isinstance(destination, (str, bytes, os.PathLike)):
+        path = Path(os.fsdecode(destination))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             _write(fh)
     else:
         _write(destination)
 
+
+def write_returns_csv(sample: ReturnSample, destination) -> None:
+    """Write a return sample as CSV: ``ticker,rho`` (or a single ``rho``
+    column when the sample carries no tickers)."""
+    if sample.tickers is None:
+        write_report(destination, ["rho"], zip(sample.rho))
+    else:
+        write_report(destination, ["ticker", "rho"], zip(sample.tickers, sample.rho))
+
+
+# ---------------------------------------------------------------------------
+# QQ data
+# ---------------------------------------------------------------------------
 
 def qq_data(sample: ReturnSample, fitted) -> np.ndarray:
     """(theoretical, empirical) quantile pairs of ln rho against a fitted law.

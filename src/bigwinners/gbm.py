@@ -20,7 +20,6 @@ regression of drift on volatility, and their correlation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -35,6 +34,7 @@ from .distributions import (
     huber_regression,
     pearson_correlation,
 )
+from .empirical import write_report
 from .errors import FitFailureError, InsufficientDataError, ParameterError
 
 __all__ = [
@@ -229,38 +229,23 @@ def build_panel(
 
     mu_hats = np.array([e.mu_hat for _, e in usable])
     sigma_hats = np.array([e.sigma_hat for _, e in usable])
+    fits: dict[str, object] = {}
     errors: list[tuple[str, str]] = []
-
-    drift_fit = None
-    try:
-        drift_fit = fit_skew_normal(mu_hats)
-    except (FitFailureError, ParameterError, InsufficientDataError) as exc:
-        errors.append(("drift_fit", str(exc)))
-
-    vol_fit = None
-    try:
-        vol_fit = fit_gamma(sigma_hats)
-    except (FitFailureError, ParameterError, InsufficientDataError) as exc:
-        errors.append(("vol_fit", str(exc)))
-
-    regression = None
-    try:
-        regression = huber_regression(sigma_hats, mu_hats)
-    except (FitFailureError, ParameterError, InsufficientDataError) as exc:
-        errors.append(("regression", str(exc)))
-
-    correlation = None
-    try:
-        correlation = pearson_correlation(mu_hats, sigma_hats)
-    except (FitFailureError, ParameterError, InsufficientDataError) as exc:
-        errors.append(("correlation", str(exc)))
+    for name, fit, args in (
+        ("drift_fit", fit_skew_normal, (mu_hats,)),
+        ("vol_fit", fit_gamma, (sigma_hats,)),
+        ("regression", huber_regression, (sigma_hats, mu_hats)),
+        ("correlation", pearson_correlation, (mu_hats, sigma_hats)),
+    ):
+        try:
+            fits[name] = fit(*args)
+        except (FitFailureError, ParameterError, InsufficientDataError) as exc:
+            fits[name] = None
+            errors.append((name, str(exc)))
 
     return DriftVolPanel(
         estimates=tuple(usable),
-        drift_fit=drift_fit,
-        vol_fit=vol_fit,
-        regression=regression,
-        correlation=correlation,
+        **fits,
         excluded=tuple(excluded),
         fit_errors=tuple(errors),
     )
@@ -284,40 +269,26 @@ _PANEL_COLUMNS = [
 
 def write_panel_csv(panel: DriftVolPanel, destination) -> None:
     """One cross-sectional row plus footer records for exclusions/clamps."""
-
-    def _fmt(value) -> str:
-        return "" if value is None else repr(float(value))
-
-    mu_hats = panel.mu_hats
-    sigma_hats = panel.sigma_hats
+    drift, vol = panel.drift_fit, panel.vol_fit
     a, b, r2 = panel.regression if panel.regression is not None else (None, None, None)
     row = [
-        _fmt(np.mean(mu_hats)),
-        _fmt(np.std(mu_hats)),
-        _fmt(panel.drift_fit.zeta if panel.drift_fit else None),
-        _fmt(panel.drift_fit.omega if panel.drift_fit else None),
-        _fmt(panel.drift_fit.alpha if panel.drift_fit else None),
-        _fmt(np.mean(sigma_hats)),
-        _fmt(panel.vol_fit.shape if panel.vol_fit else None),
-        _fmt(panel.vol_fit.rate if panel.vol_fit else None),
-        _fmt(a),
-        _fmt(b),
-        _fmt(r2),
-        _fmt(panel.correlation),
+        np.mean(panel.mu_hats),
+        np.std(panel.mu_hats),
+        drift.zeta if drift else None,
+        drift.omega if drift else None,
+        drift.alpha if drift else None,
+        np.mean(panel.sigma_hats),
+        vol.shape if vol else None,
+        vol.rate if vol else None,
+        a,
+        b,
+        r2,
+        panel.correlation,
     ]
-
-    def _write(fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_PANEL_COLUMNS)
-        writer.writerow(row)
-        fh.write(f"# tickers_used={len(panel.estimates)}\n")
-        fh.write(f"# excluded_delisted={len(panel.excluded)}\n")
-        fh.write(f"# clamped_estimates={panel.clamped_count}\n")
-        for name, message in panel.fit_errors:
-            fh.write(f"# fit_error_{name}={message}\n")
-
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        with open(destination, "w", newline="", encoding="utf-8") as fh:
-            _write(fh)
-    else:
-        _write(destination)
+    footer = {
+        "tickers_used": len(panel.estimates),
+        "excluded_delisted": len(panel.excluded),
+        "clamped_estimates": panel.clamped_count,
+    }
+    footer.update((f"fit_error_{name}", message) for name, message in panel.fit_errors)
+    write_report(destination, _PANEL_COLUMNS, [row], footer=footer)

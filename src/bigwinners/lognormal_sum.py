@@ -8,14 +8,13 @@ Carlo estimator measures the same ratio directly from simulated portfolios.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import LogNormalParams
-from .empirical import kde_mode, kde_mode_bootstrap_stderr
+from .empirical import kde_mode, kde_mode_bootstrap_stderr, write_report
 from .errors import ParameterError
 
 __all__ = [
@@ -210,24 +209,14 @@ def regime_curve(
     return RegimeCurve(params=p, points=tuple(points))
 
 
+CURVE_FIELDS = ("n", "ratio_analytic", "ratio_mc", "mc_stderr")
+
+
+def curve_rows(curve: RegimeCurve) -> list[tuple]:
+    """The curve's points as report rows in ``CURVE_FIELDS`` order."""
+    return [(pt.n, pt.ratio_analytic, pt.ratio_mc, pt.mc_stderr) for pt in curve.points]
+
+
 def write_curve_csv(curve: RegimeCurve, destination) -> None:
     """Write a curve as CSV with columns n, ratio_analytic, ratio_mc, mc_stderr."""
-
-    def _write(fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "ratio_analytic", "ratio_mc", "mc_stderr"])
-        for pt in curve.points:
-            writer.writerow(
-                [
-                    pt.n,
-                    repr(pt.ratio_analytic),
-                    "" if pt.ratio_mc is None else repr(pt.ratio_mc),
-                    "" if pt.mc_stderr is None else repr(pt.mc_stderr),
-                ]
-            )
-
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        with open(destination, "w", newline="", encoding="utf-8") as fh:
-            _write(fh)
-    else:
-        _write(destination)
+    write_report(destination, CURVE_FIELDS, curve_rows(curve))
