@@ -68,15 +68,36 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
 
 
 def _merged(args: argparse.Namespace, config: configparser.ConfigParser, key: str, convert, default):
-    """CLI flag > command section > [common] section > built-in default."""
+    """CLI flag > command section > [common] section > built-in default.
+
+    A config value that ``convert`` rejects raises ParameterError naming its section and key."""
     value = getattr(args, key, None)
     if value is not None:
         return value
     for section in (args.command, "common"):
         if config.has_option(section, key):
             raw = config.get(section, key)
-            return convert(raw) if convert is not None else raw
+            if convert is None:
+                return raw
+            try:
+                return convert(raw)
+            except ValueError as exc:
+                raise ParameterError(f"config [{section}] {key}: {exc}") from None
     return default
+
+
+def _non_negative_int(text) -> int:
+    value = int(text)
+    if value < 0:
+        raise ParameterError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ParameterError(f"expected 1/yes/true/on or 0/no/false/off, got {text!r}") from None
 
 
 def _parse_window(text: str) -> tuple[dt.date, dt.date]:
@@ -132,7 +153,7 @@ def cmd_analyze(args, config) -> int:
     bandwidth = _merged(args, config, "bandwidth_factor", float, 1.0)
     out_dir = Path(_merged(args, config, "out", None, "."))
     fmt = _merged(args, config, "format", None, "csv")
-    want_qq = bool(_merged(args, config, "qq", lambda s: s.lower() == "true", False))
+    want_qq = _merged(args, config, "qq", _parse_bool, False)
 
     summary_rows: list[tuple] = []
     fit_rows: list[tuple] = []
@@ -219,8 +240,8 @@ def cmd_regime(args, config) -> int:
         return EXIT_INPUT_ERROR
 
     grid = _merged(args, config, "n_grid", _parse_grid, DEFAULT_N_GRID)
-    reps = _merged(args, config, "reps", int, 0)
-    seed = _merged(args, config, "seed", int, None)
+    reps = _merged(args, config, "reps", _non_negative_int, 0)
+    seed = _merged(args, config, "seed", _non_negative_int, None)
     narrow_max = _merged(args, config, "narrow_max", float, NARROW_MAX_SIGMA_SQ)
     very_broad_min = _merged(args, config, "very_broad_min", float, VERY_BROAD_MIN_SIGMA_SQ)
     out_dir = Path(_merged(args, config, "out", None, "."))
@@ -296,8 +317,8 @@ def cmd_model(args, config) -> int:
     sigma_d = _merged(args, config, "sigma_d", float, None)
     sigma = _merged(args, config, "sigma", float, None)
     horizon = _merged(args, config, "horizon", float, None)
-    simulate = _merged(args, config, "simulate", int, 0)
-    seed = _merged(args, config, "seed", int, None)
+    simulate = _merged(args, config, "simulate", _non_negative_int, 0)
+    seed = _merged(args, config, "seed", _non_negative_int, None)
     out_dir = Path(_merged(args, config, "out", None, "."))
     fmt = _merged(args, config, "format", None, "csv")
 
@@ -317,7 +338,7 @@ def cmd_model(args, config) -> int:
         summary = sample_ratio_summary(sample, seed=seed + 1)
         mc_columns = (summary.mean_over_median, summary.ci_low, summary.ci_high, summary.stderr)
         meta = {"seed": seed, "reps": simulate, "version": __version__}
-        if _merged(args, config, "export_sample", lambda s: s.lower() == "true", False):
+        if _merged(args, config, "export_sample", _parse_bool, False):
             write_returns_csv(sample, out_dir / "sample.csv")
     row = (
         mu_d, sigma_d, sigma, horizon, implied.mu_m, implied.sigma_m,
@@ -343,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file; flags override its values")
         p.add_argument("--out", help="output directory (default: current)")
         p.add_argument("--format", choices=["csv", "json"], help="report format (default csv)")
-        p.add_argument("--seed", type=int, help="root seed for stochastic commands")
+        p.add_argument("--seed", type=_non_negative_int, help="root seed for stochastic commands")
 
     p_analyze = sub.add_parser("analyze", help="total-return table and log-normal fit")
     common(p_analyze)
@@ -364,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="CSV with index,mu,sigma columns (analyze fit output)")
     p_regime.add_argument("--n-grid", dest="n_grid", type=_parse_grid,
                           help="comma-separated portfolio sizes")
-    p_regime.add_argument("--reps", type=int, help="Monte Carlo replications (0 = analytic only)")
+    p_regime.add_argument("--reps", type=_non_negative_int,
+                          help="Monte Carlo replications (0 = analytic only)")
     p_regime.add_argument("--narrow-max", dest="narrow_max", type=float,
                           help="sigma^2 at or below this is the narrow regime (default 0.1)")
     p_regime.add_argument("--very-broad-min", dest="very_broad_min", type=float,
@@ -385,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_model.add_argument("--sigma-d", dest="sigma_d", type=float, help="drift dispersion")
     p_model.add_argument("--sigma", type=float, help="common volatility")
     p_model.add_argument("--horizon", type=float, help="horizon in years")
-    p_model.add_argument("--simulate", type=int, help="verify by simulating this many stocks")
+    p_model.add_argument("--simulate", type=_non_negative_int,
+                         help="verify by simulating this many stocks")
     p_model.add_argument("--export-sample", dest="export_sample", action="store_const",
                          const=True, help="also write the simulated returns as sample.csv")
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import singledispatch
 
 import numpy as np
 from scipy import optimize, special, stats
@@ -31,6 +30,7 @@ __all__ = [
     "MomentSummary",
     "lognormal_moments",
     "sample",
+    "law",
     "pdf",
     "quantile",
     "fit_lognormal",
@@ -43,6 +43,8 @@ __all__ = [
 
 # Huber tuning constant: 95% efficiency at the normal model.
 HUBER_TUNING = 1.345
+HUBER_MAX_ITER = 200
+HUBER_TOL = 1e-10
 # MAD -> standard deviation scale for the normal model.
 MAD_TO_SIGMA = 1.0 / 0.6745
 # |alpha| bound for the skew-normal MLE; mirrors the bounded fits visible in
@@ -193,129 +195,68 @@ def lognormal_moments(p: LogNormalParams) -> MomentSummary:
 
 
 # ---------------------------------------------------------------------------
-# Sampling
+# Sampling, densities and quantiles
 # ---------------------------------------------------------------------------
 
-def _as_rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-@singledispatch
 def sample(params, n: int, seed) -> np.ndarray:
     """Draw ``n`` i.i.d. values from the law described by ``params``.
 
     ``seed`` may be an integer, a SeedSequence or a Generator; identical
     (params, n, seed) triples yield bit-identical arrays.
     """
-    raise TypeError(f"no sampler registered for {type(params).__name__}")
-
-
-def _check_n(n: int) -> None:
     if n < 1:
         raise ParameterError(f"sample size must be >= 1, got {n}")
+    rng = np.random.default_rng(seed)
+    if isinstance(params, LogNormalParams):
+        return rng.lognormal(params.mu, params.sigma, size=n)
+    if isinstance(params, SkewNormalParams):
+        # Representation: X = zeta + omega*(delta*|U0| + sqrt(1-delta^2)*U1).
+        z = rng.standard_normal(size=(2, n))
+        d = params.delta
+        return params.zeta + params.omega * (d * np.abs(z[0]) + math.sqrt(1.0 - d * d) * z[1])
+    if isinstance(params, AsymmetricLaplaceParams):
+        # Inverse-CDF transform of a single uniform per draw.
+        u = rng.uniform(size=n)
+        k = params.asymmetry
+        k2 = k * k
+        left = u < k2 / (1.0 + k2)
+        y = np.empty(n)
+        y[left] = k * np.log(u[left] * (1.0 + k2) / k2)
+        y[~left] = -np.log((1.0 - u[~left]) * (1.0 + k2)) / k
+        return params.location + params.scale * y
+    if isinstance(params, GammaParams):
+        return rng.gamma(params.shape, 1.0 / params.rate, size=n)
+    raise TypeError(f"no sampler for {type(params).__name__}")
 
 
-@sample.register
-def _(params: LogNormalParams, n: int, seed) -> np.ndarray:
-    _check_n(n)
-    return _as_rng(seed).lognormal(params.mu, params.sigma, size=n)
+def law(params):
+    """The frozen ``scipy.stats`` distribution of the law described by ``params``.
+
+    The one place that maps these parameter containers onto scipy's
+    parameterisations.  A degenerate log-normal (``sigma == 0``) has no
+    density and raises ParameterError.
+    """
+    if isinstance(params, LogNormalParams):
+        if params.sigma <= 0:
+            raise ParameterError("log-normal law requires sigma > 0")
+        return stats.lognorm(params.sigma, scale=math.exp(params.mu))
+    if isinstance(params, SkewNormalParams):
+        return stats.skewnorm(params.alpha, loc=params.zeta, scale=params.omega)
+    if isinstance(params, AsymmetricLaplaceParams):
+        return stats.laplace_asymmetric(params.asymmetry, loc=params.location, scale=params.scale)
+    if isinstance(params, GammaParams):
+        return stats.gamma(params.shape, scale=1.0 / params.rate)
+    raise TypeError(f"no law for {type(params).__name__}")
 
 
-@sample.register
-def _(params: SkewNormalParams, n: int, seed) -> np.ndarray:
-    # Representation: X = zeta + omega*(delta*|U0| + sqrt(1-delta^2)*U1).
-    _check_n(n)
-    rng = _as_rng(seed)
-    z = rng.standard_normal(size=(2, n))
-    d = params.delta
-    core = d * np.abs(z[0]) + math.sqrt(1.0 - d * d) * z[1]
-    return params.zeta + params.omega * core
-
-
-@sample.register
-def _(params: AsymmetricLaplaceParams, n: int, seed) -> np.ndarray:
-    # Inverse-CDF transform of a single uniform per draw.
-    _check_n(n)
-    rng = _as_rng(seed)
-    u = rng.uniform(size=n)
-    k = params.asymmetry
-    k2 = k * k
-    split = k2 / (1.0 + k2)
-    left = u < split
-    y = np.empty(n)
-    y[left] = k * np.log(u[left] * (1.0 + k2) / k2)
-    y[~left] = -np.log((1.0 - u[~left]) * (1.0 + k2)) / k
-    return params.location + params.scale * y
-
-
-@sample.register
-def _(params: GammaParams, n: int, seed) -> np.ndarray:
-    _check_n(n)
-    return _as_rng(seed).gamma(params.shape, 1.0 / params.rate, size=n)
-
-
-# ---------------------------------------------------------------------------
-# Densities and quantiles
-# ---------------------------------------------------------------------------
-
-@singledispatch
 def pdf(params, x) -> np.ndarray:
     """Probability density of the law described by ``params`` at ``x``."""
-    raise TypeError(f"no density registered for {type(params).__name__}")
+    return law(params).pdf(x)
 
 
-@pdf.register
-def _(params: LogNormalParams, x) -> np.ndarray:
-    if params.sigma <= 0:
-        raise ParameterError("density requires sigma > 0")
-    return stats.lognorm.pdf(x, s=params.sigma, scale=math.exp(params.mu))
-
-
-@pdf.register
-def _(params: SkewNormalParams, x) -> np.ndarray:
-    return stats.skewnorm.pdf(x, params.alpha, loc=params.zeta, scale=params.omega)
-
-
-@pdf.register
-def _(params: AsymmetricLaplaceParams, x) -> np.ndarray:
-    return stats.laplace_asymmetric.pdf(
-        x, params.asymmetry, loc=params.location, scale=params.scale
-    )
-
-
-@pdf.register
-def _(params: GammaParams, x) -> np.ndarray:
-    return stats.gamma.pdf(x, params.shape, scale=1.0 / params.rate)
-
-
-@singledispatch
 def quantile(params, q) -> np.ndarray:
     """Quantile function (inverse CDF) of the law described by ``params``."""
-    raise TypeError(f"no quantile function registered for {type(params).__name__}")
-
-
-@quantile.register
-def _(params: LogNormalParams, q) -> np.ndarray:
-    if params.sigma <= 0:
-        raise ParameterError("quantile requires sigma > 0")
-    return stats.lognorm.ppf(q, s=params.sigma, scale=math.exp(params.mu))
-
-
-@quantile.register
-def _(params: SkewNormalParams, q) -> np.ndarray:
-    return stats.skewnorm.ppf(q, params.alpha, loc=params.zeta, scale=params.omega)
-
-
-@quantile.register
-def _(params: AsymmetricLaplaceParams, q) -> np.ndarray:
-    return stats.laplace_asymmetric.ppf(
-        q, params.asymmetry, loc=params.location, scale=params.scale
-    )
-
-
-@quantile.register
-def _(params: GammaParams, q) -> np.ndarray:
-    return stats.gamma.ppf(q, params.shape, scale=1.0 / params.rate)
+    return law(params).ppf(q)
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +317,11 @@ def _skew_normal_moment_start(x: np.ndarray) -> tuple[float, float, float]:
     return zeta, omega, alpha
 
 
-def fit_skew_normal(x, alpha_cap: float = SKEW_ALPHA_CAP) -> SkewNormalParams:
+def fit_skew_normal(x) -> SkewNormalParams:
     """Numerical MLE of the skew-normal law with a symmetry guard.
 
     Started from method-of-moments values; |alpha| is bounded at
-    ``alpha_cap`` and the result is flagged ``capped`` when the bound is
+    SKEW_ALPHA_CAP and the result is flagged ``capped`` when the bound is
     active.  Because the profile likelihood is almost flat in alpha near
     zero, the unconstrained MLE wanders to |alpha| ~ 0.3 on exactly
     symmetric data; the fit therefore falls back to the nested normal
@@ -396,9 +337,9 @@ def fit_skew_normal(x, alpha_cap: float = SKEW_ALPHA_CAP) -> SkewNormalParams:
     nll_symmetric = _skew_normal_nll(np.array([mean, sd, 0.0]), arr)
 
     z0, w0, a0 = _skew_normal_moment_start(arr)
-    a0 = float(np.clip(a0, -alpha_cap, alpha_cap))
+    a0 = float(np.clip(a0, -SKEW_ALPHA_CAP, SKEW_ALPHA_CAP))
     start = np.array([z0, max(w0, 1e-8 * sd), a0])
-    bounds = [(None, None), (1e-8 * sd, None), (-alpha_cap, alpha_cap)]
+    bounds = [(None, None), (1e-8 * sd, None), (-SKEW_ALPHA_CAP, SKEW_ALPHA_CAP)]
 
     res = optimize.minimize(
         _skew_normal_nll, start, args=(arr,), method="L-BFGS-B", bounds=bounds
@@ -425,8 +366,8 @@ def fit_skew_normal(x, alpha_cap: float = SKEW_ALPHA_CAP) -> SkewNormalParams:
         return SkewNormalParams(zeta=mean, omega=sd, alpha=0.0)
 
     zeta, omega, alpha = res.x
-    alpha = float(np.clip(alpha, -alpha_cap, alpha_cap))
-    capped = abs(alpha) >= alpha_cap - 1e-9
+    alpha = float(np.clip(alpha, -SKEW_ALPHA_CAP, SKEW_ALPHA_CAP))
+    capped = abs(alpha) >= SKEW_ALPHA_CAP - 1e-9
     return SkewNormalParams(zeta=float(zeta), omega=float(omega), alpha=alpha, capped=capped)
 
 
@@ -510,18 +451,14 @@ def fit_asymmetric_laplace(x) -> AsymmetricLaplaceParams:
 # Robust regression and correlation
 # ---------------------------------------------------------------------------
 
-def huber_regression(
-    x,
-    y,
-    tuning: float = HUBER_TUNING,
-    max_iter: int = 200,
-    tol: float = 1e-10,
-) -> tuple[float, float, float]:
+def huber_regression(x, y) -> tuple[float, float, float]:
     """Huber-loss linear fit y ~ a*x + b via IRLS; returns (a, b, r2).
 
-    The threshold is ``tuning`` times the MAD-based robust residual scale,
-    re-estimated each iteration.  R^2 is reported on all points against the
-    robust line, so it can go negative for adversarial data.
+    The threshold is HUBER_TUNING times the MAD-based robust residual scale,
+    re-estimated each iteration, for at most HUBER_MAX_ITER iterations
+    until the coefficients move less than HUBER_TOL (relative).  R^2 is
+    reported on all points against the robust line, so it can go negative
+    for adversarial data.
     """
     xa = _clean(x, 3, "huber_regression")
     ya = _clean(y, 3, "huber_regression")
@@ -533,7 +470,7 @@ def huber_regression(
     a, b = np.polyfit(xa, ya, 1)
     y_span = float(np.max(np.abs(ya))) + 1.0
     converged = False
-    for _ in range(max_iter):
+    for _ in range(HUBER_MAX_ITER):
         resid = ya - (a * xa + b)
         med = float(np.median(resid))
         mad = float(np.median(np.abs(resid - med)))
@@ -541,7 +478,7 @@ def huber_regression(
         if scale <= 1e-14 * y_span:
             converged = True  # residuals numerically flat: exact fit
             break
-        c = tuning * scale
+        c = HUBER_TUNING * scale
         absr = np.abs(resid)
         w = np.where(absr <= c, 1.0, c / np.maximum(absr, 1e-300))
         sw = float(np.sum(w))
@@ -554,13 +491,13 @@ def huber_regression(
             raise FitFailureError("huber_regression: degenerate weighted system")
         a_new = (sw * swxy - swx * swy) / det
         b_new = (swxx * swy - swx * swxy) / det
-        if max(abs(a_new - a), abs(b_new - b)) <= tol * (1.0 + abs(a) + abs(b)):
+        if max(abs(a_new - a), abs(b_new - b)) <= HUBER_TOL * (1.0 + abs(a) + abs(b)):
             a, b = a_new, b_new
             converged = True
             break
         a, b = a_new, b_new
     if not converged:
-        raise FitFailureError("huber_regression did not converge", iterations=max_iter)
+        raise FitFailureError("huber_regression did not converge", iterations=HUBER_MAX_ITER)
 
     resid = ya - (a * xa + b)
     ss_res = float(np.sum(resid * resid))

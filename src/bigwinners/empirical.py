@@ -201,20 +201,18 @@ def load_panel(source) -> PricePanel:
 # Total returns
 # ---------------------------------------------------------------------------
 
-def _nearest_within(dates: np.ndarray, target: np.datetime64, tol_days: int) -> int | None:
+def _nearest_within(dates: np.ndarray, target: np.datetime64) -> int | None:
     gaps = np.abs((dates - target).astype("timedelta64[D]").astype(int))
     k = int(np.argmin(gaps))
-    return k if gaps[k] <= tol_days else None
+    return k if gaps[k] <= ENDPOINT_TOLERANCE_DAYS else None
 
 
 def total_returns(
-    panel: PricePanel,
-    window: tuple[dt.date, dt.date] | None = None,
-    endpoint_tolerance_days: int = ENDPOINT_TOLERANCE_DAYS,
+    panel: PricePanel, window: tuple[dt.date, dt.date] | None = None
 ) -> ReturnSample:
     """One rho per ticker with prices near both window edges.
 
-    Tickers without a price within ``endpoint_tolerance_days`` of an edge
+    Tickers without a price within ENDPOINT_TOLERANCE_DAYS of an edge
     are disqualified and listed with the reason.
     """
     start, end = window if window is not None else panel.window
@@ -225,8 +223,8 @@ def total_returns(
     excluded: list[tuple[str, str]] = []
     for ticker in panel.tickers:
         dates, prices = panel.series[ticker]
-        i0 = _nearest_within(dates, t0, endpoint_tolerance_days)
-        i1 = _nearest_within(dates, t1, endpoint_tolerance_days)
+        i0 = _nearest_within(dates, t0)
+        i1 = _nearest_within(dates, t1)
         if i0 is None or i1 is None or i0 == i1:
             excluded.append((ticker, "insufficient window coverage"))
             continue
@@ -279,15 +277,33 @@ KDE_PEAK_GAP = 0.05
 KDE_SHIFT_FACTOR = 0.5
 
 
-def _scott_bandwidth(t: np.ndarray) -> float:
-    return float(np.std(t)) * t.size ** (-0.2)
+def _kde_axis(x, who: str, bandwidth_factor: float = 1.0):
+    """Checked sample, working axis t, Scott bandwidth h and log-scale flag.
+
+    Strictly positive samples are smoothed in log space (the back-transform
+    is exact), anything else on the raw axis.  ``h`` is None for a constant
+    sample, which has no spread to smooth.
+    """
+    arr = np.asarray(x, dtype=float).ravel()
+    if arr.size < 5:
+        raise InsufficientDataError(f"{who} needs at least 5 points, got {arr.size}")
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{who} requires finite values")
+    if float(np.ptp(arr)) == 0.0:
+        return arr, arr, None, False
+    log_scale = bool(np.all(arr > 0))
+    t = np.log(arr) if log_scale else arr
+    h = float(np.std(t)) * t.size ** (-0.2) * bandwidth_factor
+    if h <= 0 or not math.isfinite(h):
+        raise ParameterError(f"{who}: could not form a positive bandwidth")
+    return arr, t, h, log_scale
 
 
-def _histogram(t: np.ndarray, h: float, grid_size: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _histogram(t: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Bin centers, counts and bin width of ``t`` on a grid padded by 4h."""
     lo = float(np.min(t)) - 4.0 * h
     hi = float(np.max(t)) + 4.0 * h
-    edges = np.linspace(lo, hi, grid_size + 1)
+    edges = np.linspace(lo, hi, KDE_GRID_SIZE + 1)
     counts, _ = np.histogram(t, bins=edges)
     return 0.5 * (edges[:-1] + edges[1:]), counts, edges[1] - edges[0]
 
@@ -298,17 +314,15 @@ def _smooth(counts: np.ndarray, h: float, width: float) -> np.ndarray:
     )
 
 
-def _binned_density(t: np.ndarray, h: float, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    centers, counts, width = _histogram(t, h, grid_size)
-    return centers, _smooth(counts, h, width) / (t.size * width)
+def _grid_objective(t: np.ndarray, h: float, log_scale: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Grid centers and the binned density objective whose argmax is the mode.
 
-
-def _grid_mode(t: np.ndarray, h: float, log_scale: bool, grid_size: int) -> float:
-    # In log scale the density of X at x=e^t is f_t(t)/e^t, so maximizing
-    # f_t(t)*e^{-t} finds the mode of X itself.
-    centers, dens = _binned_density(t, h, grid_size)
-    obj = dens * np.exp(-centers) if log_scale else dens
-    return float(centers[int(np.argmax(obj))])
+    In log scale the density of X at x=e^t is f_t(t)/e^t, so maximizing
+    f_t(t)*e^{-t} finds the mode of X itself.
+    """
+    centers, counts, width = _histogram(t, h)
+    dens = _smooth(counts, h, width) / (t.size * width)
+    return centers, dens * np.exp(-centers) if log_scale else dens
 
 
 def _exact_neg_objective(s: float, t: np.ndarray, h: float, log_scale: bool) -> float:
@@ -319,45 +333,25 @@ def _exact_neg_objective(s: float, t: np.ndarray, h: float, log_scale: bool) -> 
     return -(math.log(f) - s) if log_scale else -f
 
 
-def kde_mode(
-    x,
-    bandwidth_factor: float = 1.0,
-    log_scale: bool | None = None,
-    grid_size: int = KDE_GRID_SIZE,
-    peak_gap: float = KDE_PEAK_GAP,
-    shift_factor: float = KDE_SHIFT_FACTOR,
-) -> KDEModeResult:
+def kde_mode(x, bandwidth_factor: float = 1.0) -> KDEModeResult:
     """Gaussian-KDE mode with Scott bandwidth, grid search plus local refine.
 
-    ``log_scale=None`` picks the working axis automatically: strictly
-    positive samples are smoothed in log space (the back-transform is
-    exact), anything else on the raw axis.  The estimate is flagged
-    unstable when a rival local maximum comes within ``peak_gap`` of the
-    top density or the mode moves more than ``shift_factor`` bandwidths
-    under a +/-20% bandwidth change.
+    Strictly positive samples are smoothed in log space (the back-transform
+    is exact), anything else on the raw axis; the grid has KDE_GRID_SIZE
+    bins.  The estimate is flagged unstable when a rival local maximum
+    comes within KDE_PEAK_GAP of the top density or the mode moves more
+    than KDE_SHIFT_FACTOR bandwidths under a +/-20% bandwidth change.
     """
-    arr = np.asarray(x, dtype=float).ravel()
-    if arr.size < 5:
-        raise InsufficientDataError(f"kde_mode needs at least 5 points, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("kde_mode requires finite values")
-    if float(np.ptp(arr)) == 0.0:
+    arr, t, h, log_scale = _kde_axis(x, "kde_mode", bandwidth_factor)
+    if h is None:
         return KDEModeResult(mode=float(arr[0]), bandwidth=0.0, stable=True, log_scale=False)
 
-    if log_scale is None:
-        log_scale = bool(np.all(arr > 0))
-    t = np.log(arr) if log_scale else arr
-    h = _scott_bandwidth(t) * bandwidth_factor
-    if h <= 0 or not math.isfinite(h):
-        raise ParameterError("kde_mode: could not form a positive bandwidth")
-
-    centers, dens = _binned_density(t, h, grid_size)
-    obj = dens * np.exp(-centers) if log_scale else dens
+    centers, obj = _grid_objective(t, h, log_scale)
     k = int(np.argmax(obj))
 
     # Refine the grid winner against the exact kernel sum.
     lo = centers[max(k - 1, 0)]
-    hi = centers[min(k + 1, grid_size - 1)]
+    hi = centers[min(k + 1, KDE_GRID_SIZE - 1)]
     res = optimize.minimize_scalar(
         _exact_neg_objective,
         bounds=(lo, hi),
@@ -374,15 +368,15 @@ def kde_mode(
     if peaks.size >= 2:
         heights = np.sort(obj[peaks])[::-1]
         gap_idx = np.abs(peaks - k) > 1
-        if np.any(gap_idx) and heights[1] >= (1.0 - peak_gap) * heights[0]:
+        if np.any(gap_idx) and heights[1] >= (1.0 - KDE_PEAK_GAP) * heights[0]:
             rivals = peaks[gap_idx]
-            if np.any(obj[rivals] >= (1.0 - peak_gap) * obj[k]):
+            if np.any(obj[rivals] >= (1.0 - KDE_PEAK_GAP) * obj[k]):
                 stable = False
 
     # Bandwidth sensitivity check (grid-level is enough for a flag).
     for factor in (0.8, 1.2):
-        t_alt = _grid_mode(t, h * factor, log_scale, grid_size)
-        if abs(t_alt - t_mode) > shift_factor * h:
+        alt_centers, alt_obj = _grid_objective(t, h * factor, log_scale)
+        if abs(float(alt_centers[int(np.argmax(alt_obj))]) - t_mode) > KDE_SHIFT_FACTOR * h:
             stable = False
             break
 
@@ -391,33 +385,21 @@ def kde_mode(
     return KDEModeResult(mode=mode, bandwidth=h, stable=stable, log_scale=log_scale)
 
 
-def kde_mode_bootstrap_stderr(
-    x,
-    seed,
-    replicates: int = 32,
-    bandwidth_factor: float = 1.0,
-    log_scale: bool | None = None,
-    grid_size: int = KDE_GRID_SIZE,
-) -> float:
+def kde_mode_bootstrap_stderr(x, seed, replicates: int = 32) -> float:
     """Smoothed-bootstrap standard error of the KDE mode.
 
-    Draws each replicate multinomially from the histogram pre-smoothed at
-    the working bandwidth h, then re-smooths it at h, so each replicate
-    costs O(grid) instead of O(n).  Resampling the raw histogram instead
+    Works on the axis and at the Scott bandwidth h that ``kde_mode`` uses
+    by default.  Draws each replicate multinomially from the histogram
+    pre-smoothed at h, then re-smooths it at h, so each replicate costs
+    O(KDE_GRID_SIZE) instead of O(n).  Resampling the raw histogram instead
     would hand every replicate the sample's own noise bumps: on a
     flat-topped density the replicate modes cluster around those bumps and
     the spread understates the estimator's seed-to-seed scatter.
     """
-    arr = np.asarray(x, dtype=float).ravel()
-    if arr.size < 5:
-        raise InsufficientDataError("bootstrap stderr needs at least 5 points")
-    if float(np.ptp(arr)) == 0.0:
+    arr, t, h, log_scale = _kde_axis(x, "bootstrap stderr")
+    if h is None:
         return 0.0
-    if log_scale is None:
-        log_scale = bool(np.all(arr > 0))
-    t = np.log(arr) if log_scale else arr
-    h = _scott_bandwidth(t) * bandwidth_factor
-    centers, counts, width = _histogram(t, h, grid_size)
+    centers, counts, width = _histogram(t, h)
     tilt = np.exp(-centers) if log_scale else 1.0
 
     rng = np.random.default_rng(seed)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize, stats
 
-from .distributions import GammaParams, LogNormalParams, SkewNormalParams, sample as draw
+from .distributions import GammaParams, LogNormalParams, SkewNormalParams, law, sample as draw
 from .empirical import ReturnSample, kde_mode
 from .errors import ParameterError
 
@@ -198,14 +198,15 @@ def log_skew_normal_mode(sn: SkewNormalParams) -> float:
     constant; f_Y is log-concave, so the tilted objective has a single
     maximum, bracketed by a coarse grid and polished by golden section.
     """
+    logpdf = law(sn).logpdf
 
     def neg_tilted(t: float) -> float:
-        return -(stats.skewnorm.logpdf(t, sn.alpha, loc=sn.zeta, scale=sn.omega) - t)
+        return -(logpdf(t) - t)
 
     lo = sn.zeta - sn.omega * sn.omega - 20.0 * sn.omega
     hi = sn.zeta + 20.0 * sn.omega
     grid = np.linspace(lo, hi, 512)
-    values = stats.skewnorm.logpdf(grid, sn.alpha, loc=sn.zeta, scale=sn.omega) - grid
+    values = logpdf(grid) - grid
     k = int(np.argmax(values))
     k = min(max(k, 1), grid.size - 2)
     res = optimize.minimize_scalar(
@@ -226,18 +227,22 @@ def log_skew_normal_mean(sn: SkewNormalParams) -> float:
 
 def log_skew_normal_median(sn: SkewNormalParams) -> float:
     """exp of the skew-normal median (numeric quantile)."""
-    return math.exp(float(stats.skewnorm.ppf(0.5, sn.alpha, loc=sn.zeta, scale=sn.omega)))
+    return math.exp(float(law(sn).ppf(0.5)))
 
 
 # ---------------------------------------------------------------------------
 # Sample-based ratio summary
 # ---------------------------------------------------------------------------
 
+# Two-sided level of the bootstrap CI on mean/median.
+RATIO_CI_LEVEL = 0.99
+
+
 @dataclass(frozen=True)
 class SampleRatios:
     """Mean/median/mode ratios of a return sample with a bootstrap CI.
 
-    ``ci_low``/``ci_high`` bound mean_over_median at the requested level;
+    ``ci_low``/``ci_high`` bound mean_over_median at RATIO_CI_LEVEL;
     ``stderr`` is the bootstrap standard error of that ratio.
     """
 
@@ -251,18 +256,11 @@ class SampleRatios:
     stderr: float
 
 
-def sample_ratio_summary(
-    sample: ReturnSample,
-    seed,
-    replicates: int = 200,
-    level: float = 0.99,
-) -> SampleRatios:
-    """Mean/median/mode ratios with a percentile-bootstrap CI on mean/median."""
+def sample_ratio_summary(sample: ReturnSample, seed, replicates: int = 200) -> SampleRatios:
+    """Mean/median/mode ratios with a RATIO_CI_LEVEL percentile-bootstrap CI on mean/median."""
     rho = sample.rho
     if rho.size < 5:
         raise ParameterError("sample_ratio_summary needs at least 5 returns")
-    if not 0.0 < level < 1.0:
-        raise ParameterError(f"level must be in (0, 1), got {level}")
     mean = float(np.mean(rho))
     median = float(np.median(rho))
     mode = kde_mode(rho).mode
@@ -272,7 +270,7 @@ def sample_ratio_summary(
     for i in range(replicates):
         boot = rho[rng.integers(0, rho.size, size=rho.size)]
         ratios[i] = np.mean(boot) / np.median(boot)
-    tail = 0.5 * (1.0 - level)
+    tail = 0.5 * (1.0 - RATIO_CI_LEVEL)
     lo, hi = np.quantile(ratios, [tail, 1.0 - tail])
     return SampleRatios(
         mean=mean,

@@ -92,8 +92,10 @@ def classify_regime(
     narrow_max: float = NARROW_MAX_SIGMA_SQ,
     very_broad_min: float = VERY_BROAD_MIN_SIGMA_SQ,
 ) -> RegimeLabel:
-    """Assign the shape regime from sigma^2 using documented thresholds."""
+    """Assign the shape regime from sigma^2; needs ``narrow_max < very_broad_min``."""
     _check_params(p)
+    if narrow_max >= very_broad_min:
+        raise ParameterError(f"narrow_max {narrow_max} must be below very_broad_min {very_broad_min}")
     s2 = p.sigma_sq
     if s2 <= narrow_max:
         label = NARROW
@@ -150,19 +152,14 @@ def typical_mean_ratio(
     return _FORMULAS[regime.label](regime.sigma_sq, n)
 
 
-def mc_typical_mean(
-    p: LogNormalParams,
-    n: int,
-    reps: int,
-    seed,
-    bootstrap: int = 32,
-) -> tuple[float, float]:
+def mc_typical_mean(p: LogNormalParams, n: int, reps: int, seed) -> tuple[float, float]:
     """Monte Carlo estimate of the typical-to-true mean ratio.
 
     Draws ``reps`` portfolios of ``n`` i.i.d. log-normal returns, takes
     each portfolio's average, estimates the mode of the resulting
     distribution by the shared KDE machinery and divides by the true mean.
-    Returns (mode_ratio, bootstrap standard error).
+    Returns (mode_ratio, standard error from ``kde_mode_bootstrap_stderr``
+    at its default 32 replicates).
     """
     _check_params(p)
     if n < 1:
@@ -182,7 +179,7 @@ def mc_typical_mean(
 
     true_mean = math.exp(p.mu + 0.5 * p.sigma_sq)
     mode = kde_mode(y).mode
-    stderr = kde_mode_bootstrap_stderr(y, seed=rng, replicates=bootstrap) / true_mean
+    stderr = kde_mode_bootstrap_stderr(y, seed=rng) / true_mean
     return mode / true_mean, stderr
 
 
@@ -246,7 +243,6 @@ def regime_curve(
     n_grid,
     reps: int = 0,
     seed=None,
-    bootstrap: int = 32,
     narrow_max: float = NARROW_MAX_SIGMA_SQ,
     very_broad_min: float = VERY_BROAD_MIN_SIGMA_SQ,
 ) -> RegimeCurve:
@@ -269,7 +265,7 @@ def regime_curve(
             p, n, narrow_max=narrow_max, very_broad_min=very_broad_min
         )
         if reps > 0:
-            mc, se = mc_typical_mean(p, n, reps, child, bootstrap=bootstrap)
+            mc, se = mc_typical_mean(p, n, reps, child)
             points.append(CurvePoint(n=n, ratio_analytic=analytic, ratio_mc=mc, mc_stderr=se))
         else:
             points.append(CurvePoint(n=n, ratio_analytic=analytic))

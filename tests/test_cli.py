@@ -266,3 +266,89 @@ class TestConfigFile:
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["model", "--config", str(tmp_path / "nope.ini")]) == 2
+
+
+MODEL_ARGS = ["model", "--mu-d", "0.12", "--sigma-d", "0.03", "--sigma", "0.1", "--horizon", "16"]
+REGIME_ARGS = ["regime", "--mu", "0.9", "--sigma", "1.0"]
+
+
+def exit_code(argv):
+    """Exit code of a CLI run, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "argv,section,key,value",
+        [
+            (MODEL_ARGS[:-2], "model", "horizon", "abc"),
+            (REGIME_ARGS + ["--seed", "1"], "regime", "reps", "1e5"),
+        ],
+        ids=["model-horizon", "regime-reps"],
+    )
+    def test_malformed_value_exits_2_naming_key(self, tmp_path, capsys, argv, section, key, value):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"config [{section}] {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "word,expected",
+        [("1", True), ("yes", True), ("True", True), ("on", True),
+         ("0", False), ("no", False), ("false", False), ("OFF", False)],
+    )
+    def test_qq_takes_configparser_boolean_words(self, tmp_path, word, expected):
+        src = make_return_panel(tmp_path, "synth", np.random.default_rng(61).lognormal(0.5, 0.8, 40))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[analyze]\nqq = {word}\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(src), "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "qq_synth.csv").exists() is expected
+
+    def test_export_sample_takes_yes(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[model]\nexport_sample = yes\n")
+        out = tmp_path / "out"
+        assert main(MODEL_ARGS + ["--simulate", "50", "--seed", "3", "--config", str(cfg),
+                                  "--out", str(out)]) == 0
+        assert (out / "sample.csv").exists()
+
+    def test_unknown_boolean_word_exits_2(self, tmp_path, capsys):
+        src = make_return_panel(tmp_path, "synth", [2.5, 0.8, 1.4])
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[analyze]\nqq = maybe\n")
+        assert main(["analyze", "--input", str(src), "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "config [analyze] qq:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (REGIME_ARGS + ["--reps", "10000", "--seed", "-1"], ""),
+        (MODEL_ARGS + ["--simulate", "10", "--seed", "-5"], ""),
+        (REGIME_ARGS + ["--reps", "-5", "--seed", "1"], ""),
+        (MODEL_ARGS + ["--simulate", "-4", "--seed", "1"], ""),
+        (REGIME_ARGS + ["--reps", "10000"], "[common]\nseed = -1\n"),
+        (MODEL_ARGS + ["--seed", "1"], "[model]\nsimulate = -4\n"),
+    ],
+    ids=["regime-seed-flag", "model-seed-flag", "regime-reps-flag", "model-simulate-flag",
+         "common-seed-config", "model-simulate-config"],
+)
+def test_negative_seed_or_count_exits_2_before_any_work(tmp_path, argv, config):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert exit_code(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_inconsistent_regime_cutoffs_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(REGIME_ARGS + ["--narrow-max", "5", "--very-broad-min", "1", "--out", str(out)])
+    assert rc == 2
+    assert "very_broad_min" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,8 +1,9 @@
+import collections
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from bigwinners.distributions import (
     AsymmetricLaplaceParams,
@@ -314,3 +315,37 @@ class TestQuantile:
         q = quantile(params, [0.25, 0.5, 0.75])
         emp = np.quantile(x, [0.25, 0.5, 0.75])
         assert np.allclose(q, emp, atol=0.05 * (1 + np.abs(q).max()))
+
+
+class TestLawMapping:
+    @pytest.mark.parametrize(
+        "params,dist,args,kwds",
+        [
+            (LogNormalParams(0.4, 0.9), stats.lognorm, (0.9,), {"scale": math.exp(0.4)}),
+            (SkewNormalParams(0.1, 0.5, 1.2), stats.skewnorm, (1.2,), {"loc": 0.1, "scale": 0.5}),
+            (AsymmetricLaplaceParams(0.2, 0.7, 1.5), stats.laplace_asymmetric, (1.5,),
+             {"loc": 0.2, "scale": 0.7}),
+            (GammaParams(2.0, 3.0), stats.gamma, (2.0,), {"scale": 1.0 / 3.0}),
+        ],
+    )
+    def test_pdf_and_quantile_equal_direct_scipy_calls(self, params, dist, args, kwds):
+        x = np.linspace(-1.0, 4.0, 101)
+        q = np.linspace(0.01, 0.99, 99)
+        assert np.array_equal(pdf(params, x), dist.pdf(x, *args, **kwds))
+        assert np.array_equal(quantile(params, q), dist.ppf(q, *args, **kwds))
+
+    def test_unknown_params_type_rejected(self):
+        look_alike = collections.namedtuple("LogNormalLike", "mu sigma")(0.0, 1.0)
+        with pytest.raises(TypeError):
+            sample(look_alike, 10, 1)
+        with pytest.raises(TypeError):
+            pdf(look_alike, 1.0)
+        with pytest.raises(TypeError):
+            quantile(look_alike, 0.5)
+
+    def test_degenerate_lognormal_has_no_density_or_quantile(self):
+        p = LogNormalParams(0.3, 0.0)
+        with pytest.raises(ParameterError):
+            pdf(p, 1.0)
+        with pytest.raises(ParameterError):
+            quantile(p, 0.5)

@@ -205,3 +205,11 @@ class TestRegimeCurve:
         first = lines[1].split(",")
         assert first[0] == "2"
         assert float(first[1]) == pytest.approx(curve.points[0].ratio_analytic)
+
+
+class TestRegimeCutoffs:
+    @pytest.mark.parametrize("narrow_max,very_broad_min", [(5.0, 1.0), (2.0, 2.0)])
+    def test_narrow_cutoff_not_below_very_broad_rejected(self, narrow_max, very_broad_min):
+        with pytest.raises(ParameterError, match="very_broad_min"):
+            classify_regime(LogNormalParams(0.9, 1.0), narrow_max=narrow_max,
+                            very_broad_min=very_broad_min)
