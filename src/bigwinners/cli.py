@@ -86,11 +86,27 @@ def _merged(args: argparse.Namespace, config: configparser.ConfigParser, key: st
     return default
 
 
+def _flag(convert):
+    """``convert`` as an argparse ``type=`` that prints its ParameterError text
+    (argparse prints only the converter's name for a ValueError)."""
+
+    def flag(text):
+        try:
+            return convert(text)
+        except ParameterError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return flag
+
+
 def _non_negative_int(text) -> int:
-    value = int(text)
-    if value < 0:
-        raise ParameterError(f"expected a non-negative integer, got {text!r}")
-    return value
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise ParameterError(f"expected a non-negative integer, got {text!r}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -364,12 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file; flags override its values")
         p.add_argument("--out", help="output directory (default: current)")
         p.add_argument("--format", choices=["csv", "json"], help="report format (default csv)")
-        p.add_argument("--seed", type=_non_negative_int, help="root seed for stochastic commands")
+        p.add_argument("--seed", type=_flag(_non_negative_int), help="root seed for stochastic commands")
 
     p_analyze = sub.add_parser("analyze", help="total-return table and log-normal fit")
     common(p_analyze)
     p_analyze.add_argument("--input", action="append", help="price CSV (ticker,date,adj_close)")
-    p_analyze.add_argument("--window", type=_parse_window, help="START:END ISO dates")
+    p_analyze.add_argument("--window", type=_flag(_parse_window), help="START:END ISO dates")
     p_analyze.add_argument("--tail-threshold", dest="tail_threshold", type=float,
                            help="ln-rho cutoff for the left-tail filter (default -2)")
     p_analyze.add_argument("--bandwidth-factor", dest="bandwidth_factor", type=float,
@@ -383,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_regime.add_argument("--sigma", type=float, help="log-normal shape")
     p_regime.add_argument("--params-file", dest="params_file",
                           help="CSV with index,mu,sigma columns (analyze fit output)")
-    p_regime.add_argument("--n-grid", dest="n_grid", type=_parse_grid,
+    p_regime.add_argument("--n-grid", dest="n_grid", type=_flag(_parse_grid),
                           help="comma-separated portfolio sizes")
-    p_regime.add_argument("--reps", type=_non_negative_int,
+    p_regime.add_argument("--reps", type=_flag(_non_negative_int),
                           help="Monte Carlo replications (0 = analytic only)")
     p_regime.add_argument("--narrow-max", dest="narrow_max", type=float,
                           help="sigma^2 at or below this is the narrow regime (default 0.1)")
@@ -407,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_model.add_argument("--sigma-d", dest="sigma_d", type=float, help="drift dispersion")
     p_model.add_argument("--sigma", type=float, help="common volatility")
     p_model.add_argument("--horizon", type=float, help="horizon in years")
-    p_model.add_argument("--simulate", type=_non_negative_int,
+    p_model.add_argument("--simulate", type=_flag(_non_negative_int),
                          help="verify by simulating this many stocks")
     p_model.add_argument("--export-sample", dest="export_sample", action="store_const",
                          const=True, help="also write the simulated returns as sample.csv")

@@ -13,6 +13,7 @@ import datetime as dt
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,6 +131,34 @@ class KDEModeResult:
 # ---------------------------------------------------------------------------
 
 _COLUMNS = ("ticker", "date", "adj_close")
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+
+
+def _row_error(lineno: int, row) -> DataError:
+    """The error of the first check ``row`` fails: field count, empty ticker,
+    bad date, bad price, then non-positive price."""
+    if len(row) != 3:
+        return ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
+    ticker = row[0].strip()
+    if not ticker:
+        return ParseError("empty ticker", line=lineno)
+    try:
+        date = dt.date.fromisoformat(row[1].strip())
+    except ValueError:
+        return ParseError(f"bad date {row[1]!r}", line=lineno)
+    try:
+        price = float(row[2])
+    except ValueError:
+        return ParseError(f"bad price {row[2]!r}", line=lineno)
+    return DataError(f"line {lineno}: non-positive price {price!r} for {ticker} on {date}")
+
+
+def _iso_day(text: str) -> int | None:
+    """Days since 1970-01-01 of an ISO date string, None if it is not one."""
+    try:
+        return dt.date.fromisoformat(text.strip()).toordinal() - _EPOCH_ORDINAL
+    except ValueError:
+        return None
 
 
 def load_panel(source) -> PricePanel:
@@ -137,8 +166,18 @@ def load_panel(source) -> PricePanel:
 
     Dates are ISO-8601; duplicate (ticker, date) rows are rejected;
     out-of-order rows are sorted and noted in the panel's load report.
+    Each row is read as integer codes of its raw ticker and date strings
+    plus its price, so each distinct string is checked and converted once.
+    One stable lexsort by (ticker, date) then groups the panel, and a faulty
+    file reports its first offending line with the message rebuilt from
+    that row alone.
     """
-    raw: dict[str, list[tuple[np.datetime64, float]]] = {}
+    raw_tickers: dict[str, int] = {}
+    raw_dates: dict[str, int] = {}
+    ticker_codes, date_codes, lines = array("l"), array("l"), array("l")
+    prices = array("d")
+    stop: Exception | None = None  # what ended the read early, raised if no stored row is faulty
+
     with open(source, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -149,52 +188,61 @@ def load_panel(source) -> PricePanel:
             raise ParseError(
                 f"expected header {','.join(_COLUMNS)!r}, got {','.join(header)!r}", line=1
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
-            ticker = row[0].strip()
-            if not ticker:
-                raise ParseError("empty ticker", line=lineno)
-            try:
-                date = dt.date.fromisoformat(row[1].strip())
-            except ValueError:
-                raise ParseError(f"bad date {row[1]!r}", line=lineno) from None
-            try:
-                price = float(row[2])
-            except ValueError:
-                raise ParseError(f"bad price {row[2]!r}", line=lineno) from None
-            if not math.isfinite(price) or price <= 0:
-                raise DataError(
-                    f"line {lineno}: non-positive price {price!r} for {ticker} on {date}"
-                )
-            raw.setdefault(ticker, []).append((np.datetime64(date), price))
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != 3:
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
+                    stop = _row_error(lineno, row)
+                    break
+                try:
+                    prices.append(float(row[2]))
+                except ValueError:
+                    stop = _row_error(lineno, row)
+                    break
+                ticker_codes.append(raw_tickers.setdefault(row[0], len(raw_tickers)))
+                date_codes.append(raw_dates.setdefault(row[1], len(raw_dates)))
+                lines.append(lineno)
+        except (csv.Error, UnicodeDecodeError) as exc:  # reported only if no stored row is faulty
+            stop = exc
 
-    if not raw:
+    names = [s.strip() for s in raw_tickers]
+    day_of_raw = [_iso_day(s) for s in raw_dates]
+    t, d, px = np.asarray(ticker_codes), np.asarray(date_codes), np.asarray(prices)
+    bad = ~(np.isfinite(px) & (px > 0))
+    bad |= np.array([not n for n in names], dtype=bool)[t]
+    bad |= np.array([day is None for day in day_of_raw], dtype=bool)[d]
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _row_error(lines[i], (list(raw_tickers)[t[i]], list(raw_dates)[d[i]], prices[i]))
+    if stop is not None:
+        raise stop
+    if not prices:
         raise DataError("no price records found")
 
-    notes: list[str] = []
-    series: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    lo = None
-    hi = None
-    for ticker, rows in raw.items():
-        dates = np.array([d for d, _ in rows], dtype="datetime64[D]")
-        prices = np.array([p for _, p in rows], dtype=float)
-        order = np.argsort(dates, kind="stable")
-        if not np.array_equal(order, np.arange(dates.size)):
-            dates = dates[order]
-            prices = prices[order]
-            notes.append(f"{ticker}: rows were out of date order; sorted")
-        if dates.size > 1 and np.any(dates[1:] == dates[:-1]):
-            dup = dates[1:][dates[1:] == dates[:-1]][0]
-            raise DataError(f"duplicate (ticker, date) row: {ticker} on {dup}")
-        series[ticker] = (dates, prices)
-        lo = dates[0] if lo is None else min(lo, dates[0])
-        hi = dates[-1] if hi is None else max(hi, dates[-1])
+    # Raw tickers that strip to the same name share a code, numbered by first appearance.
+    codes_of_name: dict[str, int] = {}
+    codes = np.array([codes_of_name.setdefault(n, len(codes_of_name)) for n in names])[t]
+    days = np.array(day_of_raw, dtype=np.int64)[d]
+    order = np.lexsort((days, codes))
+    codes, days = codes[order], days[order]
+    dates = days.view("datetime64[D]")
+    tickers = list(codes_of_name)
+    same = codes[1:] == codes[:-1]
 
-    window = (lo.astype(dt.date), hi.astype(dt.date))
-    return PricePanel(series=series, window=window, notes=tuple(notes))
+    dup = same & (days[1:] == days[:-1])
+    if dup.any():
+        k = int(np.argmax(dup))
+        raise DataError(f"duplicate (ticker, date) row: {tickers[codes[k]]} on {dates[k + 1]}")
+
+    notes = tuple(
+        f"{tickers[c]}: rows were out of date order; sorted"
+        for c in np.unique(codes[1:][same & (order[1:] < order[:-1])])
+    )
+    bounds = np.flatnonzero(~same) + 1
+    series = dict(zip(tickers, zip(np.split(dates, bounds), np.split(px[order], bounds))))
+    window = (dates.min().astype(dt.date), dates.max().astype(dt.date))
+    return PricePanel(series=series, window=window, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +307,9 @@ def top_contribution(sample: ReturnSample, pct: float) -> float:
     labels = sample.tickers if sample.tickers is not None else tuple(
         f"{i:08d}" for i in range(n)
     )
-    order = sorted(range(n), key=lambda i: (-sample.rho[i], labels[i]))
-    rest = sample.rho[sorted(order[k:])]
+    # Object labels keep Python's string order (a numpy str array drops trailing NULs).
+    order = np.lexsort((np.array(labels, dtype=object), -sample.rho))
+    rest = sample.rho[np.sort(order[k:])]
     total_mean = float(np.mean(sample.rho))
     return 100.0 * (1.0 - float(np.mean(rest)) / total_mean)
 

@@ -1,6 +1,7 @@
 import datetime as dt
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -352,3 +353,19 @@ def test_inconsistent_regime_cutoffs_exit_2(tmp_path, capsys):
     assert rc == 2
     assert "very_broad_min" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,rule",
+    [
+        (["analyze", "--window", "bad"], "argument --window: bad window 'bad'; expected START:END ISO dates"),
+        (["regime", "--n-grid", "1,x"], "argument --n-grid: bad n-grid '1,x'; expected comma-separated integers"),
+        (["regime", "--seed", "-1"], "argument --seed: expected a non-negative integer, got '-1'"),
+    ],
+    ids=["window", "n-grid", "seed"],
+)
+def test_flag_error_names_the_broken_rule(capsys, argv, rule):
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert rule in err
+    assert not re.search(r"(?<!\w)_\w", err), err  # no private converter name

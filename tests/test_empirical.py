@@ -77,6 +77,13 @@ class TestLoadPanel:
         with pytest.raises(DataError, match="duplicate"):
             load_panel(path)
 
+    @pytest.mark.parametrize("text", ["2006", "2006-01", "NaT", "2006-01-02T00"])
+    def test_date_numpy_would_accept_is_parse_error(self, price_csv, text):
+        """numpy's datetime parser reads these as dates (or NaT); the loader must not."""
+        path = price_csv([("AAA", "2006-01-02", 10.0), ("AAA", text, 11.0)])
+        with pytest.raises(ParseError, match=f"^line 3: bad date '{text}'$"):
+            load_panel(path)
+
 
 # ---------------------------------------------------------------------------
 # Total returns

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
 from bigwinners.distributions import (
@@ -19,7 +19,7 @@ from bigwinners.distributions import (
     lognormal_moments,
     sample,
 )
-from bigwinners.empirical import ReturnSample, summarize_index, tail_filter
+from bigwinners.empirical import ReturnSample, summarize_index, tail_filter, top_contribution
 from bigwinners.gbm import GBMParams, estimate_gbm, simulate_gbm
 from bigwinners.index_model import DriftModelParams, model_ratios
 from bigwinners.lognormal_sum import MODERATELY_BROAD, VERY_BROAD, regime_formula_values, typical_mean_ratio
@@ -235,3 +235,48 @@ def test_summarize_permutation_invariant(seed, perm_seed):
     assert a.top5 == pytest.approx(b.top5, rel=1e-9)
     assert a.top10 == pytest.approx(b.top10, rel=1e-9)
     assert a.top25 == pytest.approx(b.top25, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Winner contribution against the sort it replaced
+# ---------------------------------------------------------------------------
+
+def reference_top_contribution(sample, pct):
+    """``top_contribution`` as a Python ``sorted`` with a (-rho, label) key."""
+    n = len(sample)
+    k = max(1, math.floor(pct * n + 0.5))
+    labels = sample.tickers if sample.tickers is not None else tuple(
+        f"{i:08d}" for i in range(n)
+    )
+    order = sorted(range(n), key=lambda i: (-sample.rho[i], labels[i]))
+    rest = sample.rho[sorted(order[k:])]
+    total_mean = float(np.mean(sample.rho))
+    return 100.0 * (1.0 - float(np.mean(rest)) / total_mean)
+
+
+@st.composite
+def tied_samples(draw):
+    """Return samples with many tied values, with or without tickers that may
+    differ only by trailing NULs."""
+    # Values whose sums round, so a different summation order shows.
+    value = st.sampled_from([0.1, 0.7, 1 / 3, 2 / 3, 123.456, 1e-3]) | st.floats(1e-3, 1e3)
+    pool = draw(st.lists(value, min_size=1, max_size=4))
+    rho = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=60))
+    tickers = None
+    if draw(st.booleans()):
+        tickers = tuple(draw(st.lists(
+            st.text(alphabet="AB\x00 ", max_size=4), min_size=len(rho), max_size=len(rho), unique=True
+        )))
+    return ReturnSample(rho=np.array(rho), tickers=tickers)
+
+
+TIED = np.array([0.7, 1 / 3, 2 / 3, 0.7])  # the mean of the rest depends on which 0.7 is dropped
+
+
+@SUITE
+@given(sample=tied_samples(), pct=st.floats(0.01, 0.99))
+@example(sample=ReturnSample(rho=TIED, tickers=("B", "C", "D", "A")), pct=0.1)
+@example(sample=ReturnSample(rho=TIED, tickers=("A\x00", "C", "D", "A")), pct=0.1)
+def test_top_contribution_matches_sorted_reference(sample, pct):
+    got, want = top_contribution(sample, pct), reference_top_contribution(sample, pct)
+    assert got == want or (math.isnan(got) and math.isnan(want))  # NaN when k = n
