@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special, stats
+import scipy
 
 from .errors import FitFailureError, InsufficientDataError, ParameterError
 
@@ -239,13 +239,13 @@ def law(params):
     if isinstance(params, LogNormalParams):
         if params.sigma <= 0:
             raise ParameterError("log-normal law requires sigma > 0")
-        return stats.lognorm(params.sigma, scale=math.exp(params.mu))
+        return scipy.stats.lognorm(params.sigma, scale=math.exp(params.mu))
     if isinstance(params, SkewNormalParams):
-        return stats.skewnorm(params.alpha, loc=params.zeta, scale=params.omega)
+        return scipy.stats.skewnorm(params.alpha, loc=params.zeta, scale=params.omega)
     if isinstance(params, AsymmetricLaplaceParams):
-        return stats.laplace_asymmetric(params.asymmetry, loc=params.location, scale=params.scale)
+        return scipy.stats.laplace_asymmetric(params.asymmetry, loc=params.location, scale=params.scale)
     if isinstance(params, GammaParams):
-        return stats.gamma(params.shape, scale=1.0 / params.rate)
+        return scipy.stats.gamma(params.shape, scale=1.0 / params.rate)
     raise TypeError(f"no law for {type(params).__name__}")
 
 
@@ -296,7 +296,7 @@ def _skew_normal_nll(theta: np.ndarray, x: np.ndarray) -> float:
         x.size * (math.log(2.0) - math.log(omega))
         - 0.5 * x.size * math.log(2.0 * math.pi)
         - 0.5 * float(np.sum(t * t))
-        + float(np.sum(special.log_ndtr(alpha * t)))
+        + float(np.sum(scipy.special.log_ndtr(alpha * t)))
     )
     return -ll
 
@@ -304,7 +304,10 @@ def _skew_normal_nll(theta: np.ndarray, x: np.ndarray) -> float:
 def _skew_normal_moment_start(x: np.ndarray) -> tuple[float, float, float]:
     m = float(np.mean(x))
     sd = float(np.std(x))
-    g1 = float(stats.skew(x))
+    # Biased moment skewness, as scipy.stats.skew: NaN once m2 is lost to rounding.
+    d = x - m
+    m2 = np.mean(d * d)
+    g1 = math.nan if m2 <= (np.finfo(float).eps * m) ** 2 else float(np.mean(d * d * d) / m2**1.5)
     # Invert the skewness formula for delta, clipping at the attainable bound.
     g1 = float(np.clip(g1, -0.94, 0.94))
     c = abs(g1) ** (2.0 / 3.0)
@@ -341,13 +344,13 @@ def fit_skew_normal(x) -> SkewNormalParams:
     start = np.array([z0, max(w0, 1e-8 * sd), a0])
     bounds = [(None, None), (1e-8 * sd, None), (-SKEW_ALPHA_CAP, SKEW_ALPHA_CAP)]
 
-    res = optimize.minimize(
+    res = scipy.optimize.minimize(
         _skew_normal_nll, start, args=(arr,), method="L-BFGS-B", bounds=bounds
     )
     if not res.success:
         # The flat alpha ridge can stall the quasi-Newton step; a simplex
         # polish usually settles it.
-        res2 = optimize.minimize(
+        res2 = scipy.optimize.minimize(
             _skew_normal_nll,
             res.x,
             args=(arr,),
@@ -390,8 +393,8 @@ def fit_gamma(x) -> GammaParams:
     k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     converged = False
     for _ in range(GAMMA_NEWTON_MAXITER):
-        f = math.log(k) - float(special.digamma(k)) - s
-        fprime = 1.0 / k - float(special.polygamma(1, k))
+        f = math.log(k) - float(scipy.special.digamma(k)) - s
+        fprime = 1.0 / k - float(scipy.special.polygamma(1, k))
         step = f / fprime
         k_new = k - step
         if k_new <= 0:

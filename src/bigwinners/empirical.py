@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage, optimize
+import scipy
 
-from .distributions import LogNormalParams, MomentSummary, fit_lognormal, lognormal_moments
+from .distributions import LogNormalParams, MomentSummary, fit_lognormal, lognormal_moments, quantile
 from .errors import DataError, InsufficientDataError, ParameterError, ParseError
 
 __all__ = [
@@ -169,8 +169,8 @@ def load_panel(source) -> PricePanel:
     Each row is read as integer codes of its raw ticker and date strings
     plus its price, so each distinct string is checked and converted once.
     One stable lexsort by (ticker, date) then groups the panel, and a faulty
-    file reports its first offending line with the message rebuilt from
-    that row alone.
+    file reports the physical line its first offending record ends on, with
+    the message rebuilt from that row alone.
     """
     raw_tickers: dict[str, int] = {}
     raw_dates: dict[str, int] = {}
@@ -189,7 +189,8 @@ def load_panel(source) -> PricePanel:
                 f"expected header {','.join(_COLUMNS)!r}, got {','.join(header)!r}", line=1
             )
         try:
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
+                lineno = reader.line_num
                 if len(row) != 3:
                     if not row or (len(row) == 1 and not row[0].strip()):
                         continue
@@ -297,6 +298,7 @@ def top_contribution(sample: ReturnSample, pct: float) -> float:
 
     k = max(1, round(pct*n)) entries are dropped by descending rho (ties by
     ticker, then position); the result is 100*(1 - mean(rest)/mean(all)).
+    A ``pct`` that would drop all n entries raises ParameterError.
     """
     if not 0.0 < pct < 1.0:
         raise ParameterError(f"pct must be in (0, 1), got {pct}")
@@ -304,6 +306,8 @@ def top_contribution(sample: ReturnSample, pct: float) -> float:
     if n < 2:
         raise InsufficientDataError("top_contribution needs at least 2 returns")
     k = max(1, math.floor(pct * n + 0.5))
+    if k == n:
+        raise ParameterError(f"pct={pct} would exclude all {n} returns")
     labels = sample.tickers if sample.tickers is not None else tuple(
         f"{i:08d}" for i in range(n)
     )
@@ -358,7 +362,7 @@ def _histogram(t: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _smooth(counts: np.ndarray, h: float, width: float) -> np.ndarray:
-    return ndimage.gaussian_filter1d(
+    return scipy.ndimage.gaussian_filter1d(
         counts.astype(float), sigma=h / width, mode="constant", truncate=6.0
     )
 
@@ -401,7 +405,7 @@ def kde_mode(x, bandwidth_factor: float = 1.0) -> KDEModeResult:
     # Refine the grid winner against the exact kernel sum.
     lo = centers[max(k - 1, 0)]
     hi = centers[min(k + 1, KDE_GRID_SIZE - 1)]
-    res = optimize.minimize_scalar(
+    res = scipy.optimize.minimize_scalar(
         _exact_neg_objective,
         bounds=(lo, hi),
         args=(t, h, log_scale),
@@ -590,8 +594,6 @@ def qq_data(sample: ReturnSample, fitted) -> np.ndarray:
     rho itself, so its quantiles are mapped through ln; skew-normal and
     asymmetric Laplace fits already describe ln rho.
     """
-    from .distributions import quantile  # local import keeps module load light
-
     n = len(sample)
     if n < 10:
         raise InsufficientDataError("qq_data needs at least 10 returns")

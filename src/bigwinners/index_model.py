@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+import scipy
 
 from .distributions import GammaParams, LogNormalParams, SkewNormalParams, law, sample as draw
 from .empirical import ReturnSample, kde_mode
@@ -209,7 +209,7 @@ def log_skew_normal_mode(sn: SkewNormalParams) -> float:
     values = logpdf(grid) - grid
     k = int(np.argmax(values))
     k = min(max(k, 1), grid.size - 2)
-    res = optimize.minimize_scalar(
+    res = scipy.optimize.minimize_scalar(
         neg_tilted,
         bracket=(grid[k - 1], grid[k], grid[k + 1]),
         method="golden",
@@ -221,7 +221,7 @@ def log_skew_normal_mode(sn: SkewNormalParams) -> float:
 def log_skew_normal_mean(sn: SkewNormalParams) -> float:
     """E[exp(Y)] = 2 exp(zeta + omega^2/2) Phi(delta * omega), exactly."""
     return 2.0 * math.exp(sn.zeta + 0.5 * sn.omega * sn.omega) * float(
-        stats.norm.cdf(sn.delta * sn.omega)
+        scipy.special.ndtr(sn.delta * sn.omega)
     )
 
 

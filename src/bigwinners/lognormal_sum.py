@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .distributions import LogNormalParams
 from .empirical import kde_mode, kde_mode_bootstrap_stderr, write_report
@@ -195,7 +195,7 @@ def _wrapped_mass(p: LogNormalParams, n: int, window: float) -> float:
     if start <= 0:
         return 1.0
     with np.errstate(divide="ignore"):
-        cdf = special.ndtr((np.log(edges) - p.mu) / p.sigma)
+        cdf = scipy.special.ndtr((np.log(edges) - p.mu) / p.sigma)
     size = 1 << (n * _WRAP_BINS - 1).bit_length()
     conv = np.fft.irfft(np.fft.rfft(np.diff(cdf), size) ** n, size)
     return float(conv[start:].sum())

@@ -53,6 +53,16 @@ class TestLoadPanel:
         with pytest.raises(ParseError, match="line 2"):
             load_panel(path)
 
+    def test_error_names_physical_line_after_quoted_newline(self, tmp_path):
+        """A quoted field spanning two lines still leaves later errors on their own line."""
+        path = tmp_path / "prices.csv"
+        path.write_text(
+            'ticker,date,adj_close\n"AA\nA",2006-01-02,10.0\nBBB,2006-01-02,5.0\nBBB,02/01/2007,6.0\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match="^line 5: bad date '02/01/2007'$"):
+            load_panel(path)
+
     def test_wrong_header_rejected(self, price_csv):
         path = price_csv([("AAA", "2006-01-02", 1.0)], header="sym,when,px")
         with pytest.raises(ParseError, match="line 1"):

@@ -1,0 +1,76 @@
+"""Each command loads only the scipy submodules it uses.
+
+The package imports plain ``scipy`` and calls ``scipy.<sub>.<fn>``, so a
+submodule loads on first use.  Each case runs in a fresh interpreter and
+lists the public scipy submodules (the module names in ``scipy.__all__``)
+left in ``sys.modules``; a later module-level ``from scipy import stats``
+would add its import cost to every command and fail here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+REPORT = (
+    "import json, sys, scipy\n"
+    "print(json.dumps(sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}"
+    " & set(scipy.__all__))))\n"
+)
+
+
+def scipy_loaded(code: str) -> set[str]:
+    """Public scipy submodules loaded after running ``code`` in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code + "\n" + REPORT], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def cli_loaded(expected_rc: int, *args: str) -> set[str]:
+    """Public scipy submodules loaded by one ``cli.main`` call that must exit ``expected_rc``."""
+    return scipy_loaded(f"import bigwinners.cli\nrc = bigwinners.cli.main({list(args)!r})\n"
+                        f"assert rc == {expected_rc}, rc")
+
+
+@pytest.fixture(scope="module")
+def price_file(tmp_path_factory):
+    """Twelve seeded random-walk tickers on 40 consecutive days."""
+    rng = np.random.default_rng(5)
+    path = tmp_path_factory.mktemp("prices") / "panel.csv"
+    days = np.arange(np.datetime64("2006-01-02"), np.datetime64("2006-02-11"))
+    lines = ["ticker,date,adj_close"]
+    for i in range(12):
+        prices = 10.0 * np.exp(np.cumsum(rng.normal(0.002 * i, 0.02, days.size)))
+        lines += [f"T{i:02d},{day},{price!r}" for day, price in zip(days, prices.tolist())]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_import_loads_no_scipy_submodule():
+    assert scipy_loaded("import bigwinners.cli") == set()
+
+
+@pytest.mark.parametrize("command", ["analyze", "gbm"])
+def test_analyze_and_gbm_never_load_stats(price_file, tmp_path, command):
+    loaded = cli_loaded(0, command, "--input", str(price_file), "--out", str(tmp_path))
+    assert "optimize" in loaded  # the command did its fitting work
+    assert "stats" not in loaded
+
+
+def test_malformed_file_loads_no_scipy_submodule(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("ticker,date,adj_close\nAAA,2006-01-02,1.0\nAAA,not-a-date,2.0\n", encoding="utf-8")
+    assert cli_loaded(2, "analyze", "--input", str(bad), "--out", str(tmp_path)) == set()
+
+
+def test_qq_loads_stats(price_file, tmp_path):
+    """Positive control: the guard sees a submodule that a command does load."""
+    assert "stats" in cli_loaded(0, "analyze", "--input", str(price_file), "--out", str(tmp_path), "--qq")

@@ -1,17 +1,19 @@
 """Randomized property suites (200 examples each, deterministic order)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import special
+from scipy import special, stats
 
 from bigwinners.distributions import (
     AsymmetricLaplaceParams,
     GammaParams,
     LogNormalParams,
     SkewNormalParams,
+    _skew_normal_moment_start,
     fit_asymmetric_laplace,
     fit_gamma,
     fit_lognormal,
@@ -21,7 +23,8 @@ from bigwinners.distributions import (
 )
 from bigwinners.empirical import ReturnSample, summarize_index, tail_filter, top_contribution
 from bigwinners.gbm import GBMParams, estimate_gbm, simulate_gbm
-from bigwinners.index_model import DriftModelParams, model_ratios
+from bigwinners.errors import ParameterError
+from bigwinners.index_model import DriftModelParams, log_skew_normal_mean, model_ratios
 from bigwinners.lognormal_sum import MODERATELY_BROAD, VERY_BROAD, regime_formula_values, typical_mean_ratio
 
 SUITE = settings(max_examples=200, derandomize=True, deadline=None)
@@ -277,6 +280,68 @@ TIED = np.array([0.7, 1 / 3, 2 / 3, 0.7])  # the mean of the rest depends on whi
 @given(sample=tied_samples(), pct=st.floats(0.01, 0.99))
 @example(sample=ReturnSample(rho=TIED, tickers=("B", "C", "D", "A")), pct=0.1)
 @example(sample=ReturnSample(rho=TIED, tickers=("A\x00", "C", "D", "A")), pct=0.1)
+@example(sample=ReturnSample(rho=np.array([1.0, 2.0])), pct=0.75)
 def test_top_contribution_matches_sorted_reference(sample, pct):
-    got, want = top_contribution(sample, pct), reference_top_contribution(sample, pct)
-    assert got == want or (math.isnan(got) and math.isnan(want))  # NaN when k = n
+    if max(1, math.floor(pct * len(sample) + 0.5)) == len(sample):  # nothing would be left
+        with pytest.raises(ParameterError):
+            top_contribution(sample, pct)
+    else:
+        assert top_contribution(sample, pct) == reference_top_contribution(sample, pct)
+
+
+# ---------------------------------------------------------------------------
+# Moment skewness and the normal CDF without scipy.stats
+# ---------------------------------------------------------------------------
+
+def reference_skew_normal_moment_start(x):
+    """``_skew_normal_moment_start`` as written with ``scipy.stats.skew``."""
+    m = float(np.mean(x))
+    sd = float(np.std(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # scipy's precision-loss note
+        g1 = float(stats.skew(x))
+    g1 = float(np.clip(g1, -0.94, 0.94))
+    c = abs(g1) ** (2.0 / 3.0)
+    denom = c + ((4.0 - math.pi) / 2.0) ** (2.0 / 3.0)
+    delta2 = (math.pi / 2.0) * c / denom if denom > 0 else 0.0
+    delta = math.copysign(math.sqrt(min(delta2, 0.995)), g1)
+    omega = sd / math.sqrt(max(1.0 - 2.0 * delta * delta / math.pi, 1e-6))
+    zeta = m - omega * delta * math.sqrt(2.0 / math.pi)
+    alpha = delta / math.sqrt(max(1.0 - delta * delta, 1e-9))
+    return zeta, omega, alpha
+
+
+@st.composite
+def skew_samples(draw):
+    """Spread samples, and near-constant ones a few ulps apart, where scipy's skew is NaN."""
+    size = draw(st.integers(3, 50))
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size)))
+    base = draw(st.floats(1e-3, 1e12))
+    steps = draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
+    return base + np.array(steps, dtype=float) * np.spacing(base)
+
+
+NEAR_CONSTANT = 1e8 + np.array([0.0, 1.0, 0.0, 2.0, 1.0]) * np.spacing(1e8)
+
+
+def test_near_constant_example_is_nan_in_scipy():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert np.ptp(NEAR_CONSTANT) > 0 and math.isnan(stats.skew(NEAR_CONSTANT))
+
+
+@SUITE
+@given(x=skew_samples())
+@example(x=NEAR_CONSTANT)
+def test_skew_normal_start_bit_identical_to_scipy_skew(x):
+    got, want = _skew_normal_moment_start(x), reference_skew_normal_moment_start(x)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@SUITE
+@given(zeta=st.floats(-2.0, 2.0), omega=st.floats(0.01, 10.0), alpha=st.floats(-60.0, 60.0))
+def test_log_skew_normal_mean_bit_identical_to_norm_cdf(zeta, omega, alpha):
+    sn = SkewNormalParams(zeta=zeta, omega=omega, alpha=alpha)
+    want = 2.0 * math.exp(sn.zeta + 0.5 * sn.omega * sn.omega) * float(stats.norm.cdf(sn.delta * sn.omega))
+    assert log_skew_normal_mean(sn) == want
