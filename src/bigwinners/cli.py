@@ -3,11 +3,11 @@
 Subcommands: ``analyze`` (total-return table plus log-normal fit),
 ``regime`` (typical-mean ratio curves), ``gbm`` (drift/volatility panel)
 and ``model`` (distributed-drift closed forms with optional simulation).
-Options may come from a key-value config file (INI sections ``[common]``
-plus one per subcommand); command-line flags override file values.  Every
-stochastic report embeds seed, reps and library version in a header
-comment record, and reruns with identical config and seed are
-byte-identical.
+Each option is declared once, in ``OPTIONS``, and may come from a flag or
+from a config file (INI sections ``[common]`` plus one per subcommand);
+flags override file values.  Every stochastic report embeds seed, reps and
+library version in a header comment record, and reruns with identical
+config and seed are byte-identical.
 
 Exit codes: 0 success, 2 input or parameter error, 3 partial fit failure
 (partial results are still written).
@@ -43,7 +43,7 @@ from .errors import (
     ParameterError,
     ParseError,
 )
-from .gbm import PricePath, build_panel, write_panel_csv
+from .gbm import MIN_WINDOW_COVERAGE, PricePath, build_panel, write_panel_csv
 from .index_model import DriftModelParams, implied_lognormal, model_ratios, sample_ratio_summary, simulate_index
 from .lognormal_sum import CURVE_FIELDS, NARROW_MAX_SIGMA_SQ, VERY_BROAD_MIN_SIGMA_SQ, curve_rows, regime_curve
 
@@ -51,53 +51,10 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_FIT_FAILURE = 3
 
-DEFAULT_N_GRID = [2 ** k for k in range(11)]  # 1 .. 1024
-
 
 # ---------------------------------------------------------------------------
-# Config handling
+# Options
 # ---------------------------------------------------------------------------
-
-def _load_config(path: str | None) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    if path:
-        if not Path(path).is_file():
-            raise DataError(f"config file not found: {path}")
-        parser.read(path)
-    return parser
-
-
-def _merged(args: argparse.Namespace, config: configparser.ConfigParser, key: str, convert, default):
-    """CLI flag > command section > [common] section > built-in default.
-
-    A config value that ``convert`` rejects raises ParameterError naming its section and key."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    for section in (args.command, "common"):
-        if config.has_option(section, key):
-            raw = config.get(section, key)
-            if convert is None:
-                return raw
-            try:
-                return convert(raw)
-            except ValueError as exc:
-                raise ParameterError(f"config [{section}] {key}: {exc}") from None
-    return default
-
-
-def _flag(convert):
-    """``convert`` as an argparse ``type=`` that prints its ParameterError text
-    (argparse prints only the converter's name for a ValueError)."""
-
-    def flag(text):
-        try:
-            return convert(text)
-        except ParameterError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return flag
-
 
 def _non_negative_int(text) -> int:
     try:
@@ -138,10 +95,115 @@ def _parse_grid(text: str) -> list[int]:
     return grid
 
 
-def _parse_inputs(value) -> list[str]:
-    if isinstance(value, list):
-        return value
-    return [part.strip() for part in str(value).split(",") if part.strip()]
+def _parse_inputs(text: str) -> list[str]:
+    """A config value's comma-separated paths; each ``--input`` flag is one path."""
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _choice(*choices: str):
+    def choice(text: str) -> str:
+        if text not in choices:
+            raise ParameterError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+        return text
+
+    choice.metavar = "{" + ",".join(choices) + "}"
+    return choice
+
+
+# Every option once: config key -> (converter, default, help).  The flag is the
+# key with dashes and its value goes through the same converter as a config value.
+_SHARED = {
+    "out": (Path, Path("."), "output directory"),
+    "format": (_choice("csv", "json"), "csv", "report format"),
+}
+_SEED = {"seed": (_non_negative_int, None, "root seed for stochastic commands")}
+OPTIONS = {
+    "analyze": {
+        **_SHARED,
+        "input": (_parse_inputs, None, "price CSV (ticker,date,adj_close); repeat for several indexes"),
+        "window": (_parse_window, None, "START:END ISO dates"),
+        "tail_threshold": (float, TAIL_THRESHOLD_LOG, "ln-rho cutoff for the left-tail filter"),
+        "bandwidth_factor": (float, 1.0, "multiplier on the Scott KDE bandwidth"),
+        "qq": (_parse_bool, False, "also write QQ pairs per index"),
+    },
+    "regime": {
+        **_SHARED, **_SEED,
+        "mu": (float, None, "log-normal location"),
+        "sigma": (float, None, "log-normal shape"),
+        "params_file": (str, None, "CSV with index,mu,sigma columns (analyze fit output)"),
+        "n_grid": (_parse_grid, [2 ** k for k in range(11)], "comma-separated portfolio sizes"),
+        "reps": (_non_negative_int, 0, "Monte Carlo replications (0 = analytic only)"),
+        "narrow_max": (float, NARROW_MAX_SIGMA_SQ, "sigma^2 at or below this is the narrow regime"),
+        "very_broad_min": (float, VERY_BROAD_MIN_SIGMA_SQ, "sigma^2 at or above this is the very broad regime"),
+    },
+    "gbm": {
+        **_SHARED,
+        "input": (str, None, "price CSV (ticker,date,adj_close)"),
+        "dt": (float, 1.0, "step size in years"),
+        "estimator": (_choice("endpoint", "mle"), "endpoint", "variance estimator variant"),
+        "min_coverage": (float, MIN_WINDOW_COVERAGE, "window-coverage fraction below which a path is excluded"),
+    },
+    "model": {
+        **_SHARED, **_SEED,
+        "mu_d": (float, None, "mean drift per year"),
+        "sigma_d": (float, None, "drift dispersion"),
+        "sigma": (float, None, "common volatility"),
+        "horizon": (float, None, "horizon in years"),
+        "simulate": (_non_negative_int, 0, "verify by simulating this many stocks"),
+        "export_sample": (_parse_bool, False, "also write the simulated returns as sample.csv"),
+    },
+}
+
+
+def _load_config(path: str | None) -> configparser.ConfigParser:
+    """The config file at ``path``, every key of which names an option: of its
+    command in ``[<command>]``, of any command in ``[common]`` and ``[DEFAULT]``."""
+    config = configparser.ConfigParser()
+    if path:
+        if not Path(path).is_file():
+            raise DataError(f"config file not found: {path}")
+        config.read(path)
+    every = {key for options in OPTIONS.values() for key in options}
+    for section in [config.default_section, *config.sections()]:
+        known = OPTIONS.get(section, every if section in ("common", config.default_section) else None)
+        if known is None:
+            raise ParameterError(f"config [{section}]: unknown section")
+        for key in config[section]:
+            if key not in known and (section == config.default_section or key not in config.defaults()):
+                raise ParameterError(f"config [{section}] {key}: unknown key")
+    return config
+
+
+def _resolve(args: argparse.Namespace, config: configparser.ConfigParser) -> argparse.Namespace:
+    """Every option of the command: its flag, else its ``[command]`` then ``[common]``
+    config value, else its default.  A bad config value raises ParameterError
+    naming its section and key."""
+    for key, (convert, default, _) in OPTIONS[args.command].items():
+        if getattr(args, key) is not None:
+            continue
+        setattr(args, key, default)
+        for section in (args.command, "common"):
+            if config.has_option(section, key):
+                try:
+                    setattr(args, key, convert(config.get(section, key)))
+                except ValueError as exc:
+                    raise ParameterError(f"config [{section}] {key}: {exc}") from None
+                break
+    return args
+
+
+def _flag(convert):
+    """``convert`` as an argparse ``type=`` that prints its ParameterError text
+    (argparse prints only the converter's name for a ValueError)."""
+
+    def flag(text):
+        try:
+            return convert(text)
+        except ParameterError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    flag.__name__ = convert.__name__
+    return flag
 
 
 # ---------------------------------------------------------------------------
@@ -159,27 +221,31 @@ _FIT_FIELDS = [
 _QQ_FIELDS = ["theoretical_quantile", "empirical_quantile"]
 
 
-def cmd_analyze(args, config) -> int:
-    inputs = _merged(args, config, "input", _parse_inputs, None)
-    if not inputs:
-        print("analyze: at least one --input price file is required", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    window = _merged(args, config, "window", _parse_window, None)
-    threshold = _merged(args, config, "tail_threshold", float, TAIL_THRESHOLD_LOG)
-    bandwidth = _merged(args, config, "bandwidth_factor", float, 1.0)
-    out_dir = Path(_merged(args, config, "out", None, "."))
-    fmt = _merged(args, config, "format", None, "csv")
-    want_qq = _merged(args, config, "qq", _parse_bool, False)
+def _report_names(names: list[str]) -> list[str]:
+    """``names``, once each is checked to be a plain file name used once: reports are named after them."""
+    seen = set()
+    for name in names:
+        if Path(name).name != name or name in seen:
+            raise DataError(f"report name {name!r} must be a plain file name, used once")
+        seen.add(name)
+    return names
+
+
+def cmd_analyze(args) -> int:
+    """total-return table and log-normal fit"""
+    if not args.input:
+        raise ParameterError("at least one --input price file is required")
+    names = _report_names([Path(source).stem for source in args.input])
+    out_dir, fmt = args.out, args.format
 
     summary_rows: list[tuple] = []
     fit_rows: list[tuple] = []
     exit_code = EXIT_OK
-    for source in inputs:
-        name = Path(source).stem
+    for source, name in zip(args.input, names):
         try:
             panel = load_panel(source)
-            sample = total_returns(panel, window=window)
-            summary = summarize_index(sample, bandwidth_factor=bandwidth)
+            sample = total_returns(panel, window=args.window)
+            summary = summarize_index(sample, bandwidth_factor=args.bandwidth_factor)
         except (ParseError, DataError, InsufficientDataError, ParameterError, OSError) as exc:
             print(f"analyze: {name}: {exc}", file=sys.stderr)
             exit_code = EXIT_INPUT_ERROR
@@ -193,7 +259,7 @@ def cmd_analyze(args, config) -> int:
         )
 
         try:
-            filtered = tail_filter(sample, threshold_log=threshold)
+            filtered = tail_filter(sample, threshold_log=args.tail_threshold)
             params, moments, c = fit_macroscopic(filtered)
         except (FitFailureError, InsufficientDataError) as exc:
             print(f"analyze: {name}: fit failure: {exc}", file=sys.stderr)
@@ -206,7 +272,7 @@ def cmd_analyze(args, config) -> int:
                 len(filtered), filtered.removed, params.degenerate,
             )
         )
-        if want_qq and not params.degenerate:
+        if args.qq and not params.degenerate:
             try:
                 pairs = qq_data(filtered, params)
             except InsufficientDataError as exc:
@@ -220,99 +286,63 @@ def cmd_analyze(args, config) -> int:
     return exit_code
 
 
-def _regime_param_sets(args, config) -> list[tuple[str, LogNormalParams]]:
-    params_file = _merged(args, config, "params_file", None, None)
-    mu = _merged(args, config, "mu", float, None)
-    sigma = _merged(args, config, "sigma", float, None)
-    sets: list[tuple[str, LogNormalParams]] = []
-    if params_file:
-        with open(params_file, newline="", encoding="utf-8-sig") as fh:
+def _regime_param_sets(args) -> list[tuple[str, LogNormalParams]]:
+    if args.params_file:
+        with open(args.params_file, newline="", encoding="utf-8-sig") as fh:
             rows = [r for r in csv.DictReader(fh) if not r.get("index", "").startswith("#")]
         if not rows or "mu" not in rows[0] or "sigma" not in rows[0]:
-            raise DataError(f"params file {params_file} needs index,mu,sigma columns")
-        for row in rows:
-            sets.append(
-                (
-                    row.get("index") or f"row{len(sets)}",
-                    LogNormalParams(mu=float(row["mu"]), sigma=float(row["sigma"])),
-                )
-            )
-    elif mu is not None and sigma is not None:
-        sets.append(("inline", LogNormalParams(mu=mu, sigma=sigma)))
-    return sets
+            raise DataError(f"params file {args.params_file} needs index,mu,sigma columns")
+        names = _report_names([row.get("index") or f"row{i}" for i, row in enumerate(rows)])
+        try:
+            return [(name, LogNormalParams(mu=float(row["mu"]), sigma=float(row["sigma"])))
+                    for name, row in zip(names, rows)]
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
+    if args.mu is not None and args.sigma is not None:
+        return [("inline", LogNormalParams(mu=args.mu, sigma=args.sigma))]
+    raise ParameterError("provide --mu and --sigma, or --params-file with index,mu,sigma")
 
 
-def cmd_regime(args, config) -> int:
-    try:
-        sets = _regime_param_sets(args, config)
-    except (ValueError, DataError, OSError) as exc:
-        print(f"regime: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    if not sets:
-        print(
-            "regime: provide --mu and --sigma, or --params-file with index,mu,sigma",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT_ERROR
-
-    grid = _merged(args, config, "n_grid", _parse_grid, DEFAULT_N_GRID)
-    reps = _merged(args, config, "reps", _non_negative_int, 0)
-    seed = _merged(args, config, "seed", _non_negative_int, None)
-    narrow_max = _merged(args, config, "narrow_max", float, NARROW_MAX_SIGMA_SQ)
-    very_broad_min = _merged(args, config, "very_broad_min", float, VERY_BROAD_MIN_SIGMA_SQ)
-    out_dir = Path(_merged(args, config, "out", None, "."))
-    fmt = _merged(args, config, "format", None, "csv")
+def cmd_regime(args) -> int:
+    """typical-mean ratio curves"""
+    sets = _regime_param_sets(args)
+    reps, seed, fmt = args.reps, args.seed, args.format
     if reps > 0 and seed is None:
-        print("regime: --seed is required when reps > 0", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
+        raise ParameterError("--seed is required when reps > 0")
     meta = {"seed": seed, "reps": reps, "version": __version__} if reps > 0 else {"version": __version__}
     for name, params in sorted(sets, key=lambda item: item[0]):
         try:
-            curve = regime_curve(
-                params,
-                grid,
-                reps=reps,
-                seed=seed,
-                narrow_max=narrow_max,
-                very_broad_min=very_broad_min,
-            )
+            curve = regime_curve(params, args.n_grid, reps=reps, seed=seed,
+                                 narrow_max=args.narrow_max, very_broad_min=args.very_broad_min)
         except ParameterError as exc:
-            print(f"regime: {name}: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        write_report(out_dir / f"curve_{name}.{fmt}", CURVE_FIELDS, curve_rows(curve), fmt, meta=meta)
+            raise ParameterError(f"{name}: {exc}") from None
+        write_report(args.out / f"curve_{name}.{fmt}", CURVE_FIELDS, curve_rows(curve), fmt, meta=meta)
     return EXIT_OK
 
 
 _ESTIMATE_FIELDS = ["ticker", "mu_hat", "sigma_hat", "sigma_sq_raw", "clamped"]
 
 
-def cmd_gbm(args, config) -> int:
-    source = _merged(args, config, "input", None, None)
-    if not source:
-        print("gbm: an --input price file is required", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    dt_years = _merged(args, config, "dt", float, 1.0)
-    method = _merged(args, config, "estimator", None, "endpoint")
-    min_coverage = _merged(args, config, "min_coverage", float, 0.8)
-    out_dir = Path(_merged(args, config, "out", None, "."))
-    fmt = _merged(args, config, "format", None, "csv")
+def cmd_gbm(args) -> int:
+    """drift/volatility panel analysis"""
+    if not args.input:
+        raise ParameterError("an --input price file is required")
 
-    panel_data = load_panel(source)
+    panel_data = load_panel(args.input)
     paths = {}
     for ticker in panel_data.tickers:
         _, prices = panel_data.series[ticker]
         if prices.size < 2:
             continue
-        paths[ticker] = PricePath(x0=float(prices[0]), prices=prices, dt=dt_years)
-    panel = build_panel(paths, method=method, min_coverage=min_coverage)
+        paths[ticker] = PricePath(x0=float(prices[0]), prices=prices, dt=args.dt)
+    panel = build_panel(paths, method=args.estimator, min_coverage=args.min_coverage)
 
     estimate_rows = [
         (ticker, est.mu_hat, est.sigma_hat, est.sigma_sq_raw, est.clamped)
         for ticker, est in panel.estimates
     ]
-    write_report(out_dir / f"estimates.{fmt}", _ESTIMATE_FIELDS, estimate_rows, fmt)
-    write_panel_csv(panel, out_dir / "panel.csv")
+    write_report(args.out / f"estimates.{args.format}", _ESTIMATE_FIELDS, estimate_rows, args.format)
+    write_panel_csv(panel, args.out / "panel.csv")
 
     if panel.fit_errors:
         for name, message in panel.fit_errors:
@@ -328,40 +358,34 @@ _MODEL_FIELDS = [
 ]
 
 
-def cmd_model(args, config) -> int:
-    mu_d = _merged(args, config, "mu_d", float, None)
-    sigma_d = _merged(args, config, "sigma_d", float, None)
-    sigma = _merged(args, config, "sigma", float, None)
-    horizon = _merged(args, config, "horizon", float, None)
-    simulate = _merged(args, config, "simulate", _non_negative_int, 0)
-    seed = _merged(args, config, "seed", _non_negative_int, None)
-    out_dir = Path(_merged(args, config, "out", None, "."))
-    fmt = _merged(args, config, "format", None, "csv")
-
+def cmd_model(args) -> int:
+    """distributed-drift closed forms"""
+    mu_d, sigma_d, sigma, horizon = args.mu_d, args.sigma_d, args.sigma, args.horizon
     if None in (mu_d, sigma_d, sigma, horizon):
-        print("model: --mu-d, --sigma-d, --sigma and --horizon are required", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    if simulate > 0 and seed is None:
-        print("model: --seed is required with --simulate", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise ParameterError("--mu-d, --sigma-d, --sigma and --horizon are required")
+    if args.simulate > 0 and args.seed is None:
+        raise ParameterError("--seed is required with --simulate")
     params = DriftModelParams(mu_d=mu_d, sigma_d=sigma_d, sigma=sigma, horizon=horizon)
     implied = implied_lognormal(params)
     ratios = model_ratios(params)
     mc_columns = (None, None, None, None)
     meta = {"version": __version__}
-    if simulate > 0:
-        sample = simulate_index(params, simulate, seed)
-        summary = sample_ratio_summary(sample, seed=seed + 1)
+    if args.simulate > 0:
+        sample = simulate_index(params, args.simulate, args.seed)
+        summary = sample_ratio_summary(sample, seed=args.seed + 1)
         mc_columns = (summary.mean_over_median, summary.ci_low, summary.ci_high, summary.stderr)
-        meta = {"seed": seed, "reps": simulate, "version": __version__}
-        if _merged(args, config, "export_sample", _parse_bool, False):
-            write_returns_csv(sample, out_dir / "sample.csv")
+        meta = {"seed": args.seed, "reps": args.simulate, "version": __version__}
+        if args.export_sample:
+            write_returns_csv(sample, args.out / "sample.csv")
     row = (
         mu_d, sigma_d, sigma, horizon, implied.mu_m, implied.sigma_m,
         ratios.mean_over_median, ratios.mean_over_mode, *mc_columns,
     )
-    write_report(out_dir / f"model.{fmt}", _MODEL_FIELDS, [row], fmt, meta=meta)
+    write_report(args.out / f"model.{args.format}", _MODEL_FIELDS, [row], args.format, meta=meta)
     return EXIT_OK
+
+
+_COMMANDS = {"analyze": cmd_analyze, "regime": cmd_regime, "gbm": cmd_gbm, "model": cmd_model}
 
 
 # ---------------------------------------------------------------------------
@@ -375,76 +399,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, options in OPTIONS.items():
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
         p.add_argument("--config", help="INI config file; flags override its values")
-        p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--format", choices=["csv", "json"], help="report format (default csv)")
-        p.add_argument("--seed", type=_flag(_non_negative_int), help="root seed for stochastic commands")
-
-    p_analyze = sub.add_parser("analyze", help="total-return table and log-normal fit")
-    common(p_analyze)
-    p_analyze.add_argument("--input", action="append", help="price CSV (ticker,date,adj_close)")
-    p_analyze.add_argument("--window", type=_flag(_parse_window), help="START:END ISO dates")
-    p_analyze.add_argument("--tail-threshold", dest="tail_threshold", type=float,
-                           help="ln-rho cutoff for the left-tail filter (default -2)")
-    p_analyze.add_argument("--bandwidth-factor", dest="bandwidth_factor", type=float,
-                           help="multiplier on the Scott KDE bandwidth")
-    p_analyze.add_argument("--qq", action="store_const", const=True,
-                           help="also write QQ pairs per index")
-
-    p_regime = sub.add_parser("regime", help="typical-mean ratio curves")
-    common(p_regime)
-    p_regime.add_argument("--mu", type=float, help="log-normal location")
-    p_regime.add_argument("--sigma", type=float, help="log-normal shape")
-    p_regime.add_argument("--params-file", dest="params_file",
-                          help="CSV with index,mu,sigma columns (analyze fit output)")
-    p_regime.add_argument("--n-grid", dest="n_grid", type=_flag(_parse_grid),
-                          help="comma-separated portfolio sizes")
-    p_regime.add_argument("--reps", type=_flag(_non_negative_int),
-                          help="Monte Carlo replications (0 = analytic only)")
-    p_regime.add_argument("--narrow-max", dest="narrow_max", type=float,
-                          help="sigma^2 at or below this is the narrow regime (default 0.1)")
-    p_regime.add_argument("--very-broad-min", dest="very_broad_min", type=float,
-                          help="sigma^2 at or above this is the very broad regime (default 4)")
-
-    p_gbm = sub.add_parser("gbm", help="drift/volatility panel analysis")
-    common(p_gbm)
-    p_gbm.add_argument("--input", help="price CSV (ticker,date,adj_close)")
-    p_gbm.add_argument("--dt", type=float, help="step size in years (default 1.0)")
-    p_gbm.add_argument("--estimator", choices=["endpoint", "mle"],
-                       help="variance estimator variant (default endpoint)")
-    p_gbm.add_argument("--min-coverage", dest="min_coverage", type=float,
-                       help="window-coverage fraction below which a path is excluded")
-
-    p_model = sub.add_parser("model", help="distributed-drift closed forms")
-    common(p_model)
-    p_model.add_argument("--mu-d", dest="mu_d", type=float, help="mean drift per year")
-    p_model.add_argument("--sigma-d", dest="sigma_d", type=float, help="drift dispersion")
-    p_model.add_argument("--sigma", type=float, help="common volatility")
-    p_model.add_argument("--horizon", type=float, help="horizon in years")
-    p_model.add_argument("--simulate", type=_flag(_non_negative_int),
-                         help="verify by simulating this many stocks")
-    p_model.add_argument("--export-sample", dest="export_sample", action="store_const",
-                         const=True, help="also write the simulated returns as sample.csv")
-
+        for key, (convert, default, text) in options.items():
+            flag = "--" + key.replace("_", "-")
+            text += f" (default {default})" if default is not None else ""
+            if convert is _parse_bool:
+                p.add_argument(flag, action="store_const", const=True, help=text)
+            elif convert is _parse_inputs:
+                p.add_argument(flag, action="append", help=text)
+            else:
+                p.add_argument(flag, type=_flag(convert), metavar=getattr(convert, "metavar", None), help=text)
     return parser
 
 
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "regime": cmd_regime,
-    "gbm": cmd_gbm,
-    "model": cmd_model,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _load_config(getattr(args, "config", None))
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](_resolve(args, _load_config(args.config)))
     except FitFailureError as exc:
         print(f"{args.command}: fit failure: {exc}", file=sys.stderr)
         return EXIT_FIT_FAILURE

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from bigwinners.cli import main
+from bigwinners.cli import OPTIONS, main
 from bigwinners.gbm import GBMParams, simulate_gbm
 
 
@@ -287,8 +287,11 @@ class TestConfigValues:
         [
             (MODEL_ARGS[:-2], "model", "horizon", "abc"),
             (REGIME_ARGS + ["--seed", "1"], "regime", "reps", "1e5"),
+            (["analyze", "--input", "never-read.csv"], "common", "format", "xml"),
+            (["gbm", "--input", "never-read.csv"], "gbm", "estimator", "foo"),
+            (MODEL_ARGS, "model", "export_sample", "maybe"),
         ],
-        ids=["model-horizon", "regime-reps"],
+        ids=["model-horizon", "regime-reps", "common-format", "gbm-estimator", "model-export_sample"],
     )
     def test_malformed_value_exits_2_naming_key(self, tmp_path, capsys, argv, section, key, value):
         cfg = tmp_path / "run.ini"
@@ -369,3 +372,92 @@ def test_flag_error_names_the_broken_rule(capsys, argv, rule):
     err = capsys.readouterr().err
     assert rule in err
     assert not re.search(r"(?<!\w)_\w", err), err  # no private converter name
+
+
+@pytest.mark.parametrize(
+    "config,where",
+    [
+        ("[analyze]\ntail-threshold = 5\n", "[analyze] tail-threshold"),
+        ("[analyze]\nbandwith_factor = 2\n", "[analyze] bandwith_factor"),
+        ("[analyze]\nmu = 0.5\n", "[analyze] mu"),
+        ("[common]\ntailthreshold = 5\n", "[common] tailthreshold"),
+        ("[DEFAULT]\nreps_count = 5\n", "[DEFAULT] reps_count"),
+        ("[analyse]\nqq = yes\n", "[analyse]"),
+    ],
+    ids=["dashed-key", "misspelt-key", "other-commands-key", "common", "default", "section"],
+)
+def test_unknown_config_key_exits_2_before_any_work(tmp_path, capsys, config, where):
+    src = make_return_panel(tmp_path, "synth", [2.5, 0.8, 1.4])
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(src), "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"analyze: config {where}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_config_file_serves_several_commands(tmp_path):
+    src = make_return_panel(tmp_path, "synth", np.random.default_rng(62).lognormal(0.5, 0.8, 40))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        f"[DEFAULT]\nformat = csv\n\n[common]\nseed = 4\nsigma = 1.0\n\n"
+        f"[regime]\nmu = 0.5\nn_grid = 1,2\n\n[analyze]\ninput = {src}\nqq = yes\n"
+    )
+    out = tmp_path / "out"
+    assert main(["regime", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "curve_inline.csv", "lognormal_fit.csv", "qq_synth.csv", "summary.csv",
+    ]
+
+
+@pytest.mark.parametrize("command", ["analyze", "gbm"])
+def test_seed_is_not_an_option_of_deterministic_commands(tmp_path, capsys, command):
+    src = make_return_panel(tmp_path, "synth", [2.5, 0.8, 1.4])
+    out = tmp_path / "out"
+    assert exit_code([command, "--input", str(src), "--seed", "1", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_duplicate_params_file_index_exits_2(tmp_path, capsys):
+    params = tmp_path / "params.csv"
+    params.write_text("index,mu,sigma\nSPX,0.95,1.02\nSPX,0.6,0.5\n")
+    out = tmp_path / "out"
+    assert main(["regime", "--params-file", str(params), "--out", str(out)]) == 2
+    assert "regime: report name 'SPX' must be a plain file name, used once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_params_file_index_cannot_leave_out_dir(tmp_path):
+    params = tmp_path / "params.csv"
+    params.write_text("index,mu,sigma\nsub/../../escaped,0.95,1.02\n")
+    out = tmp_path / "a" / "out"
+    assert main(["regime", "--params-file", str(params), "--out", str(out)]) == 2
+    assert not (tmp_path / "a").exists()
+
+
+def test_inputs_with_one_stem_exit_2(tmp_path, capsys):
+    rhos = np.random.default_rng(63).lognormal(0.5, 0.8, 40)
+    for sub in ("x", "y"):
+        (tmp_path / sub).mkdir()
+        make_return_panel(tmp_path / sub, "p", rhos)
+    out = tmp_path / "out"
+    argv = ["analyze", "--input", str(tmp_path / "x" / "p.csv"), "--input", str(tmp_path / "y" / "p.csv")]
+    assert main(argv + ["--qq", "--out", str(out)]) == 2
+    assert "analyze: report name 'p' must be a plain file name, used once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_help_lists_config_and_the_table_flags(capsys, command):
+    assert exit_code([command, "--help"]) == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == {"--help", "--config", *("--" + key.replace("_", "-") for key in OPTIONS[command])}
+
+
+def test_option_count():
+    # --config plus the table: seed belongs to the stochastic commands only
+    assert {command: len(options) + 1 for command, options in OPTIONS.items()} == {
+        "analyze": 8, "regime": 11, "gbm": 7, "model": 10,
+    }
