@@ -162,7 +162,10 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
     if path:
         if not Path(path).is_file():
             raise DataError(f"config file not found: {path}")
-        config.read(path)
+        try:
+            config.read(path)
+        except configparser.Error as exc:
+            raise ParameterError(f"config file {path}: {' '.join(str(exc).split())}") from None
     every = {key for options in OPTIONS.values() for key in options}
     for section in [config.default_section, *config.sections()]:
         known = OPTIONS.get(section, every if section in ("common", config.default_section) else None)
@@ -186,7 +189,7 @@ def _resolve(args: argparse.Namespace, config: configparser.ConfigParser) -> arg
             if config.has_option(section, key):
                 try:
                     setattr(args, key, convert(config.get(section, key)))
-                except ValueError as exc:
+                except (ValueError, configparser.Error) as exc:
                     raise ParameterError(f"config [{section}] {key}: {exc}") from None
                 break
     return args
@@ -293,6 +296,9 @@ def _regime_param_sets(args) -> list[tuple[str, LogNormalParams]]:
         if not rows or "mu" not in rows[0] or "sigma" not in rows[0]:
             raise DataError(f"params file {args.params_file} needs index,mu,sigma columns")
         names = _report_names([row.get("index") or f"row{i}" for i, row in enumerate(rows)])
+        short = [name for name, row in zip(names, rows) if None in (row["mu"], row["sigma"])]
+        if short:
+            raise DataError(f"params file {args.params_file}: row {short[0]!r} has no mu or sigma")
         try:
             return [(name, LogNormalParams(mu=float(row["mu"]), sigma=float(row["sigma"])))
                     for name, row in zip(names, rows)]

@@ -4,7 +4,7 @@ The average of N draws from a broad log-normal law sits, typically, well
 below the true mean: the closed forms here give the ratio of the typical
 (modal) sample mean to the true mean in three shape regimes, the Monte
 Carlo estimator measures the same ratio directly from simulated portfolios,
-and the exact oracle reads it off the FFT self-convolution of the density.
+and the exact oracle reads it off the FFT power of exact bin masses.
 """
 
 from __future__ import annotations
@@ -50,14 +50,13 @@ _BROAD_EXPONENT = math.log(1.5) / math.log(2.0)
 
 MIN_MC_REPS = 10_000
 
-# Grid of the exact oracle: the density on a linear grid of EXACT_DX up to
-# EXACT_XMAX, self-convolved in one circular FFT window.  At most
-# EXACT_WRAP_TOL of the n-draw sum's probability may wrap around it.
-EXACT_XMAX = 2000.0
-EXACT_DX = 0.001
+# Lattice of the exact oracle: EXACT_POINTS bins over [0, W), W doubled from
+# 4 n E[X] (at most EXACT_MAX_DOUBLINGS times) until at most EXACT_WRAP_TOL of
+# the n-draw sum can wrap around the FFT window.
+EXACT_POINTS = 2**18
 EXACT_WRAP_TOL = 1e-6
-# Coarse bins of the wrap-around bound.
-_WRAP_BINS = 1024
+EXACT_MAX_DOUBLINGS = 24
+EXACT_MIN_BINS = 100
 
 
 @dataclass(frozen=True)
@@ -183,59 +182,45 @@ def mc_typical_mean(p: LogNormalParams, n: int, reps: int, seed) -> tuple[float,
     return mode / true_mean, stderr
 
 
-def _wrapped_mass(p: LogNormalParams, n: int, window: float) -> float:
-    """Upper bound on P(sum of n draws >= window), draws truncated at EXACT_XMAX.
-
-    Exact bin masses on a coarse grid are convolved in a window wide enough
-    that nothing wraps.  Flooring each draw to its bin loses less than one
-    bin per draw, so the tail is summed from n bins below the window.
-    """
-    edges = np.linspace(0.0, EXACT_XMAX, _WRAP_BINS + 1)
-    start = math.floor(window / edges[1]) - n
-    if start <= 0:
-        return 1.0
-    with np.errstate(divide="ignore"):
-        cdf = scipy.special.ndtr((np.log(edges) - p.mu) / p.sigma)
-    size = 1 << (n * _WRAP_BINS - 1).bit_length()
-    conv = np.fft.irfft(np.fft.rfft(np.diff(cdf), size) ** n, size)
-    return float(conv[start:].sum())
-
-
 def exact_typical_mean_ratio(p: LogNormalParams, n: int) -> float:
-    """Typical-to-true mean ratio from the exact density of the n-draw average.
+    """Typical-to-true mean ratio from the exact law of the n-draw average.
 
-    An oracle independent of the closed forms and of Monte Carlo: the
-    log-normal density on a linear grid of step EXACT_DX up to EXACT_XMAX
-    is self-convolved n times by FFT, and the mode of the sum is read off
-    the grid.  Cutting the density at EXACT_XMAX leaves the density of the
-    sum below EXACT_XMAX exact, since such a sum has every draw below it.
-    Raises ParameterError when more than EXACT_WRAP_TOL of the sum's
-    probability lies beyond the circular FFT window, or when the sum's mode
-    is not below EXACT_XMAX.  About 0.5 s per call.
+    An oracle independent of the closed forms and of Monte Carlo.  The FFT
+    power of one draw's exact bin masses over [0, W), zero-padded to twice
+    that, is the law of the sum below W, exactly: such a sum has every draw
+    below W.  The wrapped mass is bounded on 1024 coarse bins convolved with
+    no wrap: flooring a draw loses less than a coarse bin, so it is at most
+    the mass from coarse bin 2048 - n up, which needs n < 2048.  Each draw
+    adds its mean offset within its bin (exact partial expectations); a
+    parabola through the log masses refines the mode, which must lie
+    EXACT_MIN_BINS bins above zero.
     """
     _check_params(p)
-    if n < 1:
-        raise ParameterError(f"portfolio size must be >= 1, got {n}")
-    mu, sigma = p.mu, p.sigma
-    m = int(EXACT_XMAX / EXACT_DX)
-    size = 1 << (2 * m - 1).bit_length()
-    wrapped = _wrapped_mass(p, n, size * EXACT_DX)
-    if wrapped > EXACT_WRAP_TOL:
-        raise ParameterError(
-            f"exact oracle: up to {wrapped:.2g} of the {n}-draw sum lies beyond "
-            f"the FFT window at {size * EXACT_DX:.0f}"
-        )
-    x = (np.arange(m) + 0.5) * EXACT_DX
-    dens = np.exp(-((np.log(x) - mu) ** 2) / (2 * sigma * sigma)) / (
-        x * sigma * math.sqrt(2 * math.pi)
-    )
-    conv = np.fft.irfft(np.fft.rfft(dens * EXACT_DX, size) ** n, size)[:m]
+    if not 1 <= n < 2048:
+        raise ParameterError(f"the exact oracle takes portfolio sizes 1..2047, got {n}")
+    mean = math.exp(p.mu + p.sigma_sq / 2)
+    width = 4 * n * mean
+    for _ in range(EXACT_MAX_DOUBLINGS):
+        edges = np.linspace(0.0, width, EXACT_POINTS + 1)
+        with np.errstate(divide="ignore"):
+            z = (np.log(edges) - p.mu) / p.sigma
+        masses = np.diff(scipy.special.ndtr(z))
+        size = 1 << (n * 1024 - 1).bit_length()
+        coarse = np.fft.rfft(masses.reshape(1024, -1).sum(axis=1), size)
+        if n <= 2 or np.fft.irfft(coarse**n, size)[2048 - n :].sum() <= EXACT_WRAP_TOL:
+            break
+        width *= 2
+    else:
+        raise ParameterError(f"exact oracle: the {n}-draw sum still wraps around the window W = {width / 2:.3g}")
+    offset = (mean * scipy.special.ndtr(z[-1] - p.sigma) - edges[:-1] @ masses) / masses.sum()
+    size = 2 * EXACT_POINTS
+    conv = np.fft.irfft(np.fft.rfft(masses, size) ** n, size)[:EXACT_POINTS]
     k = int(np.argmax(conv))
-    if k == m - 1:
-        raise ParameterError(
-            f"exact oracle: the mode of the {n}-draw sum is beyond {EXACT_XMAX:.0f}"
-        )
-    return float(x[k] / n / math.exp(mu + sigma * sigma / 2))
+    if not EXACT_MIN_BINS <= k < EXACT_POINTS - 1:
+        raise ParameterError(f"exact oracle: the {n}-draw sum's mode is in lattice bin {k} of {EXACT_POINTS}")
+    a, b, c = np.log(conv[k - 1 : k + 2])
+    mode = (k + 0.5 * (a - c) / (a - 2 * b + c)) * edges[1] + n * offset
+    return float(mode / (n * mean))
 
 
 def regime_curve(

@@ -47,6 +47,17 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(src), "--out", str(out)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_fit_failure_exits_3_with_summary_written(self, tmp_path, capsys):
+        # Five of six returns fall below the left-tail cutoff, leaving one to fit.
+        src = make_return_panel(tmp_path, "thin", [0.01] * 5 + [2.0])
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(src), "--out", str(out)]) == 3
+        assert "analyze: thin: fit failure: " in capsys.readouterr().err
+        summary = (out / "summary.csv").read_text().strip().splitlines()
+        assert len(summary) == 2 and summary[1].startswith("thin,6,")
+        fit = (out / "lognormal_fit.csv").read_text().strip().splitlines()
+        assert fit == ["index,mu,sigma,mean,median,mode,sigma_sq,c,n_used,n_removed,degenerate"]
+
     def test_synthetic_panel_matches_closed_form(self, tmp_path):
         rng = np.random.default_rng(60)
         rhos = rng.lognormal(0.95, 1.02, 500)
@@ -268,6 +279,21 @@ class TestConfigFile:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["model", "--config", str(tmp_path / "nope.ini")]) == 2
 
+    def test_key_before_any_section_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("format = csv\n[model]\nhorizon = 16\n")
+        out = tmp_path / "out"
+        assert main(MODEL_ARGS + ["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"model: config file {cfg}: File contains no section headers." in err
+        assert not out.exists()
+
+    def test_lone_percent_exits_2_naming_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[model]\nout = 50%\n")
+        assert main(MODEL_ARGS + ["--config", str(cfg)]) == 2
+        assert "model: config [model] out: '%' must be followed by" in capsys.readouterr().err
+
 
 MODEL_ARGS = ["model", "--mu-d", "0.12", "--sigma-d", "0.03", "--sigma", "0.1", "--horizon", "16"]
 REGIME_ARGS = ["regime", "--mu", "0.9", "--sigma", "1.0"]
@@ -426,6 +452,15 @@ def test_duplicate_params_file_index_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["regime", "--params-file", str(params), "--out", str(out)]) == 2
     assert "regime: report name 'SPX' must be a plain file name, used once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_short_params_file_row_exits_2_naming_it(tmp_path, capsys):
+    params = tmp_path / "params.csv"
+    params.write_text("index,mu,sigma\nCCMP,0.41,1.10\nSPX,0.5\n")
+    out = tmp_path / "out"
+    assert main(["regime", "--params-file", str(params), "--out", str(out)]) == 2
+    assert f"regime: params file {params}: row 'SPX' has no mu or sigma" in capsys.readouterr().err
     assert not out.exists()
 
 

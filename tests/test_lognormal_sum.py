@@ -7,7 +7,6 @@ import pytest
 from bigwinners.distributions import LogNormalParams
 from bigwinners.errors import ParameterError
 from bigwinners.lognormal_sum import (
-    EXACT_DX,
     MODERATELY_BROAD,
     NARROW,
     VERY_BROAD,
@@ -150,25 +149,37 @@ class TestMcTypicalMean:
 
 class TestExactTypicalMeanRatio:
     def test_n1_is_the_lognormal_mode(self):
-        # One draw: the mode e^{mu - sigma^2} over the mean, to the grid step.
-        p = LogNormalParams(0.95, 1.02)
-        mean = math.exp(0.95 + 0.5 * 1.02**2)
-        assert exact_typical_mean_ratio(p, 1) == pytest.approx(
-            math.exp(-1.5 * 1.02**2), abs=EXACT_DX / mean
-        )
+        # One draw: the mode e^{mu - sigma^2} over the mean e^{mu + sigma^2/2}.
+        for mu, sigma in ((0.95, 1.02), (0.41, 1.10), (1.65, 1.23), (0.0, 2.0)):
+            ratio = exact_typical_mean_ratio(LogNormalParams(mu, sigma), 1)
+            assert ratio == pytest.approx(math.exp(-1.5 * sigma**2), abs=1e-5), (mu, sigma)
 
-    def test_sum_wrapping_past_fft_window_rejected(self):
-        with pytest.raises(ParameterError, match="FFT window"):
-            exact_typical_mean_ratio(LogNormalParams(1.65, 1.23), 256)
+    def test_large_n_matches_monte_carlo(self):
+        # NIFTY n=256 and SPX n=1024 lie past the fixed grid the oracle once
+        # used.  Seeds fixed up front; about 2 s.
+        seeds = np.random.SeedSequence(2718).spawn(2)
+        for (mu, sigma, n), seed in zip(((1.65, 1.23, 256), (0.95, 1.02, 1024)), seeds):
+            p = LogNormalParams(mu, sigma)
+            mc, se = mc_typical_mean(p, n, 20_000, seed)
+            exact = exact_typical_mean_ratio(p, n)
+            assert abs(mc - exact) <= max(3 * se, 0.01), (mu, sigma, n, mc, se, exact)
 
-    def test_mode_beyond_grid_rejected(self):
-        # e^{7.7 - 0.01} is above the grid's 2000.
+    def test_mode_far_from_zero(self):
+        # A mode near 2200: the lattice follows the law, W = 4 E[X].
+        ratio = exact_typical_mean_ratio(LogNormalParams(7.7, 0.1), 1)
+        assert ratio == pytest.approx(math.exp(-1.5 * 0.01), abs=1e-5)
+
+    def test_mode_within_a_few_bins_of_zero_rejected(self):
+        # sigma = 3: the mode e^{-9} sits at 3e-7 of W = 4 E[X], in lattice bin 0.
         with pytest.raises(ParameterError, match="mode"):
-            exact_typical_mean_ratio(LogNormalParams(7.7, 0.1), 1)
+            exact_typical_mean_ratio(LogNormalParams(0.0, 3.0), 1)
 
     def test_invalid_n(self):
         with pytest.raises(ParameterError):
             exact_typical_mean_ratio(LogNormalParams(0.0, 1.0), 0)
+        # The wrap bound gives up a coarse bin per draw: at n = 2048, all 2048 of them.
+        with pytest.raises(ParameterError):
+            exact_typical_mean_ratio(LogNormalParams(0.0, 1.0), 2048)
 
 
 class TestRegimeCurve:
