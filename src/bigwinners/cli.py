@@ -163,8 +163,8 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
         if not Path(path).is_file():
             raise DataError(f"config file not found: {path}")
         try:
-            config.read(path)
-        except configparser.Error as exc:
+            config.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ParameterError(f"config file {path}: {' '.join(str(exc).split())}") from None
     every = {key for options in OPTIONS.values() for key in options}
     for section in [config.default_section, *config.sections()]:
@@ -234,6 +234,20 @@ def _report_names(names: list[str]) -> list[str]:
     return names
 
 
+def _read_panel(source):
+    """``load_panel(source)``, with a byte that is not UTF-8 reported as a ParseError on its line."""
+    try:
+        return load_panel(source)
+    except UnicodeDecodeError as exc:
+        data = Path(source).read_bytes()  # exc's offset is into one read-ahead chunk, not the file
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        line = len((data[:exc.start] + b"-").splitlines())  # line breaks before the byte, plus one
+        raise ParseError(f"byte {exc.object[exc.start]:#04x} is not UTF-8 text", line=line) from None
+
+
 def cmd_analyze(args) -> int:
     """total-return table and log-normal fit"""
     if not args.input:
@@ -246,7 +260,7 @@ def cmd_analyze(args) -> int:
     exit_code = EXIT_OK
     for source, name in zip(args.input, names):
         try:
-            panel = load_panel(source)
+            panel = _read_panel(source)
             sample = total_returns(panel, window=args.window)
             summary = summarize_index(sample, bandwidth_factor=args.bandwidth_factor)
         except (ParseError, DataError, InsufficientDataError, ParameterError, OSError) as exc:
@@ -291,8 +305,11 @@ def cmd_analyze(args) -> int:
 
 def _regime_param_sets(args) -> list[tuple[str, LogNormalParams]]:
     if args.params_file:
-        with open(args.params_file, newline="", encoding="utf-8-sig") as fh:
-            rows = [r for r in csv.DictReader(fh) if not r.get("index", "").startswith("#")]
+        try:
+            with open(args.params_file, newline="", encoding="utf-8-sig") as fh:
+                rows = [r for r in csv.DictReader(fh) if not r.get("index", "").startswith("#")]
+        except UnicodeDecodeError as exc:
+            raise DataError(f"params file {args.params_file}: {exc}") from None
         if not rows or "mu" not in rows[0] or "sigma" not in rows[0]:
             raise DataError(f"params file {args.params_file} needs index,mu,sigma columns")
         names = _report_names([row.get("index") or f"row{i}" for i, row in enumerate(rows)])
@@ -334,7 +351,7 @@ def cmd_gbm(args) -> int:
     if not args.input:
         raise ParameterError("an --input price file is required")
 
-    panel_data = load_panel(args.input)
+    panel_data = _read_panel(args.input)
     paths = {}
     for ticker in panel_data.tickers:
         _, prices = panel_data.series[ticker]

@@ -255,7 +255,13 @@ def pdf(params, x) -> np.ndarray:
 
 
 def quantile(params, q) -> np.ndarray:
-    """Quantile function (inverse CDF) of the law described by ``params``."""
+    """Quantile function (inverse CDF) of the law described by ``params``.
+
+    A log-normal quantile is exp(sigma * ndtri(q)) * e^mu, scipy's ``lognorm.ppf``
+    term by term (0 at q = 0, inf at q = 1, NaN off [0, 1]), without scipy.stats.
+    """
+    if isinstance(params, LogNormalParams) and params.sigma > 0:
+        return np.exp(params.sigma * scipy.special.ndtri(q)) * math.exp(params.mu)
     return law(params).ppf(q)
 
 

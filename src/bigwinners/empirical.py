@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .distributions import LogNormalParams, MomentSummary, fit_lognormal, lognormal_moments, quantile
 from .errors import DataError, InsufficientDataError, ParameterError, ParseError
@@ -362,9 +361,24 @@ def _histogram(t: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _smooth(counts: np.ndarray, h: float, width: float) -> np.ndarray:
-    return scipy.ndimage.gaussian_filter1d(
-        counts.astype(float), sigma=h / width, mode="constant", truncate=6.0
-    )
+    """Gaussian smoothing at h of binned counts along the last axis, zero off the grid.
+
+    The arithmetic of ``scipy.ndimage.gaussian_filter1d(counts, h / width,
+    mode="constant", truncate=6.0)`` in its order, so the bits are the same:
+    weights exp(-x^2 / 2s^2) for |x| <= int(6s + 0.5), over their sum, and
+    out_i = c_i w_0 + sum for j = r down to 1 of (c_(i-j) + c_(i+j)) w_j.
+    """
+    sigma = h / width
+    r = int(6.0 * sigma + 0.5)
+    weights = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    weights = weights / weights.sum()
+    n = counts.shape[-1]
+    padded = np.zeros(counts.shape[:-1] + (n + 2 * r,))
+    padded[..., r:r + n] = counts
+    out = padded[..., r:r + n] * weights[r]
+    for j in range(r, 0, -1):
+        out += (padded[..., r - j:r - j + n] + padded[..., r + j:r + j + n]) * weights[r + j]
+    return out
 
 
 def _grid_objective(t: np.ndarray, h: float, log_scale: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -386,6 +400,69 @@ def _exact_neg_objective(s: float, t: np.ndarray, h: float, log_scale: bool) -> 
     return -(math.log(f) - s) if log_scale else -f
 
 
+def _fminbound(func, a, b, xatol: float):
+    """Minimiser of ``func`` on [a, b] by Brent's bounded method, and a success flag.
+
+    scipy 1.17's ``optimize._minimize_scalar_bounded`` at its default
+    ``maxiter=500``, without its printing: the same float operations, so the
+    same iterates.  Success is False once 500 evaluations are spent or a NaN is met.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    fu = np.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:  # try a parabolic step
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if np.abs(p) < np.abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            return xf, False
+    return xf, not (np.isnan(xf) or np.isnan(fx) or np.isnan(fu))
+
+
 def kde_mode(x, bandwidth_factor: float = 1.0) -> KDEModeResult:
     """Gaussian-KDE mode with Scott bandwidth, grid search plus local refine.
 
@@ -405,14 +482,9 @@ def kde_mode(x, bandwidth_factor: float = 1.0) -> KDEModeResult:
     # Refine the grid winner against the exact kernel sum.
     lo = centers[max(k - 1, 0)]
     hi = centers[min(k + 1, KDE_GRID_SIZE - 1)]
-    res = scipy.optimize.minimize_scalar(
-        _exact_neg_objective,
-        bounds=(lo, hi),
-        args=(t, h, log_scale),
-        method="bounded",
-        options={"xatol": 1e-10 * max(1.0, abs(hi - lo))},
-    )
-    t_mode = float(res.x) if res.success else float(centers[k])
+    x, success = _fminbound(lambda s: _exact_neg_objective(s, t, h, log_scale), lo, hi,
+                            xatol=1e-10 * max(1.0, abs(hi - lo)))
+    t_mode = float(x) if success else float(centers[k])
 
     # Rival-peak check on the (back-transformed) density heights.
     interior = (obj[1:-1] > obj[:-2]) & (obj[1:-1] >= obj[2:])
@@ -458,11 +530,9 @@ def kde_mode_bootstrap_stderr(x, seed, replicates: int = 32) -> float:
     rng = np.random.default_rng(seed)
     smoothed = _smooth(counts, h, width)
     probs = smoothed / smoothed.sum()
-    modes = np.empty(replicates)
-    for i in range(replicates):
-        dens = _smooth(rng.multinomial(arr.size, probs), h, width)
-        t_star = centers[int(np.argmax(dens * tilt))]
-        modes[i] = math.exp(t_star) if log_scale else t_star
+    draws = rng.multinomial(arr.size, probs, size=replicates)
+    t_star = centers[np.argmax(_smooth(draws, h, width) * tilt, axis=1)]
+    modes = [math.exp(t) for t in t_star] if log_scale else t_star
     return float(np.std(modes, ddof=1))
 
 

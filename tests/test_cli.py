@@ -464,6 +464,36 @@ def test_short_params_file_row_exits_2_naming_it(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "gbm"])
+def test_non_utf8_price_file_exits_2_naming_the_line(tmp_path, capsys, command):
+    """The byte sits far past the first read-ahead chunk; its line is counted in the file."""
+    src = make_return_panel(tmp_path, "prices", [1.5] * 3000)
+    lines = src.read_bytes().split(b"\n")
+    lines[5002] = lines[5002].replace(b"T2500", b"T2500\xe9")
+    src.write_bytes(b"\n".join(lines))
+    assert main([command, "--input", str(src), "--out", str(tmp_path / "out")]) == 2
+    prefix = "analyze: prices" if command == "analyze" else "gbm"
+    assert capsys.readouterr().err == f"{prefix}: line 5003: byte 0xe9 is not UTF-8 text\n"
+
+
+def test_non_utf8_config_value_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(b"[model]\nformat = caf\xe9\n")
+    out = tmp_path / "out"
+    assert main(MODEL_ARGS + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert f"model: config file {cfg}: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_utf8_params_file_exits_2_naming_the_file(tmp_path, capsys):
+    params = tmp_path / "params.csv"
+    params.write_bytes(b"index,mu,sigma\nSPX,0.5,1.0\xe9\n")
+    out = tmp_path / "out"
+    assert main(["regime", "--params-file", str(params), "--out", str(out)]) == 2
+    assert f"regime: params file {params}: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_params_file_index_cannot_leave_out_dir(tmp_path):
     params = tmp_path / "params.csv"
     params.write_text("index,mu,sigma\nsub/../../escaped,0.95,1.02\n")

@@ -330,9 +330,11 @@ class TestLawMapping:
     )
     def test_pdf_and_quantile_equal_direct_scipy_calls(self, params, dist, args, kwds):
         x = np.linspace(-1.0, 4.0, 101)
-        q = np.linspace(0.01, 0.99, 99)
+        q = np.concatenate([np.linspace(0.01, 0.99, 99), [0.0, 1.0, -0.1, 1.1, math.nan]])
         assert np.array_equal(pdf(params, x), dist.pdf(x, *args, **kwds))
-        assert np.array_equal(quantile(params, q), dist.ppf(q, *args, **kwds))
+        assert np.array_equal(quantile(params, q), dist.ppf(q, *args, **kwds), equal_nan=True)
+        got, want = quantile(params, 0.3), dist.ppf(0.3, *args, **kwds)
+        assert np.ndim(got) == 0 and type(got) is type(want) and got == want
 
     def test_unknown_params_type_rejected(self):
         look_alike = collections.namedtuple("LogNormalLike", "mu sigma")(0.0, 1.0)

@@ -60,9 +60,27 @@ def test_import_loads_no_scipy_submodule():
 
 @pytest.mark.parametrize("command", ["analyze", "gbm"])
 def test_analyze_and_gbm_never_load_stats(price_file, tmp_path, command):
+    """analyze loads no scipy submodule at all.  gbm's skew-normal fit loads
+    optimize: the positive control, showing the guard sees what a command loads."""
     loaded = cli_loaded(0, command, "--input", str(price_file), "--out", str(tmp_path))
-    assert "optimize" in loaded  # the command did its fitting work
-    assert "stats" not in loaded
+    if command == "analyze":
+        assert loaded == set()
+    else:
+        assert "optimize" in loaded and "stats" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["regime", "--mu", "0.5", "--sigma", "1.0", "--reps", "10000", "--n-grid", "1,4", "--seed", "1"],
+        ["model", "--mu-d", "0.12", "--sigma-d", "0.03", "--sigma", "0.1", "--horizon", "16",
+         "--simulate", "20000", "--seed", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_monte_carlo_commands_load_no_scipy_submodule(tmp_path, argv):
+    """The Monte Carlo typical mean and its bootstrap take their KDE modes without scipy."""
+    assert cli_loaded(0, *argv, "--out", str(tmp_path)) == set()
 
 
 def test_malformed_file_loads_no_scipy_submodule(tmp_path):
@@ -71,6 +89,6 @@ def test_malformed_file_loads_no_scipy_submodule(tmp_path):
     assert cli_loaded(2, "analyze", "--input", str(bad), "--out", str(tmp_path)) == set()
 
 
-def test_qq_loads_stats(price_file, tmp_path):
-    """Positive control: the guard sees a submodule that a command does load."""
-    assert "stats" in cli_loaded(0, "analyze", "--input", str(price_file), "--out", str(tmp_path), "--qq")
+def test_qq_loads_only_special(price_file, tmp_path):
+    """The log-normal QQ quantiles need only special.ndtri."""
+    assert cli_loaded(0, "analyze", "--input", str(price_file), "--out", str(tmp_path), "--qq") == {"special"}

@@ -143,3 +143,79 @@ def test_bom_params_file_keeps_index_names(tmp_path):
     out = tmp_path / "out"
     assert main(["regime", "--params-file", str(params), "--n-grid", "1,4", "--out", str(out)]) == 0
     assert [p.name for p in out.iterdir()] == ["curve_alpha.csv"]
+
+
+# Report bytes that depend on the kernel density mode (its binned smoothing and
+# bounded refine) and on the log-normal quantile, pinned so that a rewrite of
+# either keeps every bit.
+
+def _kde_panels(tmp_path):
+    return [
+        _return_panel(tmp_path / "alpha.csv", np.random.default_rng(0).lognormal(0.5, 0.8, 12).tolist()),
+        _return_panel(tmp_path / "beta.csv", np.random.default_rng(2).lognormal(0.5, 0.8, 16).tolist()),
+    ]
+
+
+def test_analyze_mode_columns_are_pinned(tmp_path):
+    argv = ["analyze", "--out", str(tmp_path / "out")]
+    for panel in _kde_panels(tmp_path):
+        argv += ["--input", str(panel)]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in (tmp_path / "out" / "summary.csv").read_text().splitlines()]
+    header = rows[0]
+    picked = [(row[0], row[header.index("mode")], row[header.index("mean_over_mode")]) for row in rows[1:]]
+    assert picked == [
+        ("alpha", "0.9962465205743245", "1.9713850513374047"),
+        ("beta", "1.0294328329394917", "2.0569882692663497"),
+    ]
+
+
+def test_analyze_qq_report_bytes(tmp_path):
+    alpha = _kde_panels(tmp_path)[0]
+    assert main(["analyze", "--input", str(alpha), "--qq", "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "qq_alpha.csv").read_text(encoding="utf-8") == (
+        "theoretical_quantile,empirical_quantile\n"
+        "-0.4578587842196425,-0.5123371768368421\n"
+        "-0.13038091584991443,-0.06298818864559413\n"
+        "0.06010205066470201,0.001380429970118227\n"
+        "0.20865222407629752,0.07146450147111114\n"
+        "0.3381544150783511,0.3943161093669585\n"
+        "0.45871245467262967,0.5330607834777948\n"
+        "0.5766008287091048,0.5839200937224318\n"
+        "0.6971588683033836,0.6005841768747148\n"
+        "0.8266610593054372,0.7892760439275879\n"
+        "0.9752112327170326,1.0123381203546256\n"
+        "1.165694199231649,1.2576647705033936\n"
+        "1.493172067601377,1.5432000361041098\n"
+    )
+
+
+def test_monte_carlo_regime_report_bytes(tmp_path):
+    argv = ["regime", "--mu", "0.5", "--sigma", "1.0", "--reps", "10000", "--n-grid", "1,4,16",
+            "--seed", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert (tmp_path / "curve_inline.csv").read_text(encoding="utf-8") == (
+        "# seed=3\n"
+        "# reps=10000\n"
+        f"# version={__version__}\n"
+        "n,ratio_analytic,ratio_mc,mc_stderr\n"
+        "1,0.22313016014842985,0.21900786345691142,0.020771941083489065\n"
+        "4,0.5850482074411315,0.5655835373281712,0.028976606277364567\n"
+        "16,0.8581190948509415,0.8347049144367115,0.013690470918164594\n"
+    )
+
+
+def test_simulated_model_report_bytes(tmp_path):
+    argv = ["model", "--mu-d", "0.12", "--sigma-d", "0.03", "--sigma", "0.1", "--horizon", "16",
+            "--simulate", "20000", "--seed", "4", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert (tmp_path / "model.csv").read_text(encoding="utf-8") == (
+        "# seed=4\n"
+        "# reps=20000\n"
+        f"# version={__version__}\n"
+        "mu_d,sigma_d,sigma,horizon,mu_m,sigma_m,mean_over_median,mean_over_mode,"
+        "mc_mean_over_median,mc_ci_low,mc_ci_high,mc_stderr\n"
+        "0.12,0.03,0.1,16.0,1.8399999999999999,0.6248199740725324,1.215554072994869,"
+        "1.7960683033942908,1.2153445971145647,1.2040202533036048,1.2279669758293381,"
+        "0.004873210167441456\n"
+    )
