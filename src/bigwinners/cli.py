@@ -234,20 +234,6 @@ def _report_names(names: list[str]) -> list[str]:
     return names
 
 
-def _read_panel(source):
-    """``load_panel(source)``, with a byte that is not UTF-8 reported as a ParseError on its line."""
-    try:
-        return load_panel(source)
-    except UnicodeDecodeError as exc:
-        data = Path(source).read_bytes()  # exc's offset is into one read-ahead chunk, not the file
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as whole:
-            exc = whole
-        line = len((data[:exc.start] + b"-").splitlines())  # line breaks before the byte, plus one
-        raise ParseError(f"byte {exc.object[exc.start]:#04x} is not UTF-8 text", line=line) from None
-
-
 def cmd_analyze(args) -> int:
     """total-return table and log-normal fit"""
     if not args.input:
@@ -260,7 +246,7 @@ def cmd_analyze(args) -> int:
     exit_code = EXIT_OK
     for source, name in zip(args.input, names):
         try:
-            panel = _read_panel(source)
+            panel = load_panel(source)
             sample = total_returns(panel, window=args.window)
             summary = summarize_index(sample, bandwidth_factor=args.bandwidth_factor)
         except (ParseError, DataError, InsufficientDataError, ParameterError, OSError) as exc:
@@ -351,13 +337,10 @@ def cmd_gbm(args) -> int:
     if not args.input:
         raise ParameterError("an --input price file is required")
 
-    panel_data = _read_panel(args.input)
-    paths = {}
-    for ticker in panel_data.tickers:
-        _, prices = panel_data.series[ticker]
-        if prices.size < 2:
-            continue
-        paths[ticker] = PricePath(x0=float(prices[0]), prices=prices, dt=args.dt)
+    paths = {
+        ticker: PricePath(x0=float(prices[0]), prices=prices, dt=args.dt)
+        for ticker, (_, prices) in load_panel(args.input).series.items()
+    }
     panel = build_panel(paths, method=args.estimator, min_coverage=args.min_coverage)
 
     estimate_rows = [

@@ -133,9 +133,22 @@ _COLUMNS = ("ticker", "date", "adj_close")
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
+def _undecodable(lineno: int, text: str) -> ParseError | None:
+    """The error naming the first byte of ``text`` that is not UTF-8 (read as a
+    surrogate escape), or None if there is none."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return ParseError(f"byte {ord(text[exc.start]) - 0xDC00:#04x} is not UTF-8 text", line=lineno)
+    return None
+
+
 def _row_error(lineno: int, row) -> DataError:
-    """The error of the first check ``row`` fails: field count, empty ticker,
-    bad date, bad price, then non-positive price."""
+    """The error of the first check ``row`` fails: a byte that is not UTF-8,
+    field count, empty ticker, bad date, bad price, then non-positive price."""
+    undecodable = _undecodable(lineno, ",".join(map(str, row)))
+    if undecodable is not None:
+        return undecodable
     if len(row) != 3:
         return ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
     ticker = row[0].strip()
@@ -169,7 +182,8 @@ def load_panel(source) -> PricePanel:
     plus its price, so each distinct string is checked and converted once.
     One stable lexsort by (ticker, date) then groups the panel, and a faulty
     file reports the physical line its first offending record ends on, with
-    the message rebuilt from that row alone.
+    the message rebuilt from that row alone.  A byte that is not UTF-8 is
+    such a fault, found in each distinct string like any other.
     """
     raw_tickers: dict[str, int] = {}
     raw_dates: dict[str, int] = {}
@@ -177,14 +191,14 @@ def load_panel(source) -> PricePanel:
     prices = array("d")
     stop: Exception | None = None  # what ended the read early, raised if no stored row is faulty
 
-    with open(source, newline="", encoding="utf-8-sig") as fh:
+    with open(source, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError("empty file", line=1) from None
         if tuple(h.strip().lower() for h in header) != _COLUMNS:
-            raise ParseError(
+            raise _undecodable(1, ",".join(header)) or ParseError(
                 f"expected header {','.join(_COLUMNS)!r}, got {','.join(header)!r}", line=1
             )
         try:
@@ -203,14 +217,14 @@ def load_panel(source) -> PricePanel:
                 ticker_codes.append(raw_tickers.setdefault(row[0], len(raw_tickers)))
                 date_codes.append(raw_dates.setdefault(row[1], len(raw_dates)))
                 lines.append(lineno)
-        except (csv.Error, UnicodeDecodeError) as exc:  # reported only if no stored row is faulty
+        except csv.Error as exc:  # reported only if no stored row is faulty
             stop = exc
 
     names = [s.strip() for s in raw_tickers]
     day_of_raw = [_iso_day(s) for s in raw_dates]
     t, d, px = np.asarray(ticker_codes), np.asarray(date_codes), np.asarray(prices)
     bad = ~(np.isfinite(px) & (px > 0))
-    bad |= np.array([not n for n in names], dtype=bool)[t]
+    bad |= np.array([not n or _undecodable(0, n) is not None for n in names], dtype=bool)[t]
     bad |= np.array([day is None for day in day_of_raw], dtype=bool)[d]
     if bad.any():
         i = int(np.argmax(bad))

@@ -80,8 +80,8 @@ class PricePath:
         object.__setattr__(self, "prices", arr)
         if self.dt <= 0 or not math.isfinite(self.dt):
             raise ParameterError(f"dt must be > 0, got {self.dt}")
-        if arr.size < 2:
-            raise ParameterError("a price path needs at least 2 prices")
+        if arr.size < 1:
+            raise ParameterError("a price path needs at least 1 price")
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
             raise ParameterError("prices must be finite and strictly positive")
         if self.x0 <= 0 or arr[0] != self.x0:

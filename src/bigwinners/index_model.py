@@ -114,6 +114,22 @@ def _terminal_returns(
     return np.exp(log_rho)
 
 
+def _simulate(
+    p: DriftModelParams,
+    drift: SkewNormalParams | None,
+    n_stocks: int,
+    seed,
+    volatility: GammaParams | None,
+) -> ReturnSample:
+    # Drifts are Normal(mu_d, sigma_d) unless ``drift`` gives their law.
+    if n_stocks < 2:
+        raise ParameterError(f"n_stocks must be >= 2, got {n_stocks}")
+    rng = np.random.default_rng(seed)
+    drifts = p.mu_d + p.sigma_d * rng.standard_normal(n_stocks) if drift is None else draw(drift, n_stocks, rng)
+    sigma = draw(volatility, n_stocks, rng) if volatility is not None else p.sigma
+    return ReturnSample(rho=_terminal_returns(drifts, sigma, p.horizon, rng))
+
+
 def simulate_index(
     p: DriftModelParams,
     n_stocks: int,
@@ -127,12 +143,7 @@ def simulate_index(
     each stock's volatility is an independent gamma draw instead of the
     constant ``p.sigma`` (no closed-form oracle applies then).
     """
-    if n_stocks < 2:
-        raise ParameterError(f"n_stocks must be >= 2, got {n_stocks}")
-    rng = np.random.default_rng(seed)
-    drifts = p.mu_d + p.sigma_d * rng.standard_normal(n_stocks)
-    sigma = draw(volatility, n_stocks, rng) if volatility is not None else p.sigma
-    return ReturnSample(rho=_terminal_returns(drifts, sigma, p.horizon, rng))
+    return _simulate(p, None, n_stocks, seed, volatility)
 
 
 def implied_log_skew_normal(
@@ -144,18 +155,13 @@ def implied_log_skew_normal(
     sum of a skew-normal and an independent normal stays skew-normal with
     scale sqrt(omega^2 T^2 + sigma^2 T) and a shape shrunk accordingly.
     """
-    if omega <= 0:
-        raise ParameterError(f"omega must be > 0, got {omega}")
-    if horizon <= 0:
-        raise ParameterError(f"horizon must be > 0, got {horizon}")
-    if sigma < 0:
-        raise ParameterError(f"sigma must be >= 0, got {sigma}")
+    drift = SkewNormalParams(zeta=zeta, omega=omega, alpha=alpha)
+    DriftModelParams(mu_d=zeta, sigma_d=omega, sigma=sigma, horizon=horizon)  # checks sigma and horizon
     loc = zeta * horizon - 0.5 * sigma * sigma * horizon
     w = omega * horizon
     tau_sq = sigma * sigma * horizon
     scale = math.sqrt(w * w + tau_sq)
-    delta = alpha / math.sqrt(1.0 + alpha * alpha)
-    delta_bar = w * delta / scale
+    delta_bar = w * drift.delta / scale
     alpha_bar = delta_bar / math.sqrt(max(1.0 - delta_bar * delta_bar, 1e-300))
     return SkewNormalParams(zeta=loc, omega=scale, alpha=alpha_bar)
 
@@ -170,18 +176,17 @@ def simulate_index_skew_drift(
     seed,
     volatility: GammaParams | None = None,
 ) -> ReturnSample:
-    """Terminal returns with skew-normal drift SN(zeta, omega, alpha).
+    """``simulate_index`` with skew-normal drift SN(zeta, omega, alpha).
 
     The cross-section is log-skew-normal; its mode and median have no
     closed form, so summarize the returned sample (``sample_ratio_summary``)
     or evaluate the implied density numerically (``log_skew_normal_mode``).
+    The drift's location and scale stand in for ``DriftModelParams``'
+    mu_d and sigma_d, so both laws check their own parameters.
     """
-    if n_stocks < 2:
-        raise ParameterError(f"n_stocks must be >= 2, got {n_stocks}")
-    rng = np.random.default_rng(seed)
-    drifts = draw(SkewNormalParams(zeta=zeta, omega=omega, alpha=alpha), n_stocks, rng)
-    sig = draw(volatility, n_stocks, rng) if volatility is not None else sigma
-    return ReturnSample(rho=_terminal_returns(drifts, sig, horizon, rng))
+    drift = SkewNormalParams(zeta=zeta, omega=omega, alpha=alpha)
+    p = DriftModelParams(mu_d=zeta, sigma_d=omega, sigma=sigma, horizon=horizon)
+    return _simulate(p, drift, n_stocks, seed, volatility)
 
 
 # ---------------------------------------------------------------------------

@@ -81,9 +81,11 @@ class RegimeCurve:
     points: tuple[CurvePoint, ...]
 
 
-def _check_params(p: LogNormalParams) -> None:
+def _check_params(p: LogNormalParams, n: int = 1) -> None:
     if p.sigma <= 0:
         raise ParameterError("regime analysis requires sigma > 0")
+    if n < 1:
+        raise ParameterError(f"portfolio size must be >= 1, got {n}")
 
 
 def classify_regime(
@@ -132,9 +134,7 @@ def regime_formula_values(p: LogNormalParams, n: int) -> dict[str, float]:
     Useful near the regime boundaries (1 <= sigma^2 <= 4), where the
     moderate and very-broad forms visibly disagree.
     """
-    _check_params(p)
-    if n < 1:
-        raise ParameterError(f"portfolio size must be >= 1, got {n}")
+    _check_params(p, n)
     return {label: fn(p.sigma_sq, n) for label, fn in _FORMULAS.items()}
 
 
@@ -145,8 +145,7 @@ def typical_mean_ratio(
     very_broad_min: float = VERY_BROAD_MIN_SIGMA_SQ,
 ) -> float:
     """Typical-sample-mean / true-mean ratio from the regime's closed form."""
-    if n < 1:
-        raise ParameterError(f"portfolio size must be >= 1, got {n}")
+    _check_params(p, n)
     regime = classify_regime(p, narrow_max=narrow_max, very_broad_min=very_broad_min)
     return _FORMULAS[regime.label](regime.sigma_sq, n)
 
@@ -160,9 +159,7 @@ def mc_typical_mean(p: LogNormalParams, n: int, reps: int, seed) -> tuple[float,
     Returns (mode_ratio, standard error from ``kde_mode_bootstrap_stderr``
     at its default 32 replicates).
     """
-    _check_params(p)
-    if n < 1:
-        raise ParameterError(f"portfolio size must be >= 1, got {n}")
+    _check_params(p, n)
     if reps < MIN_MC_REPS:
         raise ParameterError(f"reps must be >= {MIN_MC_REPS}, got {reps}")
 

@@ -203,6 +203,20 @@ class TestGbm:
     def test_missing_input_exit_2(self, tmp_path):
         assert main(["gbm", "--out", str(tmp_path)]) == 2
 
+    def test_every_loaded_ticker_is_used_or_excluded(self, tmp_path):
+        paths = {
+            f"T{i}": simulate_gbm(GBMParams(0.12, 0.29), 1.0, 16, 1.0, seed=i).prices
+            for i in range(6)
+        }
+        paths["SHORT"] = paths["T0"][:5]
+        paths["ONE"] = paths["T1"][:1]
+        src = make_path_panel(tmp_path, "panel", paths)
+        out = tmp_path / "out"
+        assert main(["gbm", "--input", str(src), "--out", str(out)]) == 0
+        lines = (out / "panel.csv").read_text().strip().splitlines()
+        footer = dict(line[2:].split("=") for line in lines if line.startswith("# "))
+        assert (footer["tickers_used"], footer["excluded_delisted"]) == ("6", "2")
+
 
 class TestModel:
     def test_closed_form_row(self, tmp_path):
@@ -474,6 +488,21 @@ def test_non_utf8_price_file_exits_2_naming_the_line(tmp_path, capsys, command):
     assert main([command, "--input", str(src), "--out", str(tmp_path / "out")]) == 2
     prefix = "analyze: prices" if command == "analyze" else "gbm"
     assert capsys.readouterr().err == f"{prefix}: line 5003: byte 0xe9 is not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    (b"ticker,date,adj_close\nAAA,2006-01-02,1\nAAA,bad-date,2\nBBB,2006-01-02,1\nBBB,2006-01-03,caf\xe9\n",
+     "line 3: bad date 'bad-date'"),
+    (b"ticker,date,adj_clos\xe9\nAAA,2006-01-02,1\n", "line 1: byte 0xe9 is not UTF-8 text"),
+    (b"ticker,date,adj_close\nAAA,2006-01-02,1\nAAA,2006-01-0\xff,2\n", "line 3: byte 0xff is not UTF-8 text"),
+    (b"ticker,date,adj_close\nAAA,2006-01-02,1\xe9\nAAA,bad-date,2\n", "line 2: byte 0xe9 is not UTF-8 text"),
+    (b"ticker,date,adj_close\nAAA,2006-01-02,1,\xe9\n", "line 2: byte 0xe9 is not UTF-8 text"),
+], ids=["bad_date_before_byte", "header", "date", "price_before_bad_date", "field_count"])
+def test_non_utf8_byte_is_a_row_fault_in_file_order(tmp_path, capsys, rows, message):
+    src = tmp_path / "prices.csv"
+    src.write_bytes(rows)
+    assert main(["analyze", "--input", str(src), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"analyze: prices: {message}\n"
 
 
 def test_non_utf8_config_value_exits_2_naming_the_file(tmp_path, capsys):

@@ -188,6 +188,13 @@ class TestBuildPanel:
         assert panel.excluded == ("SHORT",)
         assert len(panel.estimates) == 5
 
+    def test_single_price_series_excluded(self):
+        paths = {f"T{i}": simulate_gbm(GBMParams(0.1, 0.2), 1.0, 16, 1.0, i) for i in range(5)}
+        paths["ONE"] = PricePath(x0=3.0, prices=np.array([3.0]), dt=1.0)
+        panel = build_panel(paths)
+        assert panel.excluded == ("ONE",)
+        assert len(panel.estimates) == 5
+
     def test_permutation_invariant(self):
         paths = {f"T{i}": simulate_gbm(GBMParams(0.1, 0.3), 1.0, 64, 0.25, i) for i in range(12)}
         panel_a = build_panel(paths)

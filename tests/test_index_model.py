@@ -146,6 +146,32 @@ class TestSkewDriftModel:
         critical = 1.628 * math.sqrt(2.0 / n)  # 99th percentile, equal sizes
         assert stat < critical
 
+    @pytest.mark.parametrize("sigma, horizon, message", [
+        (-0.2, 16, "sigma must be >= 0, got -0.2"),
+        (0.29, 0, "horizon must be > 0, got 0"),
+        (0.29, -1, "horizon must be > 0, got -1"),
+    ])
+    def test_rejects_what_the_drift_model_rejects(self, sigma, horizon, message):
+        for build in (
+            lambda: simulate_index_skew_drift(0.06, 0.09, 1.88, sigma, horizon, 5, seed=1),
+            lambda: implied_log_skew_normal(0.06, 0.09, 1.88, sigma, horizon),
+        ):
+            with pytest.raises(ParameterError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_samples_are_pinned_bit_for_bit(self):
+        # Any change to the draw order of either simulator shows here.
+        skew = simulate_index_skew_drift(0.06, 0.09, 1.88, 0.29, 16, 4, seed=3)
+        assert skew.rho.tolist() == [4.816976761987832, 1401.3523427298544, 0.7517554942997493, 1.5575775817697353]
+        vol = GammaParams(2.15, 10.7)
+        skew = simulate_index_skew_drift(0.06, 0.09, 1.88, 0.29, 16, 4, seed=3, volatility=vol)
+        assert skew.rho.tolist() == [28.5928382013335, 34.922472782013365, 1.6484646314671885, 4.189714818142839]
+        normal = simulate_index(DriftModelParams(0.12, 0.03, 0.1, 16), 4, seed=3)
+        assert normal.rho.tolist() == [13.993339430178665, 1.6939141561899496, 3.430455306435833, 4.369714337601376]
+        implied = implied_log_skew_normal(0.06, 0.09, 1.88, 0.29, 16)
+        assert (implied.zeta, implied.omega, implied.alpha) == (0.2872, 1.8491078930121951, 0.9468345701956261)
+
     def test_positive_alpha_skews_log_returns(self):
         sample = simulate_index_skew_drift(0.0, 0.08, 5.0, 0.05, 16, 100_000, seed=22)
         assert stats.skew(np.log(sample.rho)) > 0

@@ -211,12 +211,11 @@ def test_fixed_file_with_note_merged_ticker_and_quoted_comma(tmp_path):
 def test_undecodable_bytes_after_a_bad_row(tmp_path):
     """A fault on an early line is reported before an undecodable byte that
     the reader meets later in the file, as when rows were checked one by one;
-    without the fault, both loaders raise the same decoding error."""
+    without the fault, the byte is the fault, named on its own line."""
     good = b"".join(b"AAA,%d-01-02,1\n" % year for year in range(1000, 4000))
     path = tmp_path / "prices.csv"
     path.write_bytes(b"ticker,date,adj_close\nBBB,2006,1\n" + good + b"\xff\n")
     assert str(outcome(load_panel, path)) == "line 2: bad date '2006'"
     assert_same_outcome(outcome(load_panel, path), outcome(reference_load_panel, path))
     path.write_bytes(b"ticker,date,adj_close\n" + good + b"\xff\n")
-    assert isinstance(outcome(load_panel, path), UnicodeDecodeError)
-    assert_same_outcome(outcome(load_panel, path), outcome(reference_load_panel, path))
+    assert_same_outcome(outcome(load_panel, path), ParseError("line 3002: byte 0xff is not UTF-8 text"))

@@ -7,7 +7,7 @@ import pytest
 
 from bigwinners import __version__
 from bigwinners.cli import main
-from bigwinners.empirical import load_panel, write_report
+from bigwinners.empirical import ReturnSample, load_panel, write_report, write_returns_csv
 from bigwinners.errors import ParameterError
 
 FIELDS = ["name", "none", "float", "np_float", "flag", "count"]
@@ -67,6 +67,12 @@ class TestWriteReport:
         with pytest.raises(ParameterError):
             write_report(tmp_path / "r.xml", ["x"], [(1,)], fmt="xml")
         assert not (tmp_path / "r.xml").exists()
+
+
+def test_returns_csv_bytes_with_tickers(tmp_path):
+    sample = ReturnSample(rho=np.array([2.5, 0.1 + 0.2]), tickers=("A,B", "C"))
+    write_returns_csv(sample, tmp_path / "returns.csv")
+    assert (tmp_path / "returns.csv").read_bytes() == b'ticker,rho\n"A,B",2.5\nC,0.30000000000000004\n'
 
 
 def test_closed_form_model_report_bytes(tmp_path):
