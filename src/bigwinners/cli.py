@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import datetime as dt
 import sys
 from pathlib import Path
@@ -45,7 +46,7 @@ from .errors import (
 )
 from .gbm import MIN_WINDOW_COVERAGE, PricePath, build_panel, write_panel_csv
 from .index_model import DriftModelParams, implied_lognormal, model_ratios, sample_ratio_summary, simulate_index
-from .lognormal_sum import CURVE_FIELDS, NARROW_MAX_SIGMA_SQ, VERY_BROAD_MIN_SIGMA_SQ, curve_rows, regime_curve
+from .lognormal_sum import NARROW_MAX_SIGMA_SQ, VERY_BROAD_MIN_SIGMA_SQ, regime_curve
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -222,6 +223,7 @@ _FIT_FIELDS = [
     "n_used", "n_removed", "degenerate",
 ]
 _QQ_FIELDS = ["theoretical_quantile", "empirical_quantile"]
+_CURVE_FIELDS = ["n", "ratio_analytic", "ratio_mc", "mc_stderr"]
 
 
 def _report_names(names: list[str]) -> list[str]:
@@ -253,13 +255,7 @@ def cmd_analyze(args) -> int:
             print(f"analyze: {name}: {exc}", file=sys.stderr)
             exit_code = EXIT_INPUT_ERROR
             continue
-        summary_rows.append(
-            (
-                name, summary.n, summary.top5, summary.top10, summary.top25,
-                summary.mean, summary.median, summary.mode,
-                summary.mean_over_median, summary.mean_over_mode, summary.mode_note,
-            )
-        )
+        summary_rows.append((name, *dataclasses.astuple(summary)))
 
         try:
             filtered = tail_filter(sample, threshold_log=args.tail_threshold)
@@ -325,7 +321,8 @@ def cmd_regime(args) -> int:
                                  narrow_max=args.narrow_max, very_broad_min=args.very_broad_min)
         except ParameterError as exc:
             raise ParameterError(f"{name}: {exc}") from None
-        write_report(args.out / f"curve_{name}.{fmt}", CURVE_FIELDS, curve_rows(curve), fmt, meta=meta)
+        rows = [dataclasses.astuple(point) for point in curve.points]
+        write_report(args.out / f"curve_{name}.{fmt}", _CURVE_FIELDS, rows, fmt, meta=meta)
     return EXIT_OK
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "lognormal_moments",
     "sample",
     "law",
-    "pdf",
     "quantile",
     "fit_lognormal",
     "fit_skew_normal",
@@ -247,11 +246,6 @@ def law(params):
     if isinstance(params, GammaParams):
         return scipy.stats.gamma(params.shape, scale=1.0 / params.rate)
     raise TypeError(f"no law for {type(params).__name__}")
-
-
-def pdf(params, x) -> np.ndarray:
-    """Probability density of the law described by ``params`` at ``x``."""
-    return law(params).pdf(x)
 
 
 def quantile(params, q) -> np.ndarray:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import LogNormalParams, MomentSummary, fit_lognormal, lognormal_moments, quantile
+from .distributions import LogNormalParams, MomentSummary, _clean, fit_lognormal, lognormal_moments, quantile
 from .errors import DataError, InsufficientDataError, ParameterError, ParseError
 
 __all__ = [
@@ -350,11 +350,7 @@ def _kde_axis(x, who: str, bandwidth_factor: float = 1.0):
     is exact), anything else on the raw axis.  ``h`` is None for a constant
     sample, which has no spread to smooth.
     """
-    arr = np.asarray(x, dtype=float).ravel()
-    if arr.size < 5:
-        raise InsufficientDataError(f"{who} needs at least 5 points, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{who} requires finite values")
+    arr = _clean(x, 5, who)
     if float(np.ptp(arr)) == 0.0:
         return arr, arr, None, False
     log_scale = bool(np.all(arr > 0))
@@ -555,7 +551,9 @@ def kde_mode_bootstrap_stderr(x, seed, replicates: int = 32) -> float:
 # ---------------------------------------------------------------------------
 
 def tail_filter(sample: ReturnSample, threshold_log: float = TAIL_THRESHOLD_LOG) -> ReturnSample:
-    """Keep entries with ln rho strictly above ``threshold_log``."""
+    """Keep entries with ln rho strictly above ``threshold_log`` (``-inf`` keeps all)."""
+    if math.isnan(threshold_log):
+        raise ParameterError("threshold_log must not be NaN")
     keep = np.log(sample.rho) > threshold_log
     removed = int(np.sum(~keep))
     tickers = (

@@ -211,6 +211,8 @@ def build_panel(
     (or too short to estimate) are excluded and listed.  Distribution fits
     that fail are recorded per field and the panel is still returned.
     """
+    if not 0 <= min_coverage <= 1:
+        raise ParameterError(f"min_coverage must be in [0, 1], got {min_coverage}")
     if not paths:
         raise InsufficientDataError("build_panel needs at least 3 usable paths")
     window = max(path.duration for path in paths.values())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .distributions import GammaParams, LogNormalParams, SkewNormalParams, law, sample as draw
+from .distributions import LogNormalParams, SkewNormalParams, law, sample as draw
 from .empirical import ReturnSample, kde_mode
 from .errors import ParameterError
 
@@ -102,48 +102,27 @@ def model_ratios(p: DriftModelParams) -> UnderperformanceRatios:
 # Simulation
 # ---------------------------------------------------------------------------
 
-def _terminal_returns(
-    drifts: np.ndarray,
-    sigma,
-    horizon: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def _terminal_returns(drifts: np.ndarray, p: DriftModelParams, rng: np.random.Generator) -> ReturnSample:
     # Exact GBM solution per stock; covariance between stocks is neglected.
     shocks = rng.standard_normal(drifts.size)
-    log_rho = (drifts - 0.5 * np.square(sigma)) * horizon + sigma * math.sqrt(horizon) * shocks
-    return np.exp(log_rho)
+    log_rho = (drifts - 0.5 * p.sigma * p.sigma) * p.horizon + p.sigma * math.sqrt(p.horizon) * shocks
+    return ReturnSample(rho=np.exp(log_rho))
 
 
-def _simulate(
-    p: DriftModelParams,
-    drift: SkewNormalParams | None,
-    n_stocks: int,
-    seed,
-    volatility: GammaParams | None,
-) -> ReturnSample:
-    # Drifts are Normal(mu_d, sigma_d) unless ``drift`` gives their law.
+def _generator(n_stocks: int, seed) -> np.random.Generator:
     if n_stocks < 2:
         raise ParameterError(f"n_stocks must be >= 2, got {n_stocks}")
-    rng = np.random.default_rng(seed)
-    drifts = p.mu_d + p.sigma_d * rng.standard_normal(n_stocks) if drift is None else draw(drift, n_stocks, rng)
-    sigma = draw(volatility, n_stocks, rng) if volatility is not None else p.sigma
-    return ReturnSample(rho=_terminal_returns(drifts, sigma, p.horizon, rng))
+    return np.random.default_rng(seed)
 
 
-def simulate_index(
-    p: DriftModelParams,
-    n_stocks: int,
-    seed,
-    volatility: GammaParams | None = None,
-) -> ReturnSample:
+def simulate_index(p: DriftModelParams, n_stocks: int, seed) -> ReturnSample:
     """Terminal total returns of ``n_stocks`` independent constituents.
 
-    Drifts are drawn Normal(mu_d, sigma_d) and each terminal return uses
-    the exact GBM solution.  ``volatility`` is experimental: when given,
-    each stock's volatility is an independent gamma draw instead of the
-    constant ``p.sigma`` (no closed-form oracle applies then).
+    Drifts are drawn Normal(mu_d, sigma_d), then each terminal return uses
+    the exact GBM solution with the common volatility ``p.sigma``.
     """
-    return _simulate(p, None, n_stocks, seed, volatility)
+    rng = _generator(n_stocks, seed)
+    return _terminal_returns(p.mu_d + p.sigma_d * rng.standard_normal(n_stocks), p, rng)
 
 
 def implied_log_skew_normal(
@@ -174,7 +153,6 @@ def simulate_index_skew_drift(
     horizon: float,
     n_stocks: int,
     seed,
-    volatility: GammaParams | None = None,
 ) -> ReturnSample:
     """``simulate_index`` with skew-normal drift SN(zeta, omega, alpha).
 
@@ -186,7 +164,8 @@ def simulate_index_skew_drift(
     """
     drift = SkewNormalParams(zeta=zeta, omega=omega, alpha=alpha)
     p = DriftModelParams(mu_d=zeta, sigma_d=omega, sigma=sigma, horizon=horizon)
-    return _simulate(p, drift, n_stocks, seed, volatility)
+    rng = _generator(n_stocks, seed)
+    return _terminal_returns(draw(drift, n_stocks, rng), p, rng)
 
 
 # ---------------------------------------------------------------------------

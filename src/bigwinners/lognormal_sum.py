@@ -16,7 +16,7 @@ import numpy as np
 import scipy
 
 from .distributions import LogNormalParams
-from .empirical import kde_mode, kde_mode_bootstrap_stderr, write_report
+from .empirical import kde_mode, kde_mode_bootstrap_stderr
 from .errors import ParameterError
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "mc_typical_mean",
     "exact_typical_mean_ratio",
     "regime_curve",
-    "write_curve_csv",
 ]
 
 NARROW = "narrow"
@@ -95,7 +94,7 @@ def classify_regime(
 ) -> RegimeLabel:
     """Assign the shape regime from sigma^2; needs ``narrow_max < very_broad_min``."""
     _check_params(p)
-    if narrow_max >= very_broad_min:
+    if not narrow_max < very_broad_min:
         raise ParameterError(f"narrow_max {narrow_max} must be below very_broad_min {very_broad_min}")
     s2 = p.sigma_sq
     if s2 <= narrow_max:
@@ -252,16 +251,3 @@ def regime_curve(
         else:
             points.append(CurvePoint(n=n, ratio_analytic=analytic))
     return RegimeCurve(params=p, points=tuple(points))
-
-
-CURVE_FIELDS = ("n", "ratio_analytic", "ratio_mc", "mc_stderr")
-
-
-def curve_rows(curve: RegimeCurve) -> list[tuple]:
-    """The curve's points as report rows in ``CURVE_FIELDS`` order."""
-    return [(pt.n, pt.ratio_analytic, pt.ratio_mc, pt.mc_stderr) for pt in curve.points]
-
-
-def write_curve_csv(curve: RegimeCurve, destination) -> None:
-    """Write a curve as CSV with columns n, ratio_analytic, ratio_mc, mc_stderr."""
-    write_report(destination, CURVE_FIELDS, curve_rows(curve))

@@ -1,20 +1,24 @@
 """The package names that the benchmark tracer binds must keep existing.
 
-``benchmarks/tracer.py`` traces the functions it names in ``EXTRA`` and sums
-the arguments named in ``COUNTED_ARGS``; a rename or a dropped parameter
-would silently zero those per-layer metrics.
+``benchmarks/tracer.py`` traces each ``__all__`` name of its modules and the
+functions it names in ``EXTRA``, and sums the arguments named in
+``COUNTED_ARGS``; ``benchmarks/run.py`` reports the layers in
+``LAYER_FUNCTIONS`` one by one.  A stale ``__all__`` entry crashes a traced
+run, and a rename or a dropped parameter would silently zero those
+per-layer metrics.
 """
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER_PATH)
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", BENCHMARKS / "tracer.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -41,3 +45,24 @@ def test_counted_args_are_parameters_of_traced_functions():
         traced = list(getattr(module, "__all__", ())) + list(tracer.EXTRA.get(short, ()))
         assert name in traced, qualified
         assert arg in inspect.signature(getattr(module, name)).parameters, qualified
+
+
+def test_all_names_of_traced_modules_resolve():
+    tracer = load_tracer()
+    for short in tracer.MODULES:
+        module = package_module(tracer, short)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{short}.{name}"
+
+
+def test_layer_functions_are_functions(monkeypatch):
+    # run.py imports its sibling modules by plain name, and its dataclasses
+    # need it registered while it runs; every module is unregistered after.
+    for name in ("checks", "fixtures", "tracer", "run"):
+        spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+    for qualified in sys.modules["run"].LAYER_FUNCTIONS:
+        short, name = qualified.split(".")
+        assert inspect.isfunction(getattr(package_module(sys.modules["tracer"], short), name, None)), qualified

@@ -399,6 +399,27 @@ def test_inconsistent_regime_cutoffs_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (REGIME_ARGS + ["--very-broad-min", "nan"], "regime: inline: narrow_max 0.1 must be below very_broad_min nan"),
+        (["analyze", "--tail-threshold", "nan"], "analyze: threshold_log must not be NaN"),
+        (["gbm", "--min-coverage", "nan"], "gbm: min_coverage must be in [0, 1], got nan"),
+        (["gbm", "--min-coverage", "5"], "gbm: min_coverage must be in [0, 1], got 5.0"),
+    ],
+    ids=["very-broad-min-nan", "tail-threshold-nan", "min-coverage-nan", "min-coverage-5"],
+)
+def test_nan_or_out_of_range_option_exits_2_naming_it(tmp_path, capsys, argv, message):
+    paths = {f"T{i}": simulate_gbm(GBMParams(0.12, 0.29), 1.0, 16, 1.0, seed=i).prices for i in range(6)}
+    src = make_path_panel(tmp_path, "panel", paths)
+    if argv[0] != "regime":
+        argv = argv + ["--input", str(src)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv,rule",
     [
         (["analyze", "--window", "bad"], "argument --window: bad window 'bad'; expected START:END ISO dates"),

@@ -15,8 +15,8 @@ from bigwinners.distributions import (
     fit_lognormal,
     fit_skew_normal,
     huber_regression,
+    law,
     lognormal_moments,
-    pdf,
     pearson_correlation,
     quantile,
     sample,
@@ -59,8 +59,9 @@ class TestLogNormalMoments:
         for sigma in (0.3, 0.8, 1.5):
             p = LogNormalParams(0.4, sigma)
             m = lognormal_moments(p)
+            density = law(p).pdf
             value, _ = integrate.quad(
-                lambda x: x * pdf(p, x), 0, np.inf, limit=400
+                lambda x: x * density(x), 0, np.inf, limit=400
             )
             assert value == pytest.approx(m.mean, rel=1e-6)
 
@@ -331,7 +332,7 @@ class TestLawMapping:
     def test_pdf_and_quantile_equal_direct_scipy_calls(self, params, dist, args, kwds):
         x = np.linspace(-1.0, 4.0, 101)
         q = np.concatenate([np.linspace(0.01, 0.99, 99), [0.0, 1.0, -0.1, 1.1, math.nan]])
-        assert np.array_equal(pdf(params, x), dist.pdf(x, *args, **kwds))
+        assert np.array_equal(law(params).pdf(x), dist.pdf(x, *args, **kwds))
         assert np.array_equal(quantile(params, q), dist.ppf(q, *args, **kwds), equal_nan=True)
         got, want = quantile(params, 0.3), dist.ppf(0.3, *args, **kwds)
         assert np.ndim(got) == 0 and type(got) is type(want) and got == want
@@ -341,13 +342,13 @@ class TestLawMapping:
         with pytest.raises(TypeError):
             sample(look_alike, 10, 1)
         with pytest.raises(TypeError):
-            pdf(look_alike, 1.0)
+            law(look_alike)
         with pytest.raises(TypeError):
             quantile(look_alike, 0.5)
 
     def test_degenerate_lognormal_has_no_density_or_quantile(self):
         p = LogNormalParams(0.3, 0.0)
         with pytest.raises(ParameterError):
-            pdf(p, 1.0)
+            law(p)
         with pytest.raises(ParameterError):
             quantile(p, 0.5)

@@ -246,6 +246,12 @@ class TestTailFilter:
         assert np.array_equal(out.rho, s.rho)
         assert out.removed == 0
 
+    def test_minus_infinity_keeps_every_entry(self):
+        s = ReturnSample(rho=np.array([1e-300, 0.1, 2.0]))
+        out = tail_filter(s, threshold_log=-math.inf)
+        assert np.array_equal(out.rho, s.rho)
+        assert out.removed == 0
+
     def test_idempotent(self):
         rng = np.random.default_rng(16)
         s = ReturnSample(rho=rng.lognormal(0.0, 1.5, 500))

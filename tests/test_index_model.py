@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bigwinners.distributions import GammaParams, fit_lognormal, lognormal_moments
+from bigwinners.distributions import fit_lognormal, lognormal_moments
 from bigwinners.empirical import kde_mode
 from bigwinners.errors import ParameterError
 from bigwinners.index_model import (
@@ -127,11 +127,6 @@ class TestSimulateIndex:
         mode = kde_mode(sample.rho).mode
         assert mode == pytest.approx(target, rel=0.02)
 
-    def test_gamma_volatility_flag_runs(self):
-        sample = simulate_index(SPX_LIKE, 5000, seed=15, volatility=GammaParams(2.15, 10.7))
-        assert len(sample) == 5000
-        assert np.all(sample.rho > 0)
-
     def test_rejects_tiny_index(self):
         with pytest.raises(ParameterError):
             simulate_index(SPX_LIKE, 1, seed=1)
@@ -164,9 +159,6 @@ class TestSkewDriftModel:
         # Any change to the draw order of either simulator shows here.
         skew = simulate_index_skew_drift(0.06, 0.09, 1.88, 0.29, 16, 4, seed=3)
         assert skew.rho.tolist() == [4.816976761987832, 1401.3523427298544, 0.7517554942997493, 1.5575775817697353]
-        vol = GammaParams(2.15, 10.7)
-        skew = simulate_index_skew_drift(0.06, 0.09, 1.88, 0.29, 16, 4, seed=3, volatility=vol)
-        assert skew.rho.tolist() == [28.5928382013335, 34.922472782013365, 1.6484646314671885, 4.189714818142839]
         normal = simulate_index(DriftModelParams(0.12, 0.03, 0.1, 16), 4, seed=3)
         assert normal.rho.tolist() == [13.993339430178665, 1.6939141561899496, 3.430455306435833, 4.369714337601376]
         implied = implied_log_skew_normal(0.06, 0.09, 1.88, 0.29, 16)

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from bigwinners.lognormal_sum import (
     regime_curve,
     regime_formula_values,
     typical_mean_ratio,
-    write_curve_csv,
 )
 
 
@@ -206,20 +204,10 @@ class TestRegimeCurve:
         with pytest.raises(ParameterError):
             regime_curve(LogNormalParams(0, 1.0), [4, 2])
 
-    def test_csv_export_columns(self):
-        curve = regime_curve(LogNormalParams(0.5, 0.9), [2, 4], reps=10_000, seed=5)
-        buf = io.StringIO()
-        write_curve_csv(curve, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "n,ratio_analytic,ratio_mc,mc_stderr"
-        assert len(lines) == 3
-        first = lines[1].split(",")
-        assert first[0] == "2"
-        assert float(first[1]) == pytest.approx(curve.points[0].ratio_analytic)
-
 
 class TestRegimeCutoffs:
-    @pytest.mark.parametrize("narrow_max,very_broad_min", [(5.0, 1.0), (2.0, 2.0)])
+    @pytest.mark.parametrize("narrow_max,very_broad_min",
+                             [(5.0, 1.0), (2.0, 2.0), (math.nan, 4.0), (0.1, math.nan)])
     def test_narrow_cutoff_not_below_very_broad_rejected(self, narrow_max, very_broad_min):
         with pytest.raises(ParameterError, match="very_broad_min"):
             classify_regime(LogNormalParams(0.9, 1.0), narrow_max=narrow_max,

@@ -1,5 +1,5 @@
-"""Each parameter container and simulator rejects its out-of-domain inputs
-with the documented error type and message."""
+"""Each parameter container, simulator and library-owned option rejects its
+out-of-domain inputs with the documented error type and message."""
 
 import math
 
@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from bigwinners.distributions import AsymmetricLaplaceParams, GammaParams, SkewNormalParams
-from bigwinners.empirical import ReturnSample
+from bigwinners.empirical import ReturnSample, tail_filter
 from bigwinners.errors import DataError, ParameterError
-from bigwinners.gbm import GBMParams, PricePath, simulate_gbm
+from bigwinners.gbm import GBMParams, PricePath, build_panel, simulate_gbm
 from bigwinners.index_model import DriftModelParams
 
 CASES = {
@@ -38,6 +38,14 @@ CASES = {
                             "tickers and returns length mismatch"),
     "sample_duplicate_tickers": (lambda: ReturnSample(np.array([1.0, 2.0]), tickers=("A", "A")), DataError,
                                  "tickers must be unique"),
+    "tail_threshold_nan": (lambda: tail_filter(ReturnSample(np.array([1.0, 2.0])), math.nan), ParameterError,
+                           "threshold_log must not be NaN"),
+    "min_coverage_nan": (lambda: build_panel({}, min_coverage=math.nan), ParameterError,
+                         "min_coverage must be in [0, 1], got nan"),
+    "min_coverage_above_one": (lambda: build_panel({}, min_coverage=5.0), ParameterError,
+                               "min_coverage must be in [0, 1], got 5.0"),
+    "min_coverage_negative": (lambda: build_panel({}, min_coverage=-0.1), ParameterError,
+                              "min_coverage must be in [0, 1], got -0.1"),
 }
 
 
