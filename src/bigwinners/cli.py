@@ -20,6 +20,7 @@ import configparser
 import csv
 import dataclasses
 import datetime as dt
+import math
 import sys
 from pathlib import Path
 
@@ -65,6 +66,16 @@ def _non_negative_int(text) -> int:
     except ValueError:
         pass
     raise ParameterError(f"expected a non-negative integer, got {text!r}")
+
+
+def _positive_float(text) -> float:
+    try:
+        value = float(text)
+        if 0.0 < value < math.inf:
+            return value
+    except ValueError:
+        pass
+    raise ParameterError(f"expected a positive finite number, got {text!r}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -124,7 +135,7 @@ OPTIONS = {
         "input": (_parse_inputs, None, "price CSV (ticker,date,adj_close); repeat for several indexes"),
         "window": (_parse_window, None, "START:END ISO dates"),
         "tail_threshold": (float, TAIL_THRESHOLD_LOG, "ln-rho cutoff for the left-tail filter"),
-        "bandwidth_factor": (float, 1.0, "multiplier on the Scott KDE bandwidth"),
+        "bandwidth_factor": (_positive_float, 1.0, "multiplier on the Scott KDE bandwidth"),
         "qq": (_parse_bool, False, "also write QQ pairs per index"),
     },
     "regime": {

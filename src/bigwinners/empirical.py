@@ -482,6 +482,8 @@ def kde_mode(x, bandwidth_factor: float = 1.0) -> KDEModeResult:
     comes within KDE_PEAK_GAP of the top density or the mode moves more
     than KDE_SHIFT_FACTOR bandwidths under a +/-20% bandwidth change.
     """
+    if not 0.0 < bandwidth_factor < math.inf:
+        raise ParameterError(f"bandwidth_factor must be positive and finite, got {bandwidth_factor}")
     arr, t, h, log_scale = _kde_axis(x, "kde_mode", bandwidth_factor)
     if h is None:
         return KDEModeResult(mode=float(arr[0]), bandwidth=0.0, stable=True, log_scale=False)
@@ -554,6 +556,8 @@ def tail_filter(sample: ReturnSample, threshold_log: float = TAIL_THRESHOLD_LOG)
     """Keep entries with ln rho strictly above ``threshold_log`` (``-inf`` keeps all)."""
     if math.isnan(threshold_log):
         raise ParameterError("threshold_log must not be NaN")
+    if threshold_log == math.inf:
+        raise ParameterError(f"threshold_log must be below +inf, got {threshold_log}")
     keep = np.log(sample.rho) > threshold_log
     removed = int(np.sum(~keep))
     tickers = (
@@ -658,11 +662,13 @@ def write_report(destination, fieldnames, rows, fmt: str = "csv", meta: dict | N
 
 def write_returns_csv(sample: ReturnSample, destination) -> None:
     """Write a return sample as CSV: ``ticker,rho`` (or a single ``rho``
-    column when the sample carries no tickers)."""
+    column when the sample carries no tickers).  Python floats format
+    faster than numpy scalars and print the same digits."""
+    rho = sample.rho.tolist()
     if sample.tickers is None:
-        write_report(destination, ["rho"], zip(sample.rho))
+        write_report(destination, ["rho"], zip(rho))
     else:
-        write_report(destination, ["ticker", "rho"], zip(sample.tickers, sample.rho))
+        write_report(destination, ["ticker", "rho"], zip(sample.tickers, rho))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ and the exact oracle reads it off the FFT power of exact bin masses.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,9 @@ VERY_BROAD_MIN_SIGMA_SQ = 4.0
 _BROAD_EXPONENT = math.log(1.5) / math.log(2.0)
 
 MIN_MC_REPS = 10_000
+# Log-normal values drawn per block: small enough to be reused from the
+# allocator instead of mapped afresh on every block.
+MC_BLOCK_DRAWS = 2**16
 
 # Lattice of the exact oracle: EXACT_POINTS bins over [0, W), W doubled from
 # 4 n E[X] (at most EXACT_MAX_DOUBLINGS times) until at most EXACT_WRAP_TOL of
@@ -149,6 +153,36 @@ def typical_mean_ratio(
     return _FORMULAS[regime.label](regime.sigma_sq, n)
 
 
+def _portfolio_means(p: LogNormalParams, n: int, reps: int, seed) -> tuple[np.ndarray, np.random.Generator]:
+    """Averages of ``reps`` portfolios of ``n`` log-normal draws, and the generator after them.
+
+    The draws come in blocks of about MC_BLOCK_DRAWS values; one generator
+    yields the same stream whatever the block size.  Numpy releases the
+    interpreter lock while drawing and averaging, so calls on separate
+    generators run in parallel on threads.
+    """
+    rng = np.random.default_rng(seed)
+    y = np.empty(reps)
+    block = max(1, MC_BLOCK_DRAWS // n)
+    for done in range(0, reps, block):
+        b = min(block, reps - done)
+        y[done : done + b] = rng.lognormal(p.mu, p.sigma, size=(b, n)).mean(axis=1)
+    return y, rng
+
+
+def _mode_ratio(p: LogNormalParams, y: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
+    """KDE mode of the portfolio means over the true mean, and its bootstrap standard error."""
+    true_mean = math.exp(p.mu + 0.5 * p.sigma_sq)
+    mode = kde_mode(y).mode
+    stderr = kde_mode_bootstrap_stderr(y, seed=rng) / true_mean
+    return mode / true_mean, stderr
+
+
+def _check_reps(reps: int) -> None:
+    if reps < MIN_MC_REPS:
+        raise ParameterError(f"reps must be >= {MIN_MC_REPS}, got {reps}")
+
+
 def mc_typical_mean(p: LogNormalParams, n: int, reps: int, seed) -> tuple[float, float]:
     """Monte Carlo estimate of the typical-to-true mean ratio.
 
@@ -159,23 +193,8 @@ def mc_typical_mean(p: LogNormalParams, n: int, reps: int, seed) -> tuple[float,
     at its default 32 replicates).
     """
     _check_params(p, n)
-    if reps < MIN_MC_REPS:
-        raise ParameterError(f"reps must be >= {MIN_MC_REPS}, got {reps}")
-
-    rng = np.random.default_rng(seed)
-    y = np.empty(reps)
-    block = max(1, (1 << 22) // n)
-    done = 0
-    while done < reps:
-        b = min(block, reps - done)
-        draws = rng.lognormal(p.mu, p.sigma, size=(b, n))
-        y[done : done + b] = draws.mean(axis=1)
-        done += b
-
-    true_mean = math.exp(p.mu + 0.5 * p.sigma_sq)
-    mode = kde_mode(y).mode
-    stderr = kde_mode_bootstrap_stderr(y, seed=rng) / true_mean
-    return mode / true_mean, stderr
+    _check_reps(reps)
+    return _mode_ratio(p, *_portfolio_means(p, n, reps, seed))
 
 
 def exact_typical_mean_ratio(p: LogNormalParams, n: int) -> float:
@@ -230,7 +249,11 @@ def regime_curve(
     """Analytic (and optionally Monte Carlo) ratio curve over ``n_grid``.
 
     ``reps=0`` skips the simulation columns.  Each grid point gets its own
-    child seed, so extending the grid never perturbs earlier points.
+    child seed, so extending the grid never perturbs earlier points.  The
+    points' draws run on up to ``os.cpu_count()`` threads, largest n first;
+    their KDE modes then run on the calling thread in grid order, so every
+    point equals ``mc_typical_mean(p, n, reps, child_seed)`` whatever the
+    thread count.
     """
     grid = [int(n) for n in n_grid]
     if not grid:
@@ -239,15 +262,20 @@ def regime_curve(
         raise ParameterError("n_grid must be strictly increasing")
     _check_params(p)
 
-    seeds = np.random.SeedSequence(seed).spawn(len(grid)) if reps > 0 else [None] * len(grid)
-    points = []
-    for n, child in zip(grid, seeds):
-        analytic = typical_mean_ratio(
-            p, n, narrow_max=narrow_max, very_broad_min=very_broad_min
-        )
-        if reps > 0:
-            mc, se = mc_typical_mean(p, n, reps, child)
-            points.append(CurvePoint(n=n, ratio_analytic=analytic, ratio_mc=mc, mc_stderr=se))
-        else:
-            points.append(CurvePoint(n=n, ratio_analytic=analytic))
+    analytic = [typical_mean_ratio(p, n, narrow_max=narrow_max, very_broad_min=very_broad_min)
+                for n in grid]
+    if reps <= 0:
+        points = [CurvePoint(n=n, ratio_analytic=a) for n, a in zip(grid, analytic)]
+        return RegimeCurve(params=p, points=tuple(points))
+
+    _check_reps(reps)
+    from concurrent.futures import ThreadPoolExecutor
+
+    seeds = dict(zip(grid, np.random.SeedSequence(seed).spawn(len(grid))))
+    with ThreadPoolExecutor(max_workers=min(len(grid), os.cpu_count() or 1)) as pool:
+        draws = {n: pool.submit(_portfolio_means, p, n, reps, seeds[n]) for n in reversed(grid)}
+    points = [
+        CurvePoint(n, a, *_mode_ratio(p, *draws[n].result()))
+        for n, a in zip(grid, analytic)
+    ]
     return RegimeCurve(params=p, points=tuple(points))

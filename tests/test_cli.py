@@ -405,8 +405,9 @@ def test_inconsistent_regime_cutoffs_exit_2(tmp_path, capsys):
         (["analyze", "--tail-threshold", "nan"], "analyze: threshold_log must not be NaN"),
         (["gbm", "--min-coverage", "nan"], "gbm: min_coverage must be in [0, 1], got nan"),
         (["gbm", "--min-coverage", "5"], "gbm: min_coverage must be in [0, 1], got 5.0"),
+        (["analyze", "--tail-threshold", "inf"], "analyze: threshold_log must be below +inf, got inf"),
     ],
-    ids=["very-broad-min-nan", "tail-threshold-nan", "min-coverage-nan", "min-coverage-5"],
+    ids=["very-broad-min-nan", "tail-threshold-nan", "min-coverage-nan", "min-coverage-5", "tail-threshold-inf"],
 )
 def test_nan_or_out_of_range_option_exits_2_naming_it(tmp_path, capsys, argv, message):
     paths = {f"T{i}": simulate_gbm(GBMParams(0.12, 0.29), 1.0, 16, 1.0, seed=i).prices for i in range(6)}
@@ -416,6 +417,20 @@ def test_nan_or_out_of_range_option_exits_2_naming_it(tmp_path, capsys, argv, me
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_bad_bandwidth_factor_exits_2_before_any_work(tmp_path, capsys, value):
+    src = make_return_panel(tmp_path, "synth", np.random.default_rng(3).lognormal(0.5, 0.8, 40))
+    out = tmp_path / "out"
+    assert exit_code(["analyze", "--input", str(src), "--bandwidth-factor", value, "--out", str(out)]) == 2
+    rule = f"expected a positive finite number, got {value!r}"
+    assert capsys.readouterr().err.endswith(f"analyze: error: argument --bandwidth-factor: {rule}\n")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[analyze]\nbandwidth_factor = {value}\n")
+    assert main(["analyze", "--input", str(src), "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"analyze: config [analyze] bandwidth_factor: {rule}\n"
     assert not out.exists()
 
 

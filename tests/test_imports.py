@@ -24,14 +24,18 @@ REPORT = (
 )
 
 
-def scipy_loaded(code: str) -> set[str]:
-    """Public scipy submodules loaded after running ``code`` in a fresh interpreter."""
+def fresh_output(code: str) -> str:
+    """The last line ``code`` prints when run in a fresh interpreter."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", code + "\n" + REPORT], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    return done.stdout.splitlines()[-1]
+
+
+def scipy_loaded(code: str) -> set[str]:
+    """Public scipy submodules loaded after running ``code`` in a fresh interpreter."""
+    return set(json.loads(fresh_output(code + "\n" + REPORT)))
 
 
 def cli_loaded(expected_rc: int, *args: str) -> set[str]:
@@ -92,3 +96,16 @@ def test_malformed_file_loads_no_scipy_submodule(tmp_path):
 def test_qq_loads_only_special(price_file, tmp_path):
     """The log-normal QQ quantiles need only special.ndtri."""
     assert cli_loaded(0, "analyze", "--input", str(price_file), "--out", str(tmp_path), "--qq") == {"special"}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [([], "False"), (["regime", "--mu", "0", "--sigma", "1", "--n-grid", "1,2", "--reps", "10000", "--seed", "1"],
+                     "True")],
+    ids=["import", "regime-reps"],
+)
+def test_thread_pool_loads_only_when_regime_draws(tmp_path, argv, loaded):
+    """``regime --reps`` imports concurrent.futures (about 10 ms, with logging) where
+    it starts its pool, so no command's start-up pays for it."""
+    run = f"assert bigwinners.cli.main({argv + ['--out', str(tmp_path)]!r}) == 0\n" if argv else ""
+    assert fresh_output(f"import sys, bigwinners.cli\n{run}print('concurrent.futures' in sys.modules)") == loaded

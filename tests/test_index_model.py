@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from bigwinners.distributions import fit_lognormal, lognormal_moments
-from bigwinners.empirical import kde_mode
+from bigwinners.empirical import ReturnSample, kde_mode
 from bigwinners.errors import ParameterError
 from bigwinners.index_model import (
+    RATIO_CI_LEVEL,
     DriftModelParams,
+    _median_within,
     implied_log_skew_normal,
     implied_lognormal,
     log_skew_normal_mean,
@@ -211,3 +214,77 @@ class TestSkewDriftModel:
         assert summary.mean_over_median > 1.0
         assert summary.ci_low < summary.mean_over_median < summary.ci_high
         assert summary.mean_over_mode >= summary.mean_over_median
+
+
+# ---------------------------------------------------------------------------
+# Windowed bootstrap median
+# ---------------------------------------------------------------------------
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+# Samples of 5 to 60 values: spread-out floats, or a few values repeated many times.
+samples = st.one_of(
+    st.lists(st.floats(1e-3, 1e3), min_size=5, max_size=60),
+    st.lists(st.sampled_from([0.25, 1.0, 1.5, 7.0]), min_size=5, max_size=60),
+)
+
+
+class TestWindowedMedian:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(values=samples, seed=st.integers(0, 2**32 - 1), data=st.data())
+    @example(values=[3.0, 1.0, 2.0, 5.0, 4.0], seed=0, data=None)
+    @example(values=[2.0] * 6 + [1.0] * 5, seed=1, data=None)
+    def test_equals_np_median_bit_for_bit(self, values, seed, data):
+        """Any window of sample values, with the middle ranks inside it or not."""
+        rho = np.array(values)
+        srt = np.sort(rho)
+        boot = rho[np.random.default_rng(seed).integers(0, rho.size, size=rho.size)]
+        if data is None:
+            i, j = 0, rho.size - 1
+        else:
+            i = data.draw(st.integers(0, rho.size - 1))
+            j = data.draw(st.integers(i, rho.size - 1))
+        assert _bits(_median_within(boot, srt[i], srt[j])) == _bits(np.median(boot))
+
+    @pytest.mark.parametrize("n", [5, 6, 1001, 1002])
+    def test_sample_window_holds_the_median(self, n):
+        rho = np.random.default_rng(n).lognormal(0.0, 1.0, n)
+        srt = np.sort(rho)
+        half, width = n // 2, math.ceil(8.0 * math.sqrt(n))
+        lo, hi = srt[max(half - width, 0)], srt[min(half + width, n - 1)]
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            boot = rho[rng.integers(0, n, size=n)]
+            assert _bits(_median_within(boot, lo, hi)) == _bits(np.median(boot))
+
+    @pytest.mark.parametrize("window", [(7.0, 9.0), (0.0, 1.0), (4.0, 4.0)], ids=["above", "below", "one-value"])
+    def test_middle_rank_outside_the_window_falls_back(self, window):
+        # Middle ranks 4 and 5 hold 4.0 and 5.0; no window here contains both.
+        boot = np.array([9.0, 1.0, 8.0, 2.0, 7.0, 3.0, 6.0, 4.0, 5.0, 0.5])
+        assert _bits(_median_within(boot, *window)) == _bits(np.median(boot)) == _bits(4.5)
+
+    def test_heavy_ties_inside_the_window(self):
+        boot = np.array([1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 3.0, 9.0])
+        assert _median_within(boot, 2.0, 2.0) == np.median(boot) == 2.0
+
+
+def _reference_ratios(rho, seed, replicates=200):
+    """The bootstrap of mean/median with ``np.median`` on every replicate."""
+    rng = np.random.default_rng(seed)
+    ratios = np.empty(replicates)
+    for i in range(replicates):
+        boot = rho[rng.integers(0, rho.size, size=rho.size)]
+        ratios[i] = np.mean(boot) / np.median(boot)
+    return ratios
+
+
+@pytest.mark.parametrize("n", [5, 6, 999, 20_000])
+def test_sample_ratio_summary_matches_the_np_median_bootstrap(n):
+    rho = simulate_index(SPX_LIKE, n, seed=n).rho
+    summary = sample_ratio_summary(ReturnSample(rho=rho), seed=n + 1)
+    ratios = _reference_ratios(rho, n + 1)
+    tail = 0.5 * (1.0 - RATIO_CI_LEVEL)
+    lo, hi = np.quantile(ratios, [tail, 1.0 - tail])
+    assert (summary.ci_low, summary.ci_high, summary.stderr) == (lo, hi, np.std(ratios, ddof=1))

@@ -1,8 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from bigwinners import lognormal_sum
 from bigwinners.distributions import LogNormalParams
 from bigwinners.errors import ParameterError
 from bigwinners.lognormal_sum import (
@@ -203,6 +205,42 @@ class TestRegimeCurve:
     def test_grid_must_increase(self):
         with pytest.raises(ParameterError):
             regime_curve(LogNormalParams(0, 1.0), [4, 2])
+
+    @pytest.mark.parametrize("cpus", [None, 3])
+    def test_threaded_points_equal_serial_estimates(self, monkeypatch, cpus):
+        """Any pool size gives every point of serial ``mc_typical_mean`` on its child seed."""
+        monkeypatch.setattr(lognormal_sum.os, "cpu_count", lambda: cpus)
+        p, grid = LogNormalParams(0.5, 1.0), [1, 3, 30, 700]
+        curve = regime_curve(p, grid, reps=10_000, seed=8)
+        children = np.random.SeedSequence(8).spawn(len(grid))
+        serial = [(n, *mc_typical_mean(p, n, 10_000, child)) for n, child in zip(grid, children)]
+        assert [(pt.n, pt.ratio_mc, pt.mc_stderr) for pt in curve.points] == serial
+
+    def test_kde_modes_run_on_the_calling_thread(self, monkeypatch):
+        """Only the draws go to the pool: the KDE layers stay on one thread."""
+        monkeypatch.setattr(lognormal_sum.os, "cpu_count", lambda: 4)
+        threads = []
+        for name in ("kde_mode", "kde_mode_bootstrap_stderr"):
+            def record(*args, _fn=getattr(lognormal_sum, name), **kwargs):
+                threads.append(threading.current_thread())
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(lognormal_sum, name, record)
+        regime_curve(LogNormalParams(0.5, 1.0), [1, 2, 4, 8], reps=10_000, seed=2)
+        assert threads == [threading.current_thread()] * 8
+
+    def test_block_size_leaves_the_draws_unchanged(self, monkeypatch):
+        p = LogNormalParams(0.5, 1.0)
+        y, rng = lognormal_sum._portfolio_means(p, 30, 10_000, 4)
+        monkeypatch.setattr(lognormal_sum, "MC_BLOCK_DRAWS", 2**22)
+        y_big, rng_big = lognormal_sum._portfolio_means(p, 30, 10_000, 4)
+        assert y.tobytes() == y_big.tobytes()
+        assert rng.bit_generator.state == rng_big.bit_generator.state
+
+    def test_too_few_reps_rejected_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(lognormal_sum, "_portfolio_means", None)
+        with pytest.raises(ParameterError, match="reps must be >= 10000, got 9999"):
+            regime_curve(LogNormalParams(0.5, 1.0), [1, 2], reps=9_999, seed=1)
 
 
 class TestRegimeCutoffs:

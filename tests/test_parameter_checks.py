@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bigwinners.distributions import AsymmetricLaplaceParams, GammaParams, SkewNormalParams
-from bigwinners.empirical import ReturnSample, tail_filter
+from bigwinners.empirical import ReturnSample, kde_mode, tail_filter
 from bigwinners.errors import DataError, ParameterError
 from bigwinners.gbm import GBMParams, PricePath, build_panel, simulate_gbm
 from bigwinners.index_model import DriftModelParams
@@ -40,6 +40,14 @@ CASES = {
                                  "tickers must be unique"),
     "tail_threshold_nan": (lambda: tail_filter(ReturnSample(np.array([1.0, 2.0])), math.nan), ParameterError,
                            "threshold_log must not be NaN"),
+    "tail_threshold_inf": (lambda: tail_filter(ReturnSample(np.array([1.0, 2.0])), math.inf), ParameterError,
+                           "threshold_log must be below +inf, got inf"),
+    "kde_bandwidth_factor_nan": (lambda: kde_mode(np.arange(1.0, 7.0), math.nan), ParameterError,
+                                 "bandwidth_factor must be positive and finite, got nan"),
+    "kde_bandwidth_factor_zero": (lambda: kde_mode(np.arange(1.0, 7.0), 0.0), ParameterError,
+                                  "bandwidth_factor must be positive and finite, got 0.0"),
+    "kde_bandwidth_factor_negative": (lambda: kde_mode(np.arange(1.0, 7.0), -1.0), ParameterError,
+                                      "bandwidth_factor must be positive and finite, got -1.0"),
     "min_coverage_nan": (lambda: build_panel({}, min_coverage=math.nan), ParameterError,
                          "min_coverage must be in [0, 1], got nan"),
     "min_coverage_above_one": (lambda: build_panel({}, min_coverage=5.0), ParameterError,
