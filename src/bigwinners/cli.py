@@ -3,9 +3,9 @@
 Subcommands: ``analyze`` (total-return table plus log-normal fit),
 ``regime`` (typical-mean ratio curves), ``gbm`` (drift/volatility panel)
 and ``model`` (distributed-drift closed forms with optional simulation).
-Each option is declared once, in ``OPTIONS``, and may come from a flag or
-from a config file (INI sections ``[common]`` plus one per subcommand);
-flags override file values.  Every stochastic report embeds seed, reps and
+Each option is declared once, in ``OPTIONS``, and takes the first value set
+by its flag or by the ``[<command>]``, ``[common]`` or ``[DEFAULT]`` section
+of an INI config file.  Every stochastic report embeds seed, reps and
 library version in a header comment record, and reruns with identical
 config and seed are byte-identical.
 
@@ -168,9 +168,10 @@ OPTIONS = {
 
 
 def _load_config(path: str | None) -> configparser.ConfigParser:
-    """The config file at ``path``, every key of which names an option: of its
-    command in ``[<command>]``, of any command in ``[common]`` and ``[DEFAULT]``."""
-    config = configparser.ConfigParser()
+    """The config file at ``path``, read with no default section so ``[DEFAULT]`` is
+    a plain section.  Every key names an option: of its command in ``[<command>]``,
+    of any command in ``[common]`` and ``[DEFAULT]``."""
+    config = configparser.ConfigParser(default_section="")
     if path:
         if not Path(path).is_file():
             raise DataError(f"config file not found: {path}")
@@ -179,25 +180,25 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ParameterError(f"config file {path}: {' '.join(str(exc).split())}") from None
     every = {key for options in OPTIONS.values() for key in options}
-    for section in [config.default_section, *config.sections()]:
-        known = OPTIONS.get(section, every if section in ("common", config.default_section) else None)
+    for section in config.sections():
+        known = OPTIONS.get(section, every if section in ("common", "DEFAULT") else None)
         if known is None:
             raise ParameterError(f"config [{section}]: unknown section")
         for key in config[section]:
-            if key not in known and (section == config.default_section or key not in config.defaults()):
+            if key not in known:
                 raise ParameterError(f"config [{section}] {key}: unknown key")
     return config
 
 
 def _resolve(args: argparse.Namespace, config: configparser.ConfigParser) -> argparse.Namespace:
-    """Every option of the command: its flag, else its ``[command]`` then ``[common]``
-    config value, else its default.  A bad config value raises ParameterError
-    naming its section and key."""
+    """Every option of the command: its flag, else the first of its ``[<command>]``,
+    ``[common]`` and ``[DEFAULT]`` config values, else its default.  A bad config
+    value raises ParameterError naming its section and key."""
     for key, (convert, default, _) in OPTIONS[args.command].items():
         if getattr(args, key) is not None:
             continue
         setattr(args, key, default)
-        for section in (args.command, "common"):
+        for section in (args.command, "common", "DEFAULT"):
             if config.has_option(section, key):
                 try:
                     setattr(args, key, convert(config.get(section, key)))
@@ -297,23 +298,24 @@ def cmd_analyze(args) -> int:
 
 
 def _regime_param_sets(args) -> list[tuple[str, LogNormalParams]]:
-    if args.params_file:
+    if path := args.params_file:
         try:
-            with open(args.params_file, newline="", encoding="utf-8-sig") as fh:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
                 rows = [r for r in csv.DictReader(fh) if not r.get("index", "").startswith("#")]
         except UnicodeDecodeError as exc:
-            raise DataError(f"params file {args.params_file}: {exc}") from None
+            raise DataError(f"params file {path}: {exc}") from None
         if not rows or "mu" not in rows[0] or "sigma" not in rows[0]:
-            raise DataError(f"params file {args.params_file} needs index,mu,sigma columns")
+            raise DataError(f"params file {path} needs index,mu,sigma columns")
         names = _report_names([row.get("index") or f"row{i}" for i, row in enumerate(rows)])
-        short = [name for name, row in zip(names, rows) if None in (row["mu"], row["sigma"])]
-        if short:
-            raise DataError(f"params file {args.params_file}: row {short[0]!r} has no mu or sigma")
-        try:
-            return [(name, LogNormalParams(mu=float(row["mu"]), sigma=float(row["sigma"])))
-                    for name, row in zip(names, rows)]
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
+        sets = []
+        for name, row in zip(names, rows):
+            if None in (row["mu"], row["sigma"]):
+                raise DataError(f"params file {path}: row {name!r} has no mu or sigma")
+            try:
+                sets.append((name, LogNormalParams(mu=float(row["mu"]), sigma=float(row["sigma"]))))
+            except ValueError as exc:
+                raise DataError(f"params file {path}: row {name!r}: {exc}") from None
+        return sets
     if args.mu is not None and args.sigma is not None:
         return [("inline", LogNormalParams(mu=args.mu, sigma=args.sigma))]
     raise ParameterError("provide --mu and --sigma, or --params-file with index,mu,sigma")

@@ -309,8 +309,8 @@ def total_returns(
 def top_contribution(sample: ReturnSample, pct: float) -> float:
     """Mean shortfall, in percent, after excluding the top ``pct`` returns.
 
-    k = max(1, round(pct*n)) entries are dropped by descending rho (ties by
-    ticker, then position); the result is 100*(1 - mean(rest)/mean(all)).
+    k = max(1, floor(pct*n + 0.5)) entries (pct*n rounded half up) are dropped by
+    descending rho (ties by ticker, then position); the result is 100*(1 - mean(rest)/mean(all)).
     A ``pct`` that would drop all n entries raises ParameterError.
     """
     if not 0.0 < pct < 1.0:

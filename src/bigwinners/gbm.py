@@ -179,8 +179,7 @@ def estimate_gbm(path: PricePath, method: str = "endpoint") -> GBMEstimate:
     if method == "endpoint":
         raw_step = (float(np.sum(r * r)) - total * total / (t_steps - 1)) / t_steps
     elif method == "mle":
-        rbar = total / t_steps
-        raw_step = float(np.mean((r - rbar) ** 2))
+        raw_step = float(np.var(r))
     else:
         raise ParameterError(f"unknown estimator method {method!r}")
 

@@ -16,7 +16,7 @@ import numpy as np
 import scipy
 
 from .distributions import LogNormalParams, SkewNormalParams, law, sample as draw
-from .empirical import ReturnSample, kde_mode
+from .empirical import ReturnSample, _fminbound, kde_mode
 from .errors import ParameterError
 
 __all__ = [
@@ -172,34 +172,21 @@ def simulate_index_skew_drift(
 # Log-skew-normal statistics (numeric where transcendental)
 # ---------------------------------------------------------------------------
 
-GOLDEN_TOL = 1e-8
-
-
 def log_skew_normal_mode(sn: SkewNormalParams) -> float:
-    """Mode of exp(Y) for skew-normal Y, by golden-section search.
+    """Mode of exp(Y) for skew-normal Y, by bounded Brent search.
 
     The log-density of exp(Y) at x = e^t is log f_Y(t) - t up to a
     constant; f_Y is log-concave, so the tilted objective has a single
-    maximum, bracketed by a coarse grid and polished by golden section.
+    maximum, bracketed by a coarse grid and polished by ``_fminbound``
+    between the winner's neighbours (the winner itself if that fails).
     """
     logpdf = law(sn).logpdf
-
-    def neg_tilted(t: float) -> float:
-        return -(logpdf(t) - t)
-
     lo = sn.zeta - sn.omega * sn.omega - 20.0 * sn.omega
     hi = sn.zeta + 20.0 * sn.omega
     grid = np.linspace(lo, hi, 512)
-    values = logpdf(grid) - grid
-    k = int(np.argmax(values))
-    k = min(max(k, 1), grid.size - 2)
-    res = scipy.optimize.minimize_scalar(
-        neg_tilted,
-        bracket=(grid[k - 1], grid[k], grid[k + 1]),
-        method="golden",
-        options={"xtol": GOLDEN_TOL},
-    )
-    return math.exp(float(res.x))
+    k = min(max(int(np.argmax(logpdf(grid) - grid)), 1), grid.size - 2)
+    x, success = _fminbound(lambda t: float(t - logpdf(t)), grid[k - 1], grid[k + 1], xatol=1e-10)
+    return math.exp(float(x) if success else float(grid[k]))
 
 
 def log_skew_normal_mean(sn: SkewNormalParams) -> float:

@@ -487,6 +487,47 @@ def test_one_config_file_serves_several_commands(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "config,horizon,sigma_d",
+    [
+        ("[DEFAULT]\nhorizon = 4\nsigma_d = 0.01\n", 4.0, 0.01),
+        ("[DEFAULT]\nhorizon = 4\nsigma_d = 0.01\n\n[common]\nhorizon = 8\n\n[model]\nformat = csv\n", 8.0, 0.01),
+        ("[DEFAULT]\nhorizon = 4\nsigma_d = 0.01\n\n[common]\nhorizon = 8\nsigma_d = 0.02\n\n"
+         "[model]\nhorizon = 16\n", 16.0, 0.02),
+    ],
+    ids=["default-alone", "common-over-default", "command-over-both"],
+)
+def test_config_value_comes_from_command_then_common_then_default(tmp_path, config, horizon, sigma_d):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert main(["model", "--mu-d", "0.12", "--sigma", "0.1", "--config", str(cfg), "--out", str(out)]) == 0
+    header, values = [line for line in (out / "model.csv").read_text().splitlines() if not line.startswith("#")]
+    row = dict(zip(header.split(","), values.split(",")))
+    assert (float(row["horizon"]), float(row["sigma_d"])) == (horizon, sigma_d)
+
+
+@pytest.mark.parametrize("config", ["[DEFAULT]\nhorizon = abc\n", "[DEFAULT]\nhorizon = abc\n\n[model]\nformat = csv\n"],
+                         ids=["default-alone", "with-command-section"])
+def test_bad_default_value_exits_2_naming_default(tmp_path, capsys, config):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert main(MODEL_ARGS[:-2] + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "model: config [DEFAULT] horizon: could not convert string to float: 'abc'\n"
+    assert not out.exists()
+
+
+def test_interpolation_does_not_reach_into_default(tmp_path, capsys):
+    """[DEFAULT] is a plain section, so another section's %(name)s cannot name its keys."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[DEFAULT]\nhorizon = 4\n\n[model]\nsigma_d = %(horizon)s\n")
+    out = tmp_path / "out"
+    assert main(["model", "--mu-d", "0.12", "--sigma", "0.1", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "model: config [model] sigma_d: Bad value substitution" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "gbm"])
 def test_seed_is_not_an_option_of_deterministic_commands(tmp_path, capsys, command):
     src = make_return_panel(tmp_path, "synth", [2.5, 0.8, 1.4])
@@ -511,6 +552,20 @@ def test_short_params_file_row_exits_2_naming_it(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["regime", "--params-file", str(params), "--out", str(out)]) == 2
     assert f"regime: params file {params}: row 'SPX' has no mu or sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rows,fault",
+    [("SPX,abc,1.0", "could not convert string to float: 'abc'"), ("SPX,0.5,-1", "sigma must be >= 0, got -1.0")],
+    ids=["bad-number", "negative-sigma"],
+)
+def test_bad_params_file_value_exits_2_naming_file_and_row(tmp_path, capsys, rows, fault):
+    params = tmp_path / "params.csv"
+    params.write_text(f"index,mu,sigma\nCCMP,0.41,1.10\n{rows}\n")
+    out = tmp_path / "out"
+    assert main(["regime", "--params-file", str(params), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"regime: params file {params}: row 'SPX': {fault}\n"
     assert not out.exists()
 
 

@@ -102,6 +102,15 @@ class TestEstimateGbm:
         assert est.sigma_hat == pytest.approx(0.0, abs=1e-12)
         assert est.mu_hat == pytest.approx(0.1, abs=1e-12)
 
+    @pytest.mark.parametrize("steps", [2, 3, 16, 255, 4032])
+    def test_mle_variance_equals_demeaned_mean_square(self, steps):
+        # Reference: the per-step-demeaned mean square written out, bit for bit.
+        for seed in range(20):
+            path = simulate_gbm(GBMParams(0.12, 0.29), 1.0, steps, 1 / 252, seed)
+            r = np.diff(np.log(path.prices))
+            reference = float(np.mean((r - float(np.sum(r)) / r.size) ** 2)) / path.dt
+            assert estimate_gbm(path, method="mle").sigma_sq_raw == reference
+
     def test_daily_recovery_median(self):
         p = GBMParams(0.12, 0.29)
         estimates = [

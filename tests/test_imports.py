@@ -93,6 +93,14 @@ def test_malformed_file_loads_no_scipy_submodule(tmp_path):
     assert cli_loaded(2, "analyze", "--input", str(bad), "--out", str(tmp_path)) == set()
 
 
+def test_only_the_skew_normal_fit_names_scipy_optimize():
+    """Both mode searches (``kde_mode``, ``log_skew_normal_mode``) share
+    ``empirical._fminbound``; a second minimiser from scipy.optimize fails here."""
+    users = sorted(path.name for path in (SRC / "bigwinners").glob("*.py")
+                   if "scipy.optimize" in path.read_text(encoding="utf-8"))
+    assert users == ["distributions.py"]
+
+
 def test_qq_loads_only_special(price_file, tmp_path):
     """The log-normal QQ quantiles need only special.ndtri."""
     assert cli_loaded(0, "analyze", "--input", str(price_file), "--out", str(tmp_path), "--qq") == {"special"}

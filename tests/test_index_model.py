@@ -201,12 +201,13 @@ class TestSkewDriftModel:
         assert abs(summary.mode - mode_exact) <= 3 * mode_se + 0.02 * mode_exact
         assert summary.ci_low <= mean_exact / median_exact <= summary.ci_high
 
-    def test_log_skew_normal_mode_reduces_to_lognormal(self):
+    @pytest.mark.parametrize("zeta,omega", [(0.95, 1.02), (-1.0, 0.05), (0.3, 0.7), (2.0, 2.5)])
+    def test_log_skew_normal_mode_reduces_to_lognormal(self, zeta, omega):
         # alpha=0 collapses to the log-normal closed form e^{mu - sigma^2}.
         from bigwinners.distributions import SkewNormalParams
 
-        sn = SkewNormalParams(zeta=0.95, omega=1.02, alpha=0.0)
-        assert log_skew_normal_mode(sn) == pytest.approx(math.exp(0.95 - 1.02**2), rel=1e-6)
+        sn = SkewNormalParams(zeta=zeta, omega=omega, alpha=0.0)
+        assert log_skew_normal_mode(sn) == pytest.approx(math.exp(zeta - omega**2), rel=1e-6)
 
     def test_table_params_ratio_reported_with_ci(self):
         sample = simulate_index_skew_drift(0.06, 0.09, 1.88, 0.29, 16, 100_000, seed=26)
