@@ -39,7 +39,6 @@ from .empirical import (
 from .gbm import DriftVolPanel, GBMEstimate, GBMParams, PricePath, build_panel, estimate_gbm, simulate_gbm
 from .index_model import (
     DriftModelParams,
-    ImpliedLogNormal,
     UnderperformanceRatios,
     implied_lognormal,
     model_ratios,
@@ -47,8 +46,6 @@ from .index_model import (
     simulate_index_skew_drift,
 )
 from .lognormal_sum import (
-    RegimeCurve,
-    RegimeLabel,
     classify_regime,
     exact_typical_mean_ratio,
     mc_typical_mean,

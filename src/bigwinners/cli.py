@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import datetime as dt
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -330,11 +331,11 @@ def cmd_regime(args) -> int:
     meta = {"seed": seed, "reps": reps, "version": __version__} if reps > 0 else {"version": __version__}
     for name, params in sorted(sets, key=lambda item: item[0]):
         try:
-            curve = regime_curve(params, args.n_grid, reps=reps, seed=seed,
-                                 narrow_max=args.narrow_max, very_broad_min=args.very_broad_min)
+            points = regime_curve(params, args.n_grid, reps=reps, seed=seed,
+                                  narrow_max=args.narrow_max, very_broad_min=args.very_broad_min)
         except ParameterError as exc:
             raise ParameterError(f"{name}: {exc}") from None
-        rows = [dataclasses.astuple(point) for point in curve.points]
+        rows = [dataclasses.astuple(point) for point in points]
         write_report(args.out / f"curve_{name}.{fmt}", _CURVE_FIELDS, rows, fmt, meta=meta)
     return EXIT_OK
 
@@ -394,7 +395,7 @@ def cmd_model(args) -> int:
         if args.export_sample:
             write_returns_csv(sample, args.out / "sample.csv")
     row = (
-        mu_d, sigma_d, sigma, horizon, implied.mu_m, implied.sigma_m,
+        mu_d, sigma_d, sigma, horizon, implied.mu, implied.sigma,
         ratios.mean_over_median, ratios.mean_over_mode, *mc_columns,
     )
     write_report(args.out / f"model.{args.format}", _MODEL_FIELDS, [row], args.format, meta=meta)
@@ -417,6 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in OPTIONS.items():
         p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+        # An argument that reads as a negative number (-1e-3, -.5, -inf) is a flag's
+        # value; argparse's own pattern takes only -1 and -1.5 for numbers.
+        p._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf)", re.IGNORECASE)
         p.add_argument("--config", help="INI config file; flags override its values")
         for key, (convert, default, text) in options.items():
             flag = "--" + key.replace("_", "-")

@@ -12,7 +12,6 @@ import csv
 import datetime as dt
 import json
 import math
-import os
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -545,7 +544,11 @@ def kde_mode_bootstrap_stderr(x, seed, replicates: int = 32) -> float:
     draws = rng.multinomial(arr.size, probs, size=replicates)
     t_star = centers[np.argmax(_smooth(draws, h, width) * tilt, axis=1)]
     modes = [math.exp(t) for t in t_star] if log_scale else t_star
-    return float(np.std(modes, ddof=1))
+    with np.errstate(over="ignore"):
+        stderr = float(np.std(modes, ddof=1))
+    if not math.isfinite(stderr):
+        raise ParameterError(f"bootstrap stderr: the spread of modes near {max(modes):.3g} overflows a float")
+    return stderr
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +629,7 @@ def fit_macroscopic(sample: ReturnSample) -> tuple[LogNormalParams, MomentSummar
 
 def write_report(destination, fieldnames, rows, fmt: str = "csv", meta: dict | None = None,
                  footer: dict | None = None) -> None:
-    """Write report rows to a path (creating its directory) or an open text handle.
+    """Write report rows to the file at path ``destination``, creating its directory.
 
     ``rows`` are sequences of scalars or None in ``fieldnames`` order.  CSV
     is RFC-4180 with None as an empty field, floats as their shortest
@@ -636,8 +639,8 @@ def write_report(destination, fieldnames, rows, fmt: str = "csv", meta: dict | N
     """
     if fmt not in ("csv", "json"):
         raise ParameterError(f"unknown output format {fmt!r}")
-
-    def _write(fh) -> None:
+    Path(destination).parent.mkdir(parents=True, exist_ok=True)
+    with open(destination, "w", newline="", encoding="utf-8") as fh:
         if fmt == "json":
             payload = ([{"_meta": meta}] if meta else []) + [dict(zip(fieldnames, row)) for row in rows]
             json.dump(payload, fh, indent=2)
@@ -650,14 +653,6 @@ def write_report(destination, fieldnames, rows, fmt: str = "csv", meta: dict | N
         writer.writerows(rows)
         for key, value in (footer or {}).items():
             fh.write(f"# {key}={value}\n")
-
-    if isinstance(destination, (str, bytes, os.PathLike)):
-        path = Path(os.fsdecode(destination))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            _write(fh)
-    else:
-        _write(destination)
 
 
 def write_returns_csv(sample: ReturnSample, destination) -> None:

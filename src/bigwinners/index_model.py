@@ -21,7 +21,6 @@ from .errors import ParameterError
 
 __all__ = [
     "DriftModelParams",
-    "ImpliedLogNormal",
     "UnderperformanceRatios",
     "SampleRatios",
     "implied_lognormal",
@@ -58,17 +57,6 @@ class DriftModelParams:
 
 
 @dataclass(frozen=True)
-class ImpliedLogNormal:
-    """Log-normal law of the cross-sectional total return."""
-
-    mu_m: float
-    sigma_m: float
-
-    def as_params(self) -> LogNormalParams:
-        return LogNormalParams(mu=self.mu_m, sigma=self.sigma_m)
-
-
-@dataclass(frozen=True)
 class UnderperformanceRatios:
     """How far the median stock and the typical stock trail the index mean."""
 
@@ -76,12 +64,13 @@ class UnderperformanceRatios:
     mean_over_mode: float
 
 
-def implied_lognormal(p: DriftModelParams) -> ImpliedLogNormal:
-    """mu_m = mu_d*T - sigma^2*T/2, sigma_m^2 = sigma^2*T + sigma_d^2*T^2."""
+def implied_lognormal(p: DriftModelParams) -> LogNormalParams:
+    """Log-normal law of the cross-sectional total return:
+    mu_m = mu_d*T - sigma^2*T/2, sigma_m^2 = sigma^2*T + sigma_d^2*T^2."""
     t = p.horizon
     mu_m = p.mu_d * t - 0.5 * p.sigma * p.sigma * t
     sigma_m = math.sqrt(p.sigma * p.sigma * t + p.sigma_d * p.sigma_d * t * t)
-    return ImpliedLogNormal(mu_m=mu_m, sigma_m=sigma_m)
+    return LogNormalParams(mu=mu_m, sigma=sigma_m)
 
 
 def model_ratios(p: DriftModelParams) -> UnderperformanceRatios:
@@ -92,10 +81,11 @@ def model_ratios(p: DriftModelParams) -> UnderperformanceRatios:
     """
     t = p.horizon
     half = 0.5 * (p.sigma * p.sigma * t + p.sigma_d * p.sigma_d * t * t)
-    return UnderperformanceRatios(
-        mean_over_median=math.exp(half),
-        mean_over_mode=math.exp(3.0 * half),
-    )
+    try:
+        mean_over_mode = math.exp(3.0 * half)  # the cube overflows first
+    except OverflowError:
+        raise ParameterError(f"mean_over_mode = exp({3.0 * half:.6g}) overflows a float") from None
+    return UnderperformanceRatios(mean_over_median=math.exp(half), mean_over_mode=mean_over_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -125,45 +115,33 @@ def simulate_index(p: DriftModelParams, n_stocks: int, seed) -> ReturnSample:
     return _terminal_returns(p.mu_d + p.sigma_d * rng.standard_normal(n_stocks), p, rng)
 
 
-def implied_log_skew_normal(
-    zeta: float, omega: float, alpha: float, sigma: float, horizon: float
-) -> SkewNormalParams:
-    """Skew-normal law of ln rho when the drift is SN(zeta, omega, alpha).
+def implied_log_skew_normal(p: DriftModelParams, alpha: float) -> SkewNormalParams:
+    """Skew-normal law of ln rho when the drift is SN(p.mu_d, p.sigma_d, alpha).
 
     ln rho = (D*T - sigma^2*T/2) + sigma*sqrt(T)*Z with D skew-normal; the
     sum of a skew-normal and an independent normal stays skew-normal with
-    scale sqrt(omega^2 T^2 + sigma^2 T) and a shape shrunk accordingly.
+    scale sqrt(sigma_d^2 T^2 + sigma^2 T) and a shape shrunk accordingly.
     """
-    drift = SkewNormalParams(zeta=zeta, omega=omega, alpha=alpha)
-    DriftModelParams(mu_d=zeta, sigma_d=omega, sigma=sigma, horizon=horizon)  # checks sigma and horizon
-    loc = zeta * horizon - 0.5 * sigma * sigma * horizon
-    w = omega * horizon
-    tau_sq = sigma * sigma * horizon
+    drift = SkewNormalParams(zeta=p.mu_d, omega=p.sigma_d, alpha=alpha)
+    loc = p.mu_d * p.horizon - 0.5 * p.sigma * p.sigma * p.horizon
+    w = p.sigma_d * p.horizon
+    tau_sq = p.sigma * p.sigma * p.horizon
     scale = math.sqrt(w * w + tau_sq)
     delta_bar = w * drift.delta / scale
     alpha_bar = delta_bar / math.sqrt(max(1.0 - delta_bar * delta_bar, 1e-300))
     return SkewNormalParams(zeta=loc, omega=scale, alpha=alpha_bar)
 
 
-def simulate_index_skew_drift(
-    zeta: float,
-    omega: float,
-    alpha: float,
-    sigma: float,
-    horizon: float,
-    n_stocks: int,
-    seed,
-) -> ReturnSample:
-    """``simulate_index`` with skew-normal drift SN(zeta, omega, alpha).
+def simulate_index_skew_drift(p: DriftModelParams, alpha: float, n_stocks: int, seed) -> ReturnSample:
+    """``simulate_index`` with skew-normal drift SN(p.mu_d, p.sigma_d, alpha).
 
-    The cross-section is log-skew-normal; its mode and median have no
-    closed form, so summarize the returned sample (``sample_ratio_summary``)
-    or evaluate the implied density numerically (``log_skew_normal_mode``).
-    The drift's location and scale stand in for ``DriftModelParams``'
-    mu_d and sigma_d, so both laws check their own parameters.
+    The drift model's mean drift and dispersion stand in for the skew-normal
+    location and scale.  The cross-section is log-skew-normal; its mode and
+    median have no closed form, so summarize the returned sample
+    (``sample_ratio_summary``) or evaluate the implied density numerically
+    (``log_skew_normal_mode``).
     """
-    drift = SkewNormalParams(zeta=zeta, omega=omega, alpha=alpha)
-    p = DriftModelParams(mu_d=zeta, sigma_d=omega, sigma=sigma, horizon=horizon)
+    drift = SkewNormalParams(zeta=p.mu_d, omega=p.sigma_d, alpha=alpha)
     rng = _generator(n_stocks, seed)
     return _terminal_returns(draw(drift, n_stocks, rng), p, rng)
 

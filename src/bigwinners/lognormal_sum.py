@@ -21,8 +21,6 @@ from .empirical import kde_mode, kde_mode_bootstrap_stderr
 from .errors import ParameterError
 
 __all__ = [
-    "RegimeLabel",
-    "RegimeCurve",
     "CurvePoint",
     "NARROW",
     "MODERATELY_BROAD",
@@ -63,25 +61,11 @@ EXACT_MIN_BINS = 100
 
 
 @dataclass(frozen=True)
-class RegimeLabel:
-    label: str
-    sigma_sq: float
-
-
-@dataclass(frozen=True)
 class CurvePoint:
     n: int
     ratio_analytic: float
     ratio_mc: float | None = None
     mc_stderr: float | None = None
-
-
-@dataclass(frozen=True)
-class RegimeCurve:
-    """Typical-to-true mean ratio as a function of portfolio size."""
-
-    params: LogNormalParams
-    points: tuple[CurvePoint, ...]
 
 
 def _check_params(p: LogNormalParams, n: int = 1) -> None:
@@ -95,19 +79,17 @@ def classify_regime(
     p: LogNormalParams,
     narrow_max: float = NARROW_MAX_SIGMA_SQ,
     very_broad_min: float = VERY_BROAD_MIN_SIGMA_SQ,
-) -> RegimeLabel:
-    """Assign the shape regime from sigma^2; needs ``narrow_max < very_broad_min``."""
+) -> str:
+    """The shape regime's label from sigma^2; needs ``narrow_max < very_broad_min``."""
     _check_params(p)
     if not narrow_max < very_broad_min:
         raise ParameterError(f"narrow_max {narrow_max} must be below very_broad_min {very_broad_min}")
     s2 = p.sigma_sq
     if s2 <= narrow_max:
-        label = NARROW
-    elif s2 >= very_broad_min:
-        label = VERY_BROAD
-    else:
-        label = MODERATELY_BROAD
-    return RegimeLabel(label=label, sigma_sq=s2)
+        return NARROW
+    if s2 >= very_broad_min:
+        return VERY_BROAD
+    return MODERATELY_BROAD
 
 
 def _ratio_narrow(s2: float, n: int) -> float:
@@ -150,7 +132,7 @@ def typical_mean_ratio(
     """Typical-sample-mean / true-mean ratio from the regime's closed form."""
     _check_params(p, n)
     regime = classify_regime(p, narrow_max=narrow_max, very_broad_min=very_broad_min)
-    return _FORMULAS[regime.label](regime.sigma_sq, n)
+    return _FORMULAS[regime](p.sigma_sq, n)
 
 
 def _portfolio_means(p: LogNormalParams, n: int, reps: int, seed) -> tuple[np.ndarray, np.random.Generator]:
@@ -245,8 +227,8 @@ def regime_curve(
     seed=None,
     narrow_max: float = NARROW_MAX_SIGMA_SQ,
     very_broad_min: float = VERY_BROAD_MIN_SIGMA_SQ,
-) -> RegimeCurve:
-    """Analytic (and optionally Monte Carlo) ratio curve over ``n_grid``.
+) -> tuple[CurvePoint, ...]:
+    """Analytic (and optionally Monte Carlo) ratio curve over ``n_grid``, one point per n.
 
     ``reps=0`` skips the simulation columns.  Each grid point gets its own
     child seed, so extending the grid never perturbs earlier points.  The
@@ -265,8 +247,7 @@ def regime_curve(
     analytic = [typical_mean_ratio(p, n, narrow_max=narrow_max, very_broad_min=very_broad_min)
                 for n in grid]
     if reps <= 0:
-        points = [CurvePoint(n=n, ratio_analytic=a) for n, a in zip(grid, analytic)]
-        return RegimeCurve(params=p, points=tuple(points))
+        return tuple(CurvePoint(n=n, ratio_analytic=a) for n, a in zip(grid, analytic))
 
     _check_reps(reps)
     from concurrent.futures import ThreadPoolExecutor
@@ -274,8 +255,7 @@ def regime_curve(
     seeds = dict(zip(grid, np.random.SeedSequence(seed).spawn(len(grid))))
     with ThreadPoolExecutor(max_workers=min(len(grid), os.cpu_count() or 1)) as pool:
         draws = {n: pool.submit(_portfolio_means, p, n, reps, seeds[n]) for n in reversed(grid)}
-    points = [
+    return tuple(
         CurvePoint(n, a, *_mode_ratio(p, *draws[n].result()))
         for n, a in zip(grid, analytic)
-    ]
-    return RegimeCurve(params=p, points=tuple(points))
+    )

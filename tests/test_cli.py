@@ -451,6 +451,46 @@ def test_flag_error_names_the_broken_rule(capsys, argv, rule):
 
 
 @pytest.mark.parametrize(
+    "argv,flag,value,report",
+    [
+        (["regime", "--sigma", "1.0", "--n-grid", "1,4"], "--mu", "-1e-3", "curve_inline.csv"),
+        (["model", "--sigma-d", "0.03", "--sigma", "0.1", "--horizon", "16"], "--mu-d", "-2e-2", "model.csv"),
+        (["analyze"], "--tail-threshold", "-inf", "lognormal_fit.csv"),
+        (REGIME_ARGS + ["--n-grid", "1,4"], "--narrow-max", "-inf", "curve_inline.csv"),
+    ],
+    ids=["regime-mu", "model-mu-d", "tail-threshold", "narrow-max"],
+)
+def test_negative_number_after_a_flag_is_its_value(tmp_path, argv, flag, value, report):
+    """``--flag -1e-3`` and ``--flag -inf`` write what ``--flag=-1e-3`` and ``--flag=-inf`` write."""
+    if argv[0] == "analyze":
+        argv = argv + ["--input", str(make_return_panel(tmp_path, "synth", [0.01, 0.5, 1.2, 2.0, 3.5, 8.0]))]
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert main(argv + [flag, value, "--out", str(spaced)]) == 0
+    assert main(argv + [f"{flag}={value}", "--out", str(joined)]) == 0
+    assert (spaced / report).read_bytes() == (joined / report).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["model", "--mu-d", "0.1", "--sigma-d", "1", "--sigma", "0.2", "--horizon", "22"],
+         "model: mean_over_mode = exp(727.32) overflows a float\n"),
+        (["model", "--mu-d", "1e300", "--sigma-d", "0", "--sigma", "0.1", "--horizon", "1e10"],
+         "model: mu must be finite, got inf\n"),
+        (["regime", "--mu", "400", "--sigma", "1", "--n-grid", "1", "--reps", "10000", "--seed", "1"],
+         "regime: inline: bootstrap stderr: the spread of modes near "),
+    ],
+    ids=["model-ratio", "model-implied-law", "regime-stderr"],
+)
+def test_overflow_exits_2_with_a_message(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.endswith("\n") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "config,where",
     [
         ("[analyze]\ntail-threshold = 5\n", "[analyze] tail-threshold"),

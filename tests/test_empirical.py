@@ -9,6 +9,7 @@ from bigwinners.empirical import (
     ReturnSample,
     fit_macroscopic,
     kde_mode,
+    kde_mode_bootstrap_stderr,
     load_panel,
     qq_data,
     summarize_index,
@@ -16,7 +17,7 @@ from bigwinners.empirical import (
     top_contribution,
     total_returns,
 )
-from bigwinners.errors import DataError, InsufficientDataError, ParseError
+from bigwinners.errors import DataError, InsufficientDataError, ParameterError, ParseError
 
 from conftest import bootstrap_se
 
@@ -222,6 +223,12 @@ class TestKdeMode:
     def test_too_few_points(self):
         with pytest.raises(InsufficientDataError):
             kde_mode([1.0, 2.0, 3.0, 4.0])
+
+    def test_bootstrap_stderr_that_overflows_is_a_parameter_error(self):
+        # Modes near 1e173 square past the largest float; no inf and no warning.
+        x = np.exp(400.0 + np.random.default_rng(1).standard_normal(1000))
+        with pytest.raises(ParameterError, match=r"spread of modes near 2\.34e\+173 overflows a float"):
+            kde_mode_bootstrap_stderr(x, seed=1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from bigwinners.gbm import (
     write_panel_csv,
 )
 
-import io
 
 
 def path_with_estimates(sigma_hat: float, mu_hat: float, x0: float = 1.0) -> PricePath:
@@ -222,12 +221,11 @@ class TestBuildPanel:
         names = {name for name, _ in panel.fit_errors}
         assert {"drift_fit", "vol_fit", "regression", "correlation"} <= names
 
-    def test_csv_export_layout(self):
+    def test_csv_export_layout(self, tmp_path):
         paths = {f"T{i}": simulate_gbm(GBMParams(0.12, 0.29), 1.0, 64, 0.25, i) for i in range(40)}
         panel = build_panel(paths)
-        buf = io.StringIO()
-        write_panel_csv(panel, buf)
-        lines = buf.getvalue().strip().splitlines()
+        write_panel_csv(panel, tmp_path / "panel.csv")
+        lines = (tmp_path / "panel.csv").read_text(encoding="utf-8").strip().splitlines()
         assert lines[0].split(",") == [
             "mu_mean", "mu_std", "sn_zeta", "sn_omega", "sn_alpha",
             "sigma_mean", "gamma_shape", "gamma_rate", "a", "b", "r2", "correlation",

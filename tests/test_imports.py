@@ -7,6 +7,8 @@ left in ``sys.modules``; a later module-level ``from scipy import stats``
 would add its import cost to every command and fail here.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -117,3 +119,14 @@ def test_thread_pool_loads_only_when_regime_draws(tmp_path, argv, loaded):
     it starts its pool, so no command's start-up pays for it."""
     run = f"assert bigwinners.cli.main({argv + ['--out', str(tmp_path)]!r}) == 0\n" if argv else ""
     assert fresh_output(f"import sys, bigwinners.cli\n{run}print('concurrent.futures' in sys.modules)") == loaded
+
+
+def test_package_imports_only_names_in_each_modules_all():
+    """The public surface is each module's ``__all__``: ``bigwinners/__init__.py``
+    re-exports from it and adds no name of its own."""
+    tree = ast.parse((SRC / "bigwinners" / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"bigwinners.{node.module}")
+        assert {alias.name for alias in node.names} <= set(module.__all__), node.module

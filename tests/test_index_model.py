@@ -31,24 +31,24 @@ SPX_LIKE = DriftModelParams(mu_d=0.12, sigma_d=0.03, sigma=0.1, horizon=16)
 class TestImpliedLogNormal:
     def test_reference_values(self):
         implied = implied_lognormal(SPX_LIKE)
-        assert implied.mu_m == pytest.approx(1.84, abs=1e-12)
-        assert implied.sigma_m == pytest.approx(math.sqrt(0.3904), rel=1e-12)
+        assert implied.mu == pytest.approx(1.84, abs=1e-12)
+        assert implied.sigma == pytest.approx(math.sqrt(0.3904), rel=1e-12)
 
     def test_zero_drift_dispersion_reduces_to_gbm(self):
         p = DriftModelParams(0.1, 0.0, 0.25, 9.0)
         implied = implied_lognormal(p)
-        assert implied.sigma_m == pytest.approx(0.25 * 3.0, rel=1e-12)
+        assert implied.sigma == pytest.approx(0.25 * 3.0, rel=1e-12)
 
     def test_short_horizon_limit(self):
         p = DriftModelParams(0.1, 0.05, 0.2, 1e-9)
         implied = implied_lognormal(p)
-        assert implied.mu_m == pytest.approx(0.0, abs=1e-9)
-        assert implied.sigma_m == pytest.approx(0.0, abs=1e-4)
+        assert implied.mu == pytest.approx(0.0, abs=1e-9)
+        assert implied.sigma == pytest.approx(0.0, abs=1e-4)
 
     def test_variance_identity(self):
         p = DriftModelParams(0.07, 0.04, 0.3, 5.0)
         implied = implied_lognormal(p)
-        assert implied.sigma_m**2 == pytest.approx(
+        assert implied.sigma**2 == pytest.approx(
             p.sigma**2 * p.horizon + p.sigma_d**2 * p.horizon**2, rel=1e-12
         )
 
@@ -78,7 +78,7 @@ class TestModelRatios:
         # Closed form against closed form through the implied law.
         for p in (SPX_LIKE, DriftModelParams(0.08, 0.05, 0.25, 8)):
             implied = implied_lognormal(p)
-            m = lognormal_moments(implied.as_params())
+            m = lognormal_moments(implied)
             r = model_ratios(p)
             assert m.mean / m.median == pytest.approx(r.mean_over_median, rel=1e-12)
             assert m.mean / m.mode == pytest.approx(r.mean_over_mode, rel=1e-12)
@@ -96,8 +96,8 @@ class TestSimulateIndex:
         sample = simulate_index(SPX_LIKE, 100_000, seed=9)
         fit = fit_lognormal(sample.rho)
         implied = implied_lognormal(SPX_LIKE)
-        assert fit.mu == pytest.approx(implied.mu_m, abs=0.01)
-        assert fit.sigma == pytest.approx(implied.sigma_m, abs=0.01)
+        assert fit.mu == pytest.approx(implied.mu, abs=0.01)
+        assert fit.sigma == pytest.approx(implied.sigma, abs=0.01)
 
     def test_large_drift_dispersion_ratio_matches(self):
         p = DriftModelParams(0.05, 0.2, 0.1, 16)
@@ -138,7 +138,7 @@ class TestSimulateIndex:
 class TestSkewDriftModel:
     def test_alpha_zero_matches_normal_drift(self):
         n = 100_000
-        a = simulate_index_skew_drift(0.12, 0.03, 0.0, 0.1, 16, n, seed=20)
+        a = simulate_index_skew_drift(DriftModelParams(0.12, 0.03, 0.1, 16), 0.0, n, seed=20)
         b = simulate_index(DriftModelParams(0.12, 0.03, 0.1, 16), n, seed=21)
         stat = stats.ks_2samp(a.rho, b.rho).statistic
         critical = 1.628 * math.sqrt(2.0 / n)  # 99th percentile, equal sizes
@@ -151,8 +151,8 @@ class TestSkewDriftModel:
     ])
     def test_rejects_what_the_drift_model_rejects(self, sigma, horizon, message):
         for build in (
-            lambda: simulate_index_skew_drift(0.06, 0.09, 1.88, sigma, horizon, 5, seed=1),
-            lambda: implied_log_skew_normal(0.06, 0.09, 1.88, sigma, horizon),
+            lambda: simulate_index_skew_drift(DriftModelParams(0.06, 0.09, sigma, horizon), 1.88, 5, seed=1),
+            lambda: implied_log_skew_normal(DriftModelParams(0.06, 0.09, sigma, horizon), 1.88),
         ):
             with pytest.raises(ParameterError) as info:
                 build()
@@ -160,37 +160,37 @@ class TestSkewDriftModel:
 
     def test_samples_are_pinned_bit_for_bit(self):
         # Any change to the draw order of either simulator shows here.
-        skew = simulate_index_skew_drift(0.06, 0.09, 1.88, 0.29, 16, 4, seed=3)
+        skew = simulate_index_skew_drift(DriftModelParams(0.06, 0.09, 0.29, 16), 1.88, 4, seed=3)
         assert skew.rho.tolist() == [4.816976761987832, 1401.3523427298544, 0.7517554942997493, 1.5575775817697353]
         normal = simulate_index(DriftModelParams(0.12, 0.03, 0.1, 16), 4, seed=3)
         assert normal.rho.tolist() == [13.993339430178665, 1.6939141561899496, 3.430455306435833, 4.369714337601376]
-        implied = implied_log_skew_normal(0.06, 0.09, 1.88, 0.29, 16)
+        implied = implied_log_skew_normal(DriftModelParams(0.06, 0.09, 0.29, 16), 1.88)
         assert (implied.zeta, implied.omega, implied.alpha) == (0.2872, 1.8491078930121951, 0.9468345701956261)
 
     def test_positive_alpha_skews_log_returns(self):
-        sample = simulate_index_skew_drift(0.0, 0.08, 5.0, 0.05, 16, 100_000, seed=22)
+        sample = simulate_index_skew_drift(DriftModelParams(0.0, 0.08, 0.05, 16), 5.0, 100_000, seed=22)
         assert stats.skew(np.log(sample.rho)) > 0
 
     def test_implied_log_skew_normal_moments(self):
         # Simulated ln rho matches the implied skew-normal law's moments.
-        zeta, omega, alpha, sigma, horizon = 0.06, 0.09, 1.88, 0.29, 16
-        implied = implied_log_skew_normal(zeta, omega, alpha, sigma, horizon)
-        sample = simulate_index_skew_drift(zeta, omega, alpha, sigma, horizon, 400_000, seed=23)
+        p, alpha = DriftModelParams(0.06, 0.09, 0.29, 16), 1.88
+        implied = implied_log_skew_normal(p, alpha)
+        sample = simulate_index_skew_drift(p, alpha, 400_000, seed=23)
         logs = np.log(sample.rho)
         mean, var = stats.skewnorm.stats(implied.alpha, loc=implied.zeta, scale=implied.omega)
         assert np.mean(logs) == pytest.approx(float(mean), abs=4 * np.std(logs) / math.sqrt(logs.size))
         assert np.var(logs) == pytest.approx(float(var), rel=0.02)
 
     def test_density_route_matches_sample_route(self):
-        # Dual route: golden-section mode / numeric median of the implied
+        # Dual route: bounded-Brent mode / numeric median of the implied
         # density against KDE mode / sample median of a large simulation.
         # The KDE mode of this broad law is noisy, so its tolerance comes
         # from the estimator's own bootstrap stderr plus a smoothing margin.
         from bigwinners.empirical import kde_mode_bootstrap_stderr
 
-        zeta, omega, alpha, sigma, horizon = 0.06, 0.09, 1.88, 0.29, 16
-        implied = implied_log_skew_normal(zeta, omega, alpha, sigma, horizon)
-        sample = simulate_index_skew_drift(zeta, omega, alpha, sigma, horizon, 400_000, seed=24)
+        p, alpha = DriftModelParams(0.06, 0.09, 0.29, 16), 1.88
+        implied = implied_log_skew_normal(p, alpha)
+        sample = simulate_index_skew_drift(p, alpha, 400_000, seed=24)
         summary = sample_ratio_summary(sample, seed=25)
         mean_exact = log_skew_normal_mean(implied)
         median_exact = log_skew_normal_median(implied)
@@ -210,7 +210,7 @@ class TestSkewDriftModel:
         assert log_skew_normal_mode(sn) == pytest.approx(math.exp(zeta - omega**2), rel=1e-6)
 
     def test_table_params_ratio_reported_with_ci(self):
-        sample = simulate_index_skew_drift(0.06, 0.09, 1.88, 0.29, 16, 100_000, seed=26)
+        sample = simulate_index_skew_drift(DriftModelParams(0.06, 0.09, 0.29, 16), 1.88, 100_000, seed=26)
         summary = sample_ratio_summary(sample, seed=27)
         assert summary.mean_over_median > 1.0
         assert summary.ci_low < summary.mean_over_median < summary.ci_high

@@ -22,17 +22,17 @@ from bigwinners.lognormal_sum import (
 
 class TestClassifyRegime:
     def test_thresholds(self):
-        assert classify_regime(LogNormalParams(0, 0.1)).label == NARROW
-        assert classify_regime(LogNormalParams(0.95, 1.02)).label == MODERATELY_BROAD
-        assert classify_regime(LogNormalParams(0, 3.0)).label == VERY_BROAD
+        assert classify_regime(LogNormalParams(0, 0.1)) == NARROW
+        assert classify_regime(LogNormalParams(0.95, 1.02)) == MODERATELY_BROAD
+        assert classify_regime(LogNormalParams(0, 3.0)) == VERY_BROAD
 
     def test_sigma_sq_recorded(self):
-        r = classify_regime(LogNormalParams(0.95, 1.02))
-        assert r.sigma_sq == pytest.approx(1.0404)
+        # typical_mean_ratio reads sigma^2 from the params.
+        assert LogNormalParams(0.95, 1.02).sigma_sq == pytest.approx(1.0404)
 
     def test_custom_thresholds(self):
         p = LogNormalParams(0, 1.0)
-        assert classify_regime(p, narrow_max=1.5).label == NARROW
+        assert classify_regime(p, narrow_max=1.5) == NARROW
 
 
 class TestTypicalMeanRatio:
@@ -185,12 +185,12 @@ class TestExactTypicalMeanRatio:
 class TestRegimeCurve:
     def test_analytic_column_monotone(self):
         curve = regime_curve(LogNormalParams(0.95, 1.02), [1, 2, 4, 8, 16, 64, 256, 1024])
-        analytic = [pt.ratio_analytic for pt in curve.points]
+        analytic = [pt.ratio_analytic for pt in curve]
         assert all(b >= a for a, b in zip(analytic, analytic[1:]))
 
     def test_near_zero_sigma_all_ones(self):
         curve = regime_curve(LogNormalParams(0.0, 1e-6), [1, 4, 16])
-        assert all(pt.ratio_analytic == pytest.approx(1.0, abs=1e-9) for pt in curve.points)
+        assert all(pt.ratio_analytic == pytest.approx(1.0, abs=1e-9) for pt in curve)
 
     def test_ccmp_below_spx_at_n10(self):
         spx = typical_mean_ratio(LogNormalParams(0.95, 1.02), 10)
@@ -199,7 +199,7 @@ class TestRegimeCurve:
 
     def test_mc_columns_present_when_reps(self):
         curve = regime_curve(LogNormalParams(0.5, 0.9), [2, 4], reps=10_000, seed=5)
-        for pt in curve.points:
+        for pt in curve:
             assert pt.ratio_mc is not None and pt.mc_stderr is not None
 
     def test_grid_must_increase(self):
@@ -214,7 +214,7 @@ class TestRegimeCurve:
         curve = regime_curve(p, grid, reps=10_000, seed=8)
         children = np.random.SeedSequence(8).spawn(len(grid))
         serial = [(n, *mc_typical_mean(p, n, 10_000, child)) for n, child in zip(grid, children)]
-        assert [(pt.n, pt.ratio_mc, pt.mc_stderr) for pt in curve.points] == serial
+        assert [(pt.n, pt.ratio_mc, pt.mc_stderr) for pt in curve] == serial
 
     def test_kde_modes_run_on_the_calling_thread(self, monkeypatch):
         """Only the draws go to the pool: the KDE layers stay on one thread."""

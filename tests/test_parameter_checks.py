@@ -10,7 +10,7 @@ from bigwinners.distributions import AsymmetricLaplaceParams, GammaParams, SkewN
 from bigwinners.empirical import ReturnSample, kde_mode, tail_filter
 from bigwinners.errors import DataError, ParameterError
 from bigwinners.gbm import GBMParams, PricePath, build_panel, simulate_gbm
-from bigwinners.index_model import DriftModelParams
+from bigwinners.index_model import DriftModelParams, model_ratios
 
 CASES = {
     "skew_normal_omega_zero": (lambda: SkewNormalParams(0.0, 0.0, 1.0), ParameterError, "omega must be > 0, got 0.0"),
@@ -32,6 +32,8 @@ CASES = {
     "drift_model_nan": (lambda: DriftModelParams(0.1, 0.1, math.nan, 16), ParameterError, "sigma must be finite"),
     "drift_model_sigma": (lambda: DriftModelParams(0.1, 0.1, -0.1, 16), ParameterError, "sigma must be >= 0, got -0.1"),
     "drift_model_horizon": (lambda: DriftModelParams(0.1, 0.1, 0.1, 0), ParameterError, "horizon must be > 0, got 0"),
+    "model_ratio_overflow": (lambda: model_ratios(DriftModelParams(0.1, 1.0, 0.2, 22)), ParameterError,
+                             "mean_over_mode = exp(727.32) overflows a float"),
     "sample_rho": (lambda: ReturnSample(np.array([1.0, 0.0])), DataError,
                    "total returns must be finite and strictly positive"),
     "sample_ticker_count": (lambda: ReturnSample(np.array([1.0, 2.0]), tickers=("A",)), DataError,

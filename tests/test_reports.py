@@ -1,7 +1,5 @@
 """Exact report bytes and the CLI's handling of report and input edge cases."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -17,22 +15,22 @@ ROWS = [
 ]
 
 
-def _render(fmt, **kwargs):
-    buf = io.StringIO()
-    write_report(buf, FIELDS, ROWS, fmt, **kwargs)
-    return buf.getvalue()
+def _render(tmp_path, fmt, **kwargs):
+    path = tmp_path / f"report.{fmt}"
+    write_report(path, FIELDS, ROWS, fmt, **kwargs)
+    return path.read_bytes().decode("utf-8")
 
 
 class TestWriteReport:
-    def test_csv_bytes(self):
-        assert _render("csv") == (
+    def test_csv_bytes(self, tmp_path):
+        assert _render(tmp_path, "csv") == (
             "name,none,float,np_float,flag,count\n"
             '"A,B",,0.1,0.3333333333333333,True,7\n'
             "plain,,1e-300,2.5e+16,False,-1\n"
         )
 
-    def test_csv_meta_and_footer(self):
-        text = _render("csv", meta={"seed": 3, "version": "x"}, footer={"kept": 2, "note": "a b"})
+    def test_csv_meta_and_footer(self, tmp_path):
+        text = _render(tmp_path, "csv", meta={"seed": 3, "version": "x"}, footer={"kept": 2, "note": "a b"})
         assert text == (
             "# seed=3\n"
             "# version=x\n"
@@ -43,8 +41,8 @@ class TestWriteReport:
             "# note=a b\n"
         )
 
-    def test_json_bytes_with_meta(self):
-        text = _render("json", meta={"seed": 3})
+    def test_json_bytes_with_meta(self, tmp_path):
+        text = _render(tmp_path, "json", meta={"seed": 3})
         assert text == (
             "[\n"
             '  {\n    "_meta": {\n      "seed": 3\n    }\n  },\n'
@@ -55,8 +53,8 @@ class TestWriteReport:
             "]\n"
         )
 
-    def test_json_without_meta_is_rows_only(self):
-        assert _render("json").startswith('[\n  {\n    "name": "A,B",')
+    def test_json_without_meta_is_rows_only(self, tmp_path):
+        assert _render(tmp_path, "json").startswith('[\n  {\n    "name": "A,B",')
 
     def test_path_destination_creates_directory(self, tmp_path):
         target = tmp_path / "a" / "b" / "r.csv"
