@@ -20,7 +20,6 @@ import configparser
 import csv
 import dataclasses
 import datetime as dt
-import math
 import re
 import sys
 from pathlib import Path
@@ -46,9 +45,9 @@ from .errors import (
     ParameterError,
     ParseError,
 )
-from .gbm import MIN_WINDOW_COVERAGE, PricePath, build_panel, write_panel_csv
+from .gbm import PricePath, build_panel, write_panel_csv
 from .index_model import DriftModelParams, implied_lognormal, model_ratios, sample_ratio_summary, simulate_index
-from .lognormal_sum import NARROW_MAX_SIGMA_SQ, VERY_BROAD_MIN_SIGMA_SQ, regime_curve
+from .lognormal_sum import regime_curve
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -67,16 +66,6 @@ def _non_negative_int(text) -> int:
     except ValueError:
         pass
     raise ParameterError(f"expected a non-negative integer, got {text!r}")
-
-
-def _positive_float(text) -> float:
-    try:
-        value = float(text)
-        if 0.0 < value < math.inf:
-            return value
-    except ValueError:
-        pass
-    raise ParameterError(f"expected a positive finite number, got {text!r}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -136,7 +125,6 @@ OPTIONS = {
         "input": (_parse_inputs, None, "price CSV (ticker,date,adj_close); repeat for several indexes"),
         "window": (_parse_window, None, "START:END ISO dates"),
         "tail_threshold": (float, TAIL_THRESHOLD_LOG, "ln-rho cutoff for the left-tail filter"),
-        "bandwidth_factor": (_positive_float, 1.0, "multiplier on the Scott KDE bandwidth"),
         "qq": (_parse_bool, False, "also write QQ pairs per index"),
     },
     "regime": {
@@ -146,15 +134,12 @@ OPTIONS = {
         "params_file": (str, None, "CSV with index,mu,sigma columns (analyze fit output)"),
         "n_grid": (_parse_grid, [2 ** k for k in range(11)], "comma-separated portfolio sizes"),
         "reps": (_non_negative_int, 0, "Monte Carlo replications (0 = analytic only)"),
-        "narrow_max": (float, NARROW_MAX_SIGMA_SQ, "sigma^2 at or below this is the narrow regime"),
-        "very_broad_min": (float, VERY_BROAD_MIN_SIGMA_SQ, "sigma^2 at or above this is the very broad regime"),
     },
     "gbm": {
         **_SHARED,
         "input": (str, None, "price CSV (ticker,date,adj_close)"),
         "dt": (float, 1.0, "step size in years"),
         "estimator": (_choice("endpoint", "mle"), "endpoint", "variance estimator variant"),
-        "min_coverage": (float, MIN_WINDOW_COVERAGE, "window-coverage fraction below which a path is excluded"),
     },
     "model": {
         **_SHARED, **_SEED,
@@ -263,7 +248,7 @@ def cmd_analyze(args) -> int:
         try:
             panel = load_panel(source)
             sample = total_returns(panel, window=args.window)
-            summary = summarize_index(sample, bandwidth_factor=args.bandwidth_factor)
+            summary = summarize_index(sample)
         except (ParseError, DataError, InsufficientDataError, ParameterError, OSError) as exc:
             print(f"analyze: {name}: {exc}", file=sys.stderr)
             exit_code = EXIT_INPUT_ERROR
@@ -331,8 +316,7 @@ def cmd_regime(args) -> int:
     meta = {"seed": seed, "reps": reps, "version": __version__} if reps > 0 else {"version": __version__}
     for name, params in sorted(sets, key=lambda item: item[0]):
         try:
-            points = regime_curve(params, args.n_grid, reps=reps, seed=seed,
-                                  narrow_max=args.narrow_max, very_broad_min=args.very_broad_min)
+            points = regime_curve(params, args.n_grid, reps=reps, seed=seed)
         except ParameterError as exc:
             raise ParameterError(f"{name}: {exc}") from None
         rows = [dataclasses.astuple(point) for point in points]
@@ -352,7 +336,7 @@ def cmd_gbm(args) -> int:
         ticker: PricePath(x0=float(prices[0]), prices=prices, dt=args.dt)
         for ticker, (_, prices) in load_panel(args.input).series.items()
     }
-    panel = build_panel(paths, method=args.estimator, min_coverage=args.min_coverage)
+    panel = build_panel(paths, method=args.estimator)
 
     estimate_rows = [
         (ticker, est.mu_hat, est.sigma_hat, est.sigma_sq_raw, est.clamped)

@@ -72,7 +72,6 @@ class ReturnSample:
 
     rho: np.ndarray
     tickers: tuple[str, ...] | None = None
-    window: tuple[dt.date, dt.date] | None = None
     excluded: tuple[tuple[str, str], ...] = ()
     removed: int = 0
 
@@ -296,7 +295,6 @@ def total_returns(
     return ReturnSample(
         rho=np.array(rhos),
         tickers=tuple(keep),
-        window=(start, end),
         excluded=tuple(excluded),
     )
 
@@ -342,7 +340,7 @@ KDE_PEAK_GAP = 0.05
 KDE_SHIFT_FACTOR = 0.5
 
 
-def _kde_axis(x, who: str, bandwidth_factor: float = 1.0):
+def _kde_axis(x, who: str):
     """Checked sample, working axis t, Scott bandwidth h and log-scale flag.
 
     Strictly positive samples are smoothed in log space (the back-transform
@@ -354,7 +352,7 @@ def _kde_axis(x, who: str, bandwidth_factor: float = 1.0):
         return arr, arr, None, False
     log_scale = bool(np.all(arr > 0))
     t = np.log(arr) if log_scale else arr
-    h = float(np.std(t)) * t.size ** (-0.2) * bandwidth_factor
+    h = float(np.std(t)) * t.size ** (-0.2)
     if h <= 0 or not math.isfinite(h):
         raise ParameterError(f"{who}: could not form a positive bandwidth")
     return arr, t, h, log_scale
@@ -472,7 +470,7 @@ def _fminbound(func, a, b, xatol: float):
     return xf, not (np.isnan(xf) or np.isnan(fx) or np.isnan(fu))
 
 
-def kde_mode(x, bandwidth_factor: float = 1.0) -> KDEModeResult:
+def kde_mode(x) -> KDEModeResult:
     """Gaussian-KDE mode with Scott bandwidth, grid search plus local refine.
 
     Strictly positive samples are smoothed in log space (the back-transform
@@ -481,9 +479,7 @@ def kde_mode(x, bandwidth_factor: float = 1.0) -> KDEModeResult:
     comes within KDE_PEAK_GAP of the top density or the mode moves more
     than KDE_SHIFT_FACTOR bandwidths under a +/-20% bandwidth change.
     """
-    if not 0.0 < bandwidth_factor < math.inf:
-        raise ParameterError(f"bandwidth_factor must be positive and finite, got {bandwidth_factor}")
-    arr, t, h, log_scale = _kde_axis(x, "kde_mode", bandwidth_factor)
+    arr, t, h, log_scale = _kde_axis(x, "kde_mode")
     if h is None:
         return KDEModeResult(mode=float(arr[0]), bandwidth=0.0, stable=True, log_scale=False)
 
@@ -571,13 +567,12 @@ def tail_filter(sample: ReturnSample, threshold_log: float = TAIL_THRESHOLD_LOG)
     return ReturnSample(
         rho=sample.rho[keep],
         tickers=tickers,
-        window=sample.window,
         excluded=sample.excluded,
         removed=removed,
     )
 
 
-def summarize_index(sample: ReturnSample, bandwidth_factor: float = 1.0) -> IndexSummary:
+def summarize_index(sample: ReturnSample) -> IndexSummary:
     """Assemble the total-return table row for one index."""
     n = len(sample)
     if n < 2:
@@ -590,7 +585,7 @@ def summarize_index(sample: ReturnSample, bandwidth_factor: float = 1.0) -> Inde
     if n < 5:
         mode_note = "too few returns for kernel density mode"
     else:
-        result = kde_mode(sample.rho, bandwidth_factor=bandwidth_factor)
+        result = kde_mode(sample.rho)
         if result.stable:
             mode = result.mode
         else:

@@ -202,16 +202,13 @@ def estimate_gbm(path: PricePath, method: str = "endpoint") -> GBMEstimate:
 def build_panel(
     paths: Mapping[str, PricePath],
     method: str = "endpoint",
-    min_coverage: float = MIN_WINDOW_COVERAGE,
 ) -> DriftVolPanel:
     """Estimate every usable path and fit the cross-sectional distributions.
 
-    Paths spanning less than ``min_coverage`` of the longest path's window
+    Paths spanning less than ``MIN_WINDOW_COVERAGE`` of the longest path's window
     (or too short to estimate) are excluded and listed.  Distribution fits
     that fail are recorded per field and the panel is still returned.
     """
-    if not 0 <= min_coverage <= 1:
-        raise ParameterError(f"min_coverage must be in [0, 1], got {min_coverage}")
     if not paths:
         raise InsufficientDataError("build_panel needs at least 3 usable paths")
     window = max(path.duration for path in paths.values())
@@ -219,7 +216,7 @@ def build_panel(
     excluded: list[str] = []
     for ticker in sorted(paths):
         path = paths[ticker]
-        if path.prices.size < 3 or path.duration < min_coverage * window:
+        if path.prices.size < 3 or path.duration < MIN_WINDOW_COVERAGE * window:
             excluded.append(ticker)
             continue
         usable.append((ticker, estimate_gbm(path, method=method)))

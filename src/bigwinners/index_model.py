@@ -83,6 +83,8 @@ def model_ratios(p: DriftModelParams) -> UnderperformanceRatios:
     half = 0.5 * (p.sigma * p.sigma * t + p.sigma_d * p.sigma_d * t * t)
     try:
         mean_over_mode = math.exp(3.0 * half)  # the cube overflows first
+        if mean_over_mode == math.inf:  # half itself overflowed, and exp(inf) does not raise
+            raise OverflowError
     except OverflowError:
         raise ParameterError(f"mean_over_mode = exp({3.0 * half:.6g}) overflows a float") from None
     return UnderperformanceRatios(mean_over_median=math.exp(half), mean_over_mode=mean_over_mode)

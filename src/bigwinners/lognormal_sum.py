@@ -38,8 +38,7 @@ MODERATELY_BROAD = "moderately_broad"
 VERY_BROAD = "very_broad"
 
 # Shape thresholds on sigma^2.  The closed forms are stated asymptotically
-# (<< 1, ~ 1, >> 1); these cutoffs make the choice deterministic and can be
-# overridden per call.
+# (<< 1, ~ 1, >> 1); these cutoffs make the choice deterministic.
 NARROW_MAX_SIGMA_SQ = 0.1
 VERY_BROAD_MIN_SIGMA_SQ = 4.0
 
@@ -75,19 +74,13 @@ def _check_params(p: LogNormalParams, n: int = 1) -> None:
         raise ParameterError(f"portfolio size must be >= 1, got {n}")
 
 
-def classify_regime(
-    p: LogNormalParams,
-    narrow_max: float = NARROW_MAX_SIGMA_SQ,
-    very_broad_min: float = VERY_BROAD_MIN_SIGMA_SQ,
-) -> str:
-    """The shape regime's label from sigma^2; needs ``narrow_max < very_broad_min``."""
+def classify_regime(p: LogNormalParams) -> str:
+    """The shape regime's label from sigma^2."""
     _check_params(p)
-    if not narrow_max < very_broad_min:
-        raise ParameterError(f"narrow_max {narrow_max} must be below very_broad_min {very_broad_min}")
     s2 = p.sigma_sq
-    if s2 <= narrow_max:
+    if s2 <= NARROW_MAX_SIGMA_SQ:
         return NARROW
-    if s2 >= very_broad_min:
+    if s2 >= VERY_BROAD_MIN_SIGMA_SQ:
         return VERY_BROAD
     return MODERATELY_BROAD
 
@@ -123,16 +116,10 @@ def regime_formula_values(p: LogNormalParams, n: int) -> dict[str, float]:
     return {label: fn(p.sigma_sq, n) for label, fn in _FORMULAS.items()}
 
 
-def typical_mean_ratio(
-    p: LogNormalParams,
-    n: int,
-    narrow_max: float = NARROW_MAX_SIGMA_SQ,
-    very_broad_min: float = VERY_BROAD_MIN_SIGMA_SQ,
-) -> float:
+def typical_mean_ratio(p: LogNormalParams, n: int) -> float:
     """Typical-sample-mean / true-mean ratio from the regime's closed form."""
     _check_params(p, n)
-    regime = classify_regime(p, narrow_max=narrow_max, very_broad_min=very_broad_min)
-    return _FORMULAS[regime](p.sigma_sq, n)
+    return _FORMULAS[classify_regime(p)](p.sigma_sq, n)
 
 
 def _portfolio_means(p: LogNormalParams, n: int, reps: int, seed) -> tuple[np.ndarray, np.random.Generator]:
@@ -225,8 +212,6 @@ def regime_curve(
     n_grid,
     reps: int = 0,
     seed=None,
-    narrow_max: float = NARROW_MAX_SIGMA_SQ,
-    very_broad_min: float = VERY_BROAD_MIN_SIGMA_SQ,
 ) -> tuple[CurvePoint, ...]:
     """Analytic (and optionally Monte Carlo) ratio curve over ``n_grid``, one point per n.
 
@@ -244,8 +229,7 @@ def regime_curve(
         raise ParameterError("n_grid must be strictly increasing")
     _check_params(p)
 
-    analytic = [typical_mean_ratio(p, n, narrow_max=narrow_max, very_broad_min=very_broad_min)
-                for n in grid]
+    analytic = [typical_mean_ratio(p, n) for n in grid]
     if reps <= 0:
         return tuple(CurvePoint(n=n, ratio_analytic=a) for n, a in zip(grid, analytic))
 

@@ -1,13 +1,17 @@
+import argparse
 import datetime as dt
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bigwinners.cli import OPTIONS, main
+from bigwinners.cli import OPTIONS, build_parser, main
+from bigwinners.distributions import LogNormalParams
 from bigwinners.gbm import GBMParams, simulate_gbm
+from bigwinners.lognormal_sum import MODERATELY_BROAD, NARROW, VERY_BROAD, classify_regime, regime_formula_values
 
 
 def make_return_panel(tmp_path, name, rhos, start="2006-01-02", end="2021-12-30"):
@@ -145,17 +149,21 @@ class TestRegime:
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "curve_inline.csv").read_bytes() == (out2 / "curve_inline.csv").read_bytes()
 
-    def test_threshold_flags_change_regime_formula(self, tmp_path):
-        # sigma^2 = 1.04 is moderately broad by default; forcing the narrow
-        # cutoff above it makes the analytic column the constant e^{-s2/2}.
+    @pytest.mark.parametrize(
+        "sigma,label",
+        [("0.316", NARROW), ("0.317", MODERATELY_BROAD), ("1.999", MODERATELY_BROAD), ("2.0", VERY_BROAD)],
+        ids=["narrow-edge", "moderate-low-edge", "moderate-high-edge", "very-broad-edge"],
+    )
+    def test_fixed_cutoffs_pick_the_regime_formula(self, tmp_path, sigma, label):
+        # sigma^2 <= 0.1 is narrow and sigma^2 >= 4.0 (2.0 squared, exactly) very broad.
+        p = LogNormalParams(mu=0.0, sigma=float(sigma))
+        assert classify_regime(p) == label
         out = tmp_path / "out"
-        assert main(["regime", "--mu", "0.95", "--sigma", "1.02", "--n-grid", "2,64",
-                     "--narrow-max", "2.0", "--out", str(out)]) == 0
+        assert main(["regime", "--mu", "0", "--sigma", sigma, "--n-grid", "2,64", "--out", str(out)]) == 0
         lines = (out / "curve_inline.csv").read_text().strip().splitlines()
         start = lines.index("n,ratio_analytic,ratio_mc,mc_stderr") + 1
         values = [float(line.split(",")[1]) for line in lines[start:]]
-        assert values[0] == pytest.approx(values[1])
-        assert values[0] == pytest.approx(math.exp(-0.5 * 1.02**2))
+        assert values == [regime_formula_values(p, n)[label] for n in (2, 64)]
 
 
 class TestGbm:
@@ -390,24 +398,13 @@ def test_negative_seed_or_count_exits_2_before_any_work(tmp_path, argv, config):
     assert not out.exists()
 
 
-def test_inconsistent_regime_cutoffs_exit_2(tmp_path, capsys):
-    out = tmp_path / "out"
-    rc = main(REGIME_ARGS + ["--narrow-max", "5", "--very-broad-min", "1", "--out", str(out)])
-    assert rc == 2
-    assert "very_broad_min" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (REGIME_ARGS + ["--very-broad-min", "nan"], "regime: inline: narrow_max 0.1 must be below very_broad_min nan"),
         (["analyze", "--tail-threshold", "nan"], "analyze: threshold_log must not be NaN"),
-        (["gbm", "--min-coverage", "nan"], "gbm: min_coverage must be in [0, 1], got nan"),
-        (["gbm", "--min-coverage", "5"], "gbm: min_coverage must be in [0, 1], got 5.0"),
         (["analyze", "--tail-threshold", "inf"], "analyze: threshold_log must be below +inf, got inf"),
     ],
-    ids=["very-broad-min-nan", "tail-threshold-nan", "min-coverage-nan", "min-coverage-5", "tail-threshold-inf"],
+    ids=["tail-threshold-nan", "tail-threshold-inf"],
 )
 def test_nan_or_out_of_range_option_exits_2_naming_it(tmp_path, capsys, argv, message):
     paths = {f"T{i}": simulate_gbm(GBMParams(0.12, 0.29), 1.0, 16, 1.0, seed=i).prices for i in range(6)}
@@ -417,20 +414,6 @@ def test_nan_or_out_of_range_option_exits_2_naming_it(tmp_path, capsys, argv, me
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == message + "\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["nan", "0", "-1"])
-def test_bad_bandwidth_factor_exits_2_before_any_work(tmp_path, capsys, value):
-    src = make_return_panel(tmp_path, "synth", np.random.default_rng(3).lognormal(0.5, 0.8, 40))
-    out = tmp_path / "out"
-    assert exit_code(["analyze", "--input", str(src), "--bandwidth-factor", value, "--out", str(out)]) == 2
-    rule = f"expected a positive finite number, got {value!r}"
-    assert capsys.readouterr().err.endswith(f"analyze: error: argument --bandwidth-factor: {rule}\n")
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(f"[analyze]\nbandwidth_factor = {value}\n")
-    assert main(["analyze", "--input", str(src), "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"analyze: config [analyze] bandwidth_factor: {rule}\n"
     assert not out.exists()
 
 
@@ -456,9 +439,8 @@ def test_flag_error_names_the_broken_rule(capsys, argv, rule):
         (["regime", "--sigma", "1.0", "--n-grid", "1,4"], "--mu", "-1e-3", "curve_inline.csv"),
         (["model", "--sigma-d", "0.03", "--sigma", "0.1", "--horizon", "16"], "--mu-d", "-2e-2", "model.csv"),
         (["analyze"], "--tail-threshold", "-inf", "lognormal_fit.csv"),
-        (REGIME_ARGS + ["--n-grid", "1,4"], "--narrow-max", "-inf", "curve_inline.csv"),
     ],
-    ids=["regime-mu", "model-mu-d", "tail-threshold", "narrow-max"],
+    ids=["regime-mu", "model-mu-d", "tail-threshold"],
 )
 def test_negative_number_after_a_flag_is_its_value(tmp_path, argv, flag, value, report):
     """``--flag -1e-3`` and ``--flag -inf`` write what ``--flag=-1e-3`` and ``--flag=-inf`` write."""
@@ -499,8 +481,13 @@ def test_overflow_exits_2_with_a_message(tmp_path, capsys, argv, message):
         ("[common]\ntailthreshold = 5\n", "[common] tailthreshold"),
         ("[DEFAULT]\nreps_count = 5\n", "[DEFAULT] reps_count"),
         ("[analyse]\nqq = yes\n", "[analyse]"),
+        ("[analyze]\nbandwidth_factor = 1\n", "[analyze] bandwidth_factor: unknown key"),
+        ("[regime]\nnarrow_max = 1\n", "[regime] narrow_max: unknown key"),
+        ("[regime]\nvery_broad_min = 1\n", "[regime] very_broad_min: unknown key"),
+        ("[gbm]\nmin_coverage = 1\n", "[gbm] min_coverage: unknown key"),
     ],
-    ids=["dashed-key", "misspelt-key", "other-commands-key", "common", "default", "section"],
+    ids=["dashed-key", "misspelt-key", "other-commands-key", "common", "default", "section",
+         "removed-bandwidth-factor", "removed-narrow-max", "removed-very-broad-min", "removed-min-coverage"],
 )
 def test_unknown_config_key_exits_2_before_any_work(tmp_path, capsys, config, where):
     src = make_return_panel(tmp_path, "synth", [2.5, 0.8, 1.4])
@@ -684,5 +671,25 @@ def test_help_lists_config_and_the_table_flags(capsys, command):
 def test_option_count():
     # --config plus the table: seed belongs to the stochastic commands only
     assert {command: len(options) + 1 for command, options in OPTIONS.items()} == {
-        "analyze": 8, "regime": 11, "gbm": 7, "model": 10,
+        "analyze": 7, "regime": 9, "gbm": 6, "model": 10,
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--bandwidth-factor", "1"], ["regime", "--narrow-max", "1"],
+     ["regime", "--very-broad-min", "1"], ["gbm", "--min-coverage", "1"]],
+    ids=["bandwidth-factor", "narrow-max", "very-broad-min", "min-coverage"],
+)
+def test_removed_tuning_flag_exits_2(capsys, argv):
+    assert exit_code(argv) == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+def test_readme_cli_section_names_every_flag():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {s for p in commands.choices.values() for a in p._actions for s in a.option_strings if s.startswith("--")}
+    assert documented == flags

@@ -30,10 +30,6 @@ class TestClassifyRegime:
         # typical_mean_ratio reads sigma^2 from the params.
         assert LogNormalParams(0.95, 1.02).sigma_sq == pytest.approx(1.0404)
 
-    def test_custom_thresholds(self):
-        p = LogNormalParams(0, 1.0)
-        assert classify_regime(p, narrow_max=1.5) == NARROW
-
 
 class TestTypicalMeanRatio:
     def test_spx_n10(self):
@@ -242,11 +238,3 @@ class TestRegimeCurve:
         with pytest.raises(ParameterError, match="reps must be >= 10000, got 9999"):
             regime_curve(LogNormalParams(0.5, 1.0), [1, 2], reps=9_999, seed=1)
 
-
-class TestRegimeCutoffs:
-    @pytest.mark.parametrize("narrow_max,very_broad_min",
-                             [(5.0, 1.0), (2.0, 2.0), (math.nan, 4.0), (0.1, math.nan)])
-    def test_narrow_cutoff_not_below_very_broad_rejected(self, narrow_max, very_broad_min):
-        with pytest.raises(ParameterError, match="very_broad_min"):
-            classify_regime(LogNormalParams(0.9, 1.0), narrow_max=narrow_max,
-                            very_broad_min=very_broad_min)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from bigwinners.distributions import AsymmetricLaplaceParams, GammaParams, SkewNormalParams
-from bigwinners.empirical import ReturnSample, kde_mode, tail_filter
+from bigwinners.empirical import ReturnSample, tail_filter
 from bigwinners.errors import DataError, ParameterError
-from bigwinners.gbm import GBMParams, PricePath, build_panel, simulate_gbm
+from bigwinners.gbm import GBMParams, PricePath, simulate_gbm
 from bigwinners.index_model import DriftModelParams, model_ratios
 
 CASES = {
@@ -34,6 +34,10 @@ CASES = {
     "drift_model_horizon": (lambda: DriftModelParams(0.1, 0.1, 0.1, 0), ParameterError, "horizon must be > 0, got 0"),
     "model_ratio_overflow": (lambda: model_ratios(DriftModelParams(0.1, 1.0, 0.2, 22)), ParameterError,
                              "mean_over_mode = exp(727.32) overflows a float"),
+    "model_ratio_half_overflow_drift": (lambda: model_ratios(DriftModelParams(0, 1e200, 0, 1e200)), ParameterError,
+                                        "mean_over_mode = exp(inf) overflows a float"),
+    "model_ratio_half_overflow_vol": (lambda: model_ratios(DriftModelParams(0, 0, 1e160, 1e160)), ParameterError,
+                                      "mean_over_mode = exp(inf) overflows a float"),
     "sample_rho": (lambda: ReturnSample(np.array([1.0, 0.0])), DataError,
                    "total returns must be finite and strictly positive"),
     "sample_ticker_count": (lambda: ReturnSample(np.array([1.0, 2.0]), tickers=("A",)), DataError,
@@ -44,18 +48,6 @@ CASES = {
                            "threshold_log must not be NaN"),
     "tail_threshold_inf": (lambda: tail_filter(ReturnSample(np.array([1.0, 2.0])), math.inf), ParameterError,
                            "threshold_log must be below +inf, got inf"),
-    "kde_bandwidth_factor_nan": (lambda: kde_mode(np.arange(1.0, 7.0), math.nan), ParameterError,
-                                 "bandwidth_factor must be positive and finite, got nan"),
-    "kde_bandwidth_factor_zero": (lambda: kde_mode(np.arange(1.0, 7.0), 0.0), ParameterError,
-                                  "bandwidth_factor must be positive and finite, got 0.0"),
-    "kde_bandwidth_factor_negative": (lambda: kde_mode(np.arange(1.0, 7.0), -1.0), ParameterError,
-                                      "bandwidth_factor must be positive and finite, got -1.0"),
-    "min_coverage_nan": (lambda: build_panel({}, min_coverage=math.nan), ParameterError,
-                         "min_coverage must be in [0, 1], got nan"),
-    "min_coverage_above_one": (lambda: build_panel({}, min_coverage=5.0), ParameterError,
-                               "min_coverage must be in [0, 1], got 5.0"),
-    "min_coverage_negative": (lambda: build_panel({}, min_coverage=-0.1), ParameterError,
-                              "min_coverage must be in [0, 1], got -0.1"),
 }
 
 
