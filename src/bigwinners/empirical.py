@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import json
 import math
 from array import array
@@ -128,6 +129,7 @@ class KDEModeResult:
 # ---------------------------------------------------------------------------
 
 _COLUMNS = ("ticker", "date", "adj_close")
+_CHUNK_BYTES = 1 << 20  # bytes of plain rows load_panel parses at once
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
@@ -171,6 +173,42 @@ def _iso_day(text: str) -> int | None:
         return None
 
 
+def _csv_records(fh, lineno: int, encoding: str = "utf-8"):
+    """Each ``csv.reader`` record of binary file ``fh`` from its position on, with its
+    physical end line after ``lineno`` earlier lines; a csv error is a ParseError."""
+    with io.TextIOWrapper(fh, encoding=encoding, errors="surrogateescape", newline="") as text:
+        reader = csv.reader(text)
+        try:
+            for row in reader:
+                yield lineno + reader.line_num, row
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=lineno + reader.line_num) from None
+
+
+def _bulk_rows(chunk: bytes) -> tuple[list[str], np.ndarray] | None:
+    """The fields and prices of ``chunk``'s lines, as ``csv.reader`` and ``float``
+    read them, or None if it is empty or fails the gate ``load_panel`` names."""
+    if not chunk or b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
+        return None
+    raw = np.frombuffer(chunk, dtype=np.uint8)
+    stops = np.flatnonzero((raw == 44) | (raw == 10))  # commas and newlines: 44, 44, 10 on each line
+    if (stops.size % 3 or not (raw[stops].reshape(-1, 3) == (44, 44, 10)).all()
+            or np.diff(stops, prepend=-1).max() > csv.field_size_limit() + 1):
+        return None
+    fields = chunk[:-1].decode("utf-8", "surrogateescape").replace("\n", ",").split(",")
+    try:
+        return fields, np.array(fields[2::3], dtype=float)
+    except ValueError:
+        return None
+
+
+def _intern(codes: dict[str, int], strings: list[str]):
+    """The codes of ``strings``, numbering new ones in order of first appearance."""
+    for s in dict.fromkeys(strings):
+        codes.setdefault(s, len(codes))
+    return map(codes.__getitem__, strings)
+
+
 def load_panel(source) -> PricePanel:
     """Read a ``ticker,date,adj_close`` file into a validated panel.
 
@@ -178,6 +216,10 @@ def load_panel(source) -> PricePanel:
     out-of-order rows are sorted and noted in the panel's load report.
     Each row is read as integer codes of its raw ticker and date strings
     plus its price, so each distinct string is checked and converted once.
+    After a plain header, rows are parsed in bulk, _CHUNK_BYTES at a time, while
+    each chunk passes a gate: no quote, CR or NUL, two commas on every line, no field
+    over the csv field size limit, every price read by ``float``.  ``csv.reader``
+    reads from the first chunk that fails it on, storing the same rows and lines.
     One stable lexsort by (ticker, date) then groups the panel, and a faulty
     file reports the physical line its first offending record ends on, with
     the message rebuilt from that row alone.  A byte that is not UTF-8 is
@@ -189,19 +231,37 @@ def load_panel(source) -> PricePanel:
     prices = array("d")
     stop: Exception | None = None  # what ended the read early, raised if no stored row is faulty
 
-    with open(source, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
+    with open(source, "rb") as fh:
+        head = fh.peek()
+        head = head[: head.find(b"\n") + 1]  # the header line, if the read buffer holds it
+        bulk = bool(head) and fh.seekable() and b'"' not in head and b"\r" not in head
+        records = _csv_records(io.BytesIO(head) if bulk else fh, 0, "utf-8-sig")  # the header, or all
         try:
-            header = next(reader)
+            header = next(records)[1]
         except StopIteration:
             raise ParseError("empty file", line=1) from None
         if tuple(h.strip().lower() for h in header) != _COLUMNS:
             raise _undecodable(1, ",".join(header)) or ParseError(
                 f"expected header {','.join(_COLUMNS)!r}, got {','.join(header)!r}", line=1
             )
+        lineno, offset = 1, len(head)
+        while bulk:
+            fh.seek(offset)
+            chunk = fh.read(_CHUNK_BYTES)
+            chunk = chunk[: chunk.rfind(b"\n") + 1]
+            if (rows := _bulk_rows(chunk)) is None:  # this chunk and all after it are left to csv.reader
+                fh.seek(offset)
+                records = _csv_records(fh, lineno)
+                break
+            fields, px = rows
+            prices.frombytes(px.tobytes())
+            ticker_codes.extend(_intern(raw_tickers, fields[0::3]))
+            date_codes.extend(_intern(raw_dates, fields[1::3]))
+            lines.extend(range(lineno + 1, lineno + 1 + px.size))
+            lineno += px.size
+            offset += len(chunk)
         try:
-            for row in reader:
-                lineno = reader.line_num
+            for lineno, row in records:
                 if len(row) != 3:
                     if not row or (len(row) == 1 and not row[0].strip()):
                         continue
@@ -215,7 +275,7 @@ def load_panel(source) -> PricePanel:
                 ticker_codes.append(raw_tickers.setdefault(row[0], len(raw_tickers)))
                 date_codes.append(raw_dates.setdefault(row[1], len(raw_dates)))
                 lines.append(lineno)
-        except csv.Error as exc:  # reported only if no stored row is faulty
+        except ParseError as exc:  # a csv error, reported only if no stored row is faulty
             stop = exc
 
     names = [s.strip() for s in raw_tickers]

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import datetime as dt
 import json
 import math
@@ -606,6 +607,19 @@ def test_non_utf8_price_file_exits_2_naming_the_line(tmp_path, capsys, command):
     assert main([command, "--input", str(src), "--out", str(tmp_path / "out")]) == 2
     prefix = "analyze: prices" if command == "analyze" else "gbm"
     assert capsys.readouterr().err == f"{prefix}: line 5003: byte 0xe9 is not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "gbm"])
+def test_field_over_the_csv_limit_exits_2_naming_the_line(tmp_path, capsys, command):
+    """csv.reader's field size limit is an input error on the line it is met, not a traceback."""
+    src = make_return_panel(tmp_path, "prices", [1.5] * 3000)
+    lines = src.read_bytes().split(b"\n")
+    lines[4000] = lines[4000].replace(b"T1999", b"T1999" + b"x" * (csv.field_size_limit() + 1))
+    src.write_bytes(b"\n".join(lines))
+    assert main([command, "--input", str(src), "--out", str(tmp_path / "out")]) == 2
+    prefix = "analyze: prices" if command == "analyze" else "gbm"
+    message = f"line 4001: field larger than field limit ({csv.field_size_limit()})"
+    assert capsys.readouterr().err == f"{prefix}: {message}\n"
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -12,12 +12,17 @@ import csv
 import datetime as dt
 import io
 import math
+import re
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from bigwinners import empirical
+from bigwinners.cli import main
 from bigwinners.empirical import PricePanel, load_panel
 from bigwinners.errors import DataError, ParseError
 
@@ -219,3 +224,140 @@ def test_undecodable_bytes_after_a_bad_row(tmp_path):
     assert_same_outcome(outcome(load_panel, path), outcome(reference_load_panel, path))
     path.write_bytes(b"ticker,date,adj_close\n" + good + b"\xff\n")
     assert_same_outcome(outcome(load_panel, path), ParseError("line 3002: byte 0xff is not UTF-8 text"))
+
+
+# ---------------------------------------------------------------------------
+# Bulk and csv routes: load_panel parses plain rows a chunk at a time and
+# hands the first chunk that needs csv.reader, and all after it, to
+# csv.reader.  Small chunk sizes put every kind of line on a chunk border.
+# ---------------------------------------------------------------------------
+
+CHUNK_SIZES = st.integers(1, 80) | st.just(empirical._CHUNK_BYTES)
+# Rows csv.reader must read: a quoted comma or newline, NUL bytes (a csv
+# error before Python 3.11), whitespace-only lines, 1 and 5 fields.
+MESSY_ROWS = [
+    ["B,1", "2006-01-02", "5"], ["A\nA", "2006-01-03", "2"], ["AAA", "2006-01-02\n", "3"],
+    ["CC", "2006-02-01", "7\n"], ["\nAAA", "2007-06-15", "1"], [" "], ["\t"], ["AAA"],
+    ["AAA", "2006-01-02", "1", "2", "3"],
+] + ([["N\0", "2006-01-02", "4"], ["CC", "2006-01-03", "4\0"]] if sys.version_info >= (3, 11) else [])
+
+
+@st.composite
+def messy_price_files(draw):
+    """File bytes: rows of ``price_files`` and of MESSY_ROWS, each ended by LF,
+    CRLF or CR and some with every field quoted."""
+    text = draw(price_files())
+    bom = "\ufeff" * text.startswith("\ufeff")
+    rows = list(csv.reader(io.StringIO(text[len(bom):])))
+    rows[1:] = draw(st.permutations(rows[1:] + draw(st.lists(st.sampled_from(MESSY_ROWS), max_size=4))))
+    buf = io.StringIO()
+    for row in rows:
+        quoting = csv.QUOTE_ALL if draw(st.booleans()) else csv.QUOTE_MINIMAL
+        csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"])), quoting=quoting).writerow(row)
+    return (bom + buf.getvalue()).encode("utf-8")
+
+
+def physical_reference(path):
+    """The outcome of ``reference_load_panel``, with the record number its
+    error names turned into the physical line that record ends on."""
+    want = outcome(reference_load_panel, path)
+    found = re.match(r"line (\d+): ", str(want)) if isinstance(want, Exception) else None
+    if found is None:
+        return want
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        ends = [reader.line_num for _ in reader]
+    return type(want)(f"line {ends[int(found[1]) - 1]}: {str(want)[found.end():]}")
+
+
+def load_in_chunks(path, size):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(empirical, "_CHUNK_BYTES", size)
+        return outcome(load_panel, path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(price_files(), CHUNK_SIZES)
+def test_chunk_borders_match_the_reference(text, size):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_same_outcome(load_in_chunks(path, size), outcome(reference_load_panel, path))
+
+
+@settings(max_examples=400, deadline=None)
+@given(messy_price_files(), CHUNK_SIZES)
+def test_rows_for_csv_reader_at_chunk_borders_match_the_reference(data, size):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        path.write_bytes(data)
+        assert_same_outcome(load_in_chunks(path, size), physical_reference(path))
+
+
+def plain_rows(n: int) -> bytes:
+    """``n`` plain rows of 20 bytes each: 25 tickers over consecutive days."""
+    day0 = dt.date(2006, 1, 2)
+    return b"".join(b"T%03d,%s,%d.5\n" % (i % 25, str(day0 + dt.timedelta(i // 25)).encode(), 1 + i % 7)
+                    for i in range(n))
+
+
+SIZES = [empirical._CHUNK_BYTES, 5, 24, 61]
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_three_fields_per_line_not_in_total(tmp_path, capsys, size):
+    """Three fields a line, not a field count that is a multiple of 3,
+    admits a chunk to the bulk route."""
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b"ticker,date,adj_close\nAAA\n2006-01-02,5,BBB,2006-01-03,7\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(empirical, "_CHUNK_BYTES", size)
+        assert main(["analyze", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "analyze: prices: line 2: expected 3 fields, got 1\n"
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("fault", [b"", b"T999,2006-01-02,x\n"], ids=["clean", "bad_price_after"])
+@pytest.mark.parametrize("cr", [(b"\n", b"\r\n"), (b",", b"\r,")], ids=["crlf", "cr_ends_a_ticker"])
+def test_cr_first_met_in_the_third_chunk(tmp_path, size, fault, cr):
+    """A CR in the third chunk sends it to csv.reader, with the same rows and
+    line numbers as reading every row with csv.reader: after a CRLF line end
+    the load goes on, and a CR after a ticker ends a 1-field line."""
+    per_chunk = max(size // 20, 1)  # whole 20-byte rows in each bulk chunk
+    rows = plain_rows(3 * per_chunk + 40).splitlines(keepends=True)
+    rows[2 * per_chunk + 1] = rows[2 * per_chunk + 1].replace(*cr, 1)
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b"ticker,date,adj_close\n" + b"".join(rows) + fault)
+    got = load_in_chunks(path, size)
+    assert_same_outcome(got, physical_reference(path))
+    if cr[0] == b",":
+        assert str(got) == f"line {2 * per_chunk + 3}: expected 3 fields, got 1"
+    elif fault:
+        assert str(got) == f"line {len(rows) + 2}: bad price 'x'"
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("field", [0, 1, 2], ids=["ticker", "date", "price"])
+def test_non_utf8_byte_in_a_bulk_chunk_names_its_line(tmp_path, size, field):
+    rows = plain_rows(60).splitlines(keepends=True)
+    fields = rows[37].split(b",")
+    fields[field] = b"\xe9" + fields[field]
+    rows[37] = b",".join(fields)
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b"ticker,date,adj_close\n" + b"".join(rows))
+    assert str(load_in_chunks(path, size)) == "line 39: byte 0xe9 is not UTF-8 text"
+
+
+def test_plain_rows_never_reach_csv_reader(tmp_path, monkeypatch):
+    """On a plain file of many chunks, csv.reader reads the header line alone."""
+    seen = []
+    real_reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda lines, *args, **kwargs: real_reader(
+        (seen.append(line) or line for line in lines), *args, **kwargs))
+    monkeypatch.setattr(empirical, "_CHUNK_BYTES", 64)
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b"ticker,date,adj_close\n" + plain_rows(200))
+    panel = load_panel(path)
+    assert seen == ["ticker,date,adj_close\n"]
+    monkeypatch.undo()
+    assert_same_outcome(panel, reference_load_panel(path))
