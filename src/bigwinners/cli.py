@@ -40,7 +40,6 @@ from .empirical import (
 from .errors import (
     BigWinnersError,
     DataError,
-    FitFailureError,
     InsufficientDataError,
     ParameterError,
     ParseError,
@@ -255,14 +254,19 @@ def cmd_analyze(args) -> int:
             continue
         summary_rows.append((name, *dataclasses.astuple(summary)))
 
+        filtered = tail_filter(sample, threshold_log=args.tail_threshold)
         try:
-            filtered = tail_filter(sample, threshold_log=args.tail_threshold)
-            params, moments, c = fit_macroscopic(filtered)
-        except (FitFailureError, InsufficientDataError) as exc:
+            params, moments = fit_macroscopic(filtered)
+        except InsufficientDataError as exc:
             print(f"analyze: {name}: fit failure: {exc}", file=sys.stderr)
             exit_code = EXIT_FIT_FAILURE if exit_code == EXIT_OK else exit_code
             continue
+        except ParameterError as exc:  # e.g. a fitted mean that overflows a float
+            print(f"analyze: {name}: {exc}", file=sys.stderr)
+            exit_code = EXIT_INPUT_ERROR
+            continue
         central = (moments.mean, moments.median, moments.mode) if moments else (None, None, None)
+        c = moments.coeff_variation if moments else None
         fit_rows.append(
             (
                 name, params.mu, params.sigma, *central, params.sigma_sq, c,
@@ -422,9 +426,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](_resolve(args, _load_config(args.config)))
-    except FitFailureError as exc:
-        print(f"{args.command}: fit failure: {exc}", file=sys.stderr)
-        return EXIT_FIT_FAILURE
     except (BigWinnersError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -15,6 +15,7 @@ streams.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,9 @@ __all__ = [
     "AsymmetricLaplaceParams",
     "GammaParams",
     "MomentSummary",
+    "lognormal_mean",
     "lognormal_moments",
     "sample",
-    "law",
     "quantile",
     "fit_lognormal",
     "fit_skew_normal",
@@ -54,6 +55,8 @@ SKEW_ALPHA_CAP = 50.0
 # |alpha| ~ 0.3 even on exactly normal data; asymmetry is kept only when it
 # beats the nested normal fit by a significant likelihood ratio.
 SKEW_SYMMETRY_LRT = 3.841
+# Largest x whose e^x is a finite float.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -175,17 +178,29 @@ class MomentSummary:
 # Closed-form log-normal statistics
 # ---------------------------------------------------------------------------
 
+def lognormal_mean(p: LogNormalParams) -> float:
+    """mean = e^{mu + sigma^2/2}; ParameterError when it overflows a float."""
+    x = p.mu + 0.5 * p.sigma_sq
+    if x > LOG_FLOAT_MAX:
+        raise ParameterError(f"log-normal mean = exp({x:.6g}) overflows a float")
+    return math.exp(x)
+
+
 def lognormal_moments(p: LogNormalParams) -> MomentSummary:
     """Mean, median, mode, variance and coefficient of variation.
 
     mode = e^{mu - sigma^2}, median = e^{mu}, mean = e^{mu + sigma^2/2},
     variance = e^{2 mu + sigma^2}(e^{sigma^2} - 1), C = sqrt(e^{sigma^2} - 1).
+    Raises ParameterError when the mean, e^{2 mu + sigma^2} or e^{sigma^2} overflows a float.
     """
     if p.sigma <= 0:
         raise ParameterError("lognormal_moments requires sigma > 0")
     s2 = p.sigma_sq
+    mean = lognormal_mean(p)
+    if max(2.0 * p.mu + s2, s2) > LOG_FLOAT_MAX:
+        raise ParameterError(f"log-normal variance overflows a float at sigma = {p.sigma:.6g}")
     return MomentSummary(
-        mean=math.exp(p.mu + 0.5 * s2),
+        mean=mean,
         median=math.exp(p.mu),
         mode=math.exp(p.mu - s2),
         variance=math.exp(2.0 * p.mu + s2) * math.expm1(s2),
@@ -194,7 +209,7 @@ def lognormal_moments(p: LogNormalParams) -> MomentSummary:
 
 
 # ---------------------------------------------------------------------------
-# Sampling, densities and quantiles
+# Sampling and quantiles
 # ---------------------------------------------------------------------------
 
 def sample(params, n: int, seed) -> np.ndarray:
@@ -223,40 +238,18 @@ def sample(params, n: int, seed) -> np.ndarray:
         y[left] = k * np.log(u[left] * (1.0 + k2) / k2)
         y[~left] = -np.log((1.0 - u[~left]) * (1.0 + k2)) / k
         return params.location + params.scale * y
-    if isinstance(params, GammaParams):
-        return rng.gamma(params.shape, 1.0 / params.rate, size=n)
     raise TypeError(f"no sampler for {type(params).__name__}")
 
 
-def law(params):
-    """The frozen ``scipy.stats`` distribution of the law described by ``params``.
+def quantile(p: LogNormalParams, q) -> np.ndarray:
+    """Quantile function (inverse CDF) of a log-normal law: exp(sigma * ndtri(q)) * e^mu.
 
-    The one place that maps these parameter containers onto scipy's
-    parameterisations.  A degenerate log-normal (``sigma == 0``) has no
-    density and raises ParameterError.
+    scipy's ``lognorm.ppf`` term by term (0 at q = 0, inf at q = 1, NaN off
+    [0, 1]).  A degenerate law (``sigma == 0``) raises ParameterError.
     """
-    if isinstance(params, LogNormalParams):
-        if params.sigma <= 0:
-            raise ParameterError("log-normal law requires sigma > 0")
-        return scipy.stats.lognorm(params.sigma, scale=math.exp(params.mu))
-    if isinstance(params, SkewNormalParams):
-        return scipy.stats.skewnorm(params.alpha, loc=params.zeta, scale=params.omega)
-    if isinstance(params, AsymmetricLaplaceParams):
-        return scipy.stats.laplace_asymmetric(params.asymmetry, loc=params.location, scale=params.scale)
-    if isinstance(params, GammaParams):
-        return scipy.stats.gamma(params.shape, scale=1.0 / params.rate)
-    raise TypeError(f"no law for {type(params).__name__}")
-
-
-def quantile(params, q) -> np.ndarray:
-    """Quantile function (inverse CDF) of the law described by ``params``.
-
-    A log-normal quantile is exp(sigma * ndtri(q)) * e^mu, scipy's ``lognorm.ppf``
-    term by term (0 at q = 0, inf at q = 1, NaN off [0, 1]), without scipy.stats.
-    """
-    if isinstance(params, LogNormalParams) and params.sigma > 0:
-        return np.exp(params.sigma * scipy.special.ndtri(q)) * math.exp(params.mu)
-    return law(params).ppf(q)
+    if p.sigma <= 0:
+        raise ParameterError("log-normal law requires sigma > 0")
+    return np.exp(p.sigma * scipy.special.ndtri(q)) * math.exp(p.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +297,7 @@ def _skew_normal_nll(theta: np.ndarray, x: np.ndarray) -> float:
 def _skew_normal_moment_start(x: np.ndarray) -> tuple[float, float, float]:
     m = float(np.mean(x))
     sd = float(np.std(x))
-    # Biased moment skewness, as scipy.stats.skew: NaN once m2 is lost to rounding.
+    # Biased moment skewness, as scipy's stats.skew: NaN once m2 is lost to rounding.
     d = x - m
     m2 = np.mean(d * d)
     g1 = math.nan if m2 <= (np.finfo(float).eps * m) ** 2 else float(np.mean(d * d * d) / m2**1.5)

@@ -665,17 +665,14 @@ def summarize_index(sample: ReturnSample) -> IndexSummary:
     )
 
 
-def fit_macroscopic(sample: ReturnSample) -> tuple[LogNormalParams, MomentSummary | None, float | None]:
+def fit_macroscopic(sample: ReturnSample) -> tuple[LogNormalParams, MomentSummary | None]:
     """Log-normal fit of a (tail-filtered) return sample.
 
-    Returns the fitted parameters, their closed-form moment summary and the
-    coefficient of variation; the latter two are None for a degenerate fit.
+    Returns the fitted parameters and their closed-form moment summary; the
+    summary is None for a degenerate fit.
     """
     params = fit_lognormal(sample.rho)
-    if params.degenerate:
-        return params, None, None
-    moments = lognormal_moments(params)
-    return params, moments, moments.coeff_variation
+    return params, None if params.degenerate else lognormal_moments(params)
 
 
 # ---------------------------------------------------------------------------
@@ -725,19 +722,15 @@ def write_returns_csv(sample: ReturnSample, destination) -> None:
 # QQ data
 # ---------------------------------------------------------------------------
 
-def qq_data(sample: ReturnSample, fitted) -> np.ndarray:
-    """(theoretical, empirical) quantile pairs of ln rho against a fitted law.
+def qq_data(sample: ReturnSample, fitted: LogNormalParams) -> np.ndarray:
+    """(theoretical, empirical) quantile pairs of ln rho against a fitted log-normal law.
 
-    Plotting positions are (i - 0.5)/n.  A LogNormalParams fit describes
-    rho itself, so its quantiles are mapped through ln; skew-normal and
-    asymmetric Laplace fits already describe ln rho.
+    Plotting positions are (i - 0.5)/n.  The fit describes rho itself, so
+    its quantiles are mapped through ln.
     """
     n = len(sample)
     if n < 10:
         raise InsufficientDataError("qq_data needs at least 10 returns")
     empirical = np.sort(np.log(sample.rho))
     positions = (np.arange(1, n + 1) - 0.5) / n
-    theoretical = np.asarray(quantile(fitted, positions), dtype=float)
-    if isinstance(fitted, LogNormalParams):
-        theoretical = np.log(theoretical)
-    return np.column_stack([theoretical, empirical])
+    return np.column_stack([np.log(quantile(fitted, positions)), empirical])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .distributions import LogNormalParams, SkewNormalParams, law, sample as draw
+from .distributions import LOG_FLOAT_MAX, LogNormalParams, SkewNormalParams, lognormal_mean, sample as draw
 from .empirical import ReturnSample, _fminbound, kde_mode
 from .errors import ParameterError
 
@@ -81,13 +81,9 @@ def model_ratios(p: DriftModelParams) -> UnderperformanceRatios:
     """
     t = p.horizon
     half = 0.5 * (p.sigma * p.sigma * t + p.sigma_d * p.sigma_d * t * t)
-    try:
-        mean_over_mode = math.exp(3.0 * half)  # the cube overflows first
-        if mean_over_mode == math.inf:  # half itself overflowed, and exp(inf) does not raise
-            raise OverflowError
-    except OverflowError:
-        raise ParameterError(f"mean_over_mode = exp({3.0 * half:.6g}) overflows a float") from None
-    return UnderperformanceRatios(mean_over_median=math.exp(half), mean_over_mode=mean_over_mode)
+    if 3.0 * half > LOG_FLOAT_MAX:  # the cube overflows first
+        raise ParameterError(f"mean_over_mode = exp({3.0 * half:.6g}) overflows a float")
+    return UnderperformanceRatios(mean_over_median=math.exp(half), mean_over_mode=math.exp(3.0 * half))
 
 
 # ---------------------------------------------------------------------------
@@ -118,34 +114,36 @@ def simulate_index(p: DriftModelParams, n_stocks: int, seed) -> ReturnSample:
 
 
 def implied_log_skew_normal(p: DriftModelParams, alpha: float) -> SkewNormalParams:
-    """Skew-normal law of ln rho when the drift is SN(p.mu_d, p.sigma_d, alpha).
+    """Skew-normal law of ln rho when the drift is D = mu_d + sigma_d * SN(0, 1, alpha).
 
-    ln rho = (D*T - sigma^2*T/2) + sigma*sqrt(T)*Z with D skew-normal; the
-    sum of a skew-normal and an independent normal stays skew-normal with
-    scale sqrt(sigma_d^2 T^2 + sigma^2 T) and a shape shrunk accordingly.
+    Here mu_d and sigma_d are the drift's skew-normal location and scale,
+    not its mean and spread.  ln rho = (D*T - sigma^2*T/2) + sigma*sqrt(T)*Z;
+    the sum of a skew-normal and an independent normal stays skew-normal
+    with scale sqrt(sigma_d^2 T^2 + sigma^2 T) and a shape shrunk
+    accordingly.  At sigma_d = 0 it is ``implied_lognormal(p)`` with alpha = 0.
     """
-    drift = SkewNormalParams(zeta=p.mu_d, omega=p.sigma_d, alpha=alpha)
     loc = p.mu_d * p.horizon - 0.5 * p.sigma * p.sigma * p.horizon
     w = p.sigma_d * p.horizon
-    tau_sq = p.sigma * p.sigma * p.horizon
-    scale = math.sqrt(w * w + tau_sq)
-    delta_bar = w * drift.delta / scale
+    scale = math.sqrt(w * w + p.sigma * p.sigma * p.horizon)
+    if scale == 0.0:
+        raise ParameterError("the skew-drift model needs sigma > 0 or sigma_d > 0")
+    delta_bar = w * SkewNormalParams(zeta=0.0, omega=1.0, alpha=alpha).delta / scale
     alpha_bar = delta_bar / math.sqrt(max(1.0 - delta_bar * delta_bar, 1e-300))
     return SkewNormalParams(zeta=loc, omega=scale, alpha=alpha_bar)
 
 
 def simulate_index_skew_drift(p: DriftModelParams, alpha: float, n_stocks: int, seed) -> ReturnSample:
-    """``simulate_index`` with skew-normal drift SN(p.mu_d, p.sigma_d, alpha).
+    """``simulate_index`` with skew-normal drift mu_d + sigma_d * SN(0, 1, alpha).
 
-    The drift model's mean drift and dispersion stand in for the skew-normal
-    location and scale.  The cross-section is log-skew-normal; its mode and
-    median have no closed form, so summarize the returned sample
+    Here mu_d and sigma_d are the drift's skew-normal location and scale,
+    not its mean and spread.  The cross-section is log-skew-normal; its mode
+    and median have no closed form, so summarize the returned sample
     (``sample_ratio_summary``) or evaluate the implied density numerically
     (``log_skew_normal_mode``).
     """
-    drift = SkewNormalParams(zeta=p.mu_d, omega=p.sigma_d, alpha=alpha)
     rng = _generator(n_stocks, seed)
-    return _terminal_returns(draw(drift, n_stocks, rng), p, rng)
+    shape = draw(SkewNormalParams(zeta=0.0, omega=1.0, alpha=alpha), n_stocks, rng)
+    return _terminal_returns(p.mu_d + p.sigma_d * shape, p, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +158,7 @@ def log_skew_normal_mode(sn: SkewNormalParams) -> float:
     maximum, bracketed by a coarse grid and polished by ``_fminbound``
     between the winner's neighbours (the winner itself if that fails).
     """
-    logpdf = law(sn).logpdf
+    logpdf = scipy.stats.skewnorm(sn.alpha, loc=sn.zeta, scale=sn.omega).logpdf
     lo = sn.zeta - sn.omega * sn.omega - 20.0 * sn.omega
     hi = sn.zeta + 20.0 * sn.omega
     grid = np.linspace(lo, hi, 512)
@@ -171,14 +169,12 @@ def log_skew_normal_mode(sn: SkewNormalParams) -> float:
 
 def log_skew_normal_mean(sn: SkewNormalParams) -> float:
     """E[exp(Y)] = 2 exp(zeta + omega^2/2) Phi(delta * omega), exactly."""
-    return 2.0 * math.exp(sn.zeta + 0.5 * sn.omega * sn.omega) * float(
-        scipy.special.ndtr(sn.delta * sn.omega)
-    )
+    return 2.0 * lognormal_mean(LogNormalParams(sn.zeta, sn.omega)) * float(scipy.special.ndtr(sn.delta * sn.omega))
 
 
 def log_skew_normal_median(sn: SkewNormalParams) -> float:
     """exp of the skew-normal median (numeric quantile)."""
-    return math.exp(float(law(sn).ppf(0.5)))
+    return math.exp(float(scipy.stats.skewnorm(sn.alpha, loc=sn.zeta, scale=sn.omega).ppf(0.5)))
 
 
 # ---------------------------------------------------------------------------

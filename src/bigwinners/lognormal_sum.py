@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .distributions import LogNormalParams
+from .distributions import LogNormalParams, lognormal_mean
 from .empirical import kde_mode, kde_mode_bootstrap_stderr
 from .errors import ParameterError
 
@@ -139,9 +139,8 @@ def _portfolio_means(p: LogNormalParams, n: int, reps: int, seed) -> tuple[np.nd
     return y, rng
 
 
-def _mode_ratio(p: LogNormalParams, y: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
+def _mode_ratio(true_mean: float, y: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
     """KDE mode of the portfolio means over the true mean, and its bootstrap standard error."""
-    true_mean = math.exp(p.mu + 0.5 * p.sigma_sq)
     mode = kde_mode(y).mode
     stderr = kde_mode_bootstrap_stderr(y, seed=rng) / true_mean
     return mode / true_mean, stderr
@@ -163,7 +162,7 @@ def mc_typical_mean(p: LogNormalParams, n: int, reps: int, seed) -> tuple[float,
     """
     _check_params(p, n)
     _check_reps(reps)
-    return _mode_ratio(p, *_portfolio_means(p, n, reps, seed))
+    return _mode_ratio(lognormal_mean(p), *_portfolio_means(p, n, reps, seed))
 
 
 def exact_typical_mean_ratio(p: LogNormalParams, n: int) -> float:
@@ -182,7 +181,7 @@ def exact_typical_mean_ratio(p: LogNormalParams, n: int) -> float:
     _check_params(p)
     if not 1 <= n < 2048:
         raise ParameterError(f"the exact oracle takes portfolio sizes 1..2047, got {n}")
-    mean = math.exp(p.mu + p.sigma_sq / 2)
+    mean = lognormal_mean(p)
     width = 4 * n * mean
     for _ in range(EXACT_MAX_DOUBLINGS):
         edges = np.linspace(0.0, width, EXACT_POINTS + 1)
@@ -234,12 +233,13 @@ def regime_curve(
         return tuple(CurvePoint(n=n, ratio_analytic=a) for n, a in zip(grid, analytic))
 
     _check_reps(reps)
+    mean = lognormal_mean(p)
     from concurrent.futures import ThreadPoolExecutor
 
     seeds = dict(zip(grid, np.random.SeedSequence(seed).spawn(len(grid))))
     with ThreadPoolExecutor(max_workers=min(len(grid), os.cpu_count() or 1)) as pool:
         draws = {n: pool.submit(_portfolio_means, p, n, reps, seeds[n]) for n in reversed(grid)}
     return tuple(
-        CurvePoint(n, a, *_mode_ratio(p, *draws[n].result()))
+        CurvePoint(n, a, *_mode_ratio(mean, *draws[n].result()))
         for n, a in zip(grid, analytic)
     )

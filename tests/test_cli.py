@@ -473,6 +473,27 @@ def test_overflow_exits_2_with_a_message(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def test_regime_mean_overflow_exits_2_before_drawing(tmp_path, capsys):
+    argv = ["regime", "--mu", "800", "--sigma", "1", "--reps", "10000", "--seed", "1", "--n-grid", "1"]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "regime: inline: log-normal mean = exp(800.5) overflows a float\n"
+    assert not out.exists()
+
+
+def test_analyze_mean_overflow_exits_2_and_writes_the_other_index(tmp_path, capsys):
+    big = make_return_panel(tmp_path, "big", [1e174] * 5 + [2.0] * 5)
+    calm = make_return_panel(tmp_path, "calm", np.linspace(1.5, 4.0, 10))
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(big), "--input", str(calm), "--out", str(out), "--qq"]) == 2
+    assert capsys.readouterr().err == "analyze: big: log-normal mean = exp(20196.3) overflows a float\n"
+    fits = list(csv.DictReader((out / "lognormal_fit.csv").read_text(encoding="utf-8").splitlines()))
+    assert [row["index"] for row in fits] == ["calm"]
+    summary = list(csv.DictReader((out / "summary.csv").read_text(encoding="utf-8").splitlines()))
+    assert [row["index"] for row in summary] == ["big", "calm"]
+    assert (out / "qq_calm.csv").exists() and not (out / "qq_big.csv").exists()
+
+
 @pytest.mark.parametrize(
     "config,where",
     [

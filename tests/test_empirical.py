@@ -319,16 +319,16 @@ class TestFitMacroscopic:
     def test_recovery_with_table_targets(self):
         rho = sample(LogNormalParams(0.95, 1.02), 100_000, 20)
         s = tail_filter(ReturnSample(rho=rho))
-        params, moments, c = fit_macroscopic(s)
+        params, moments = fit_macroscopic(s)
         assert params.mu == pytest.approx(0.95, abs=0.02)
         assert params.sigma == pytest.approx(1.02, abs=0.02)
-        assert c == pytest.approx(1.35, abs=0.03)
+        assert moments.coeff_variation == pytest.approx(1.35, abs=0.03)
 
     def test_degenerate_sample(self):
         s = ReturnSample(rho=np.full(10, 2.0))
-        params, moments, c = fit_macroscopic(s)
+        params, moments = fit_macroscopic(s)
         assert params.degenerate
-        assert moments is None and c is None
+        assert moments is None
 
     def test_mixture_recovered_after_filter(self):
         # 10% delisting-like mass far below the cutoff plus a log-normal body.
@@ -336,7 +336,7 @@ class TestFitMacroscopic:
         body = rng.lognormal(0.95, 1.02, 18_000)
         crash = rng.lognormal(-4.0, 0.3, 2_000)
         s = tail_filter(ReturnSample(rho=np.concatenate([body, crash])))
-        params, _, _ = fit_macroscopic(s)
+        params, _ = fit_macroscopic(s)
         assert params.mu == pytest.approx(0.95, abs=0.05)
         assert params.sigma == pytest.approx(1.02, abs=0.05)
 
@@ -352,7 +352,7 @@ class TestQQData:
         p = LogNormalParams(0.5, 0.8)
         rho = sample(p, 10_000, 17)
         s = ReturnSample(rho=rho)
-        fit, _, _ = fit_macroscopic(s)
+        fit, _ = fit_macroscopic(s)
         pairs = qq_data(s, fit)
         u_theo = stats.norm.cdf(pairs[:, 0], fit.mu, fit.sigma)
         u_emp = stats.norm.cdf(pairs[:, 1], fit.mu, fit.sigma)
@@ -367,7 +367,7 @@ class TestQQData:
         rng = np.random.default_rng(22)
         log_rho = rng.laplace(0.5, 0.7, 20_000)
         s = ReturnSample(rho=np.exp(log_rho))
-        fit, _, _ = fit_macroscopic(s)
+        fit, _ = fit_macroscopic(s)
         pairs = qq_data(s, fit)
         resid = pairs[:, 1] - pairs[:, 0]
         k = len(resid) // 20

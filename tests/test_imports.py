@@ -103,6 +103,14 @@ def test_only_the_skew_normal_fit_names_scipy_optimize():
     assert users == ["distributions.py"]
 
 
+def test_only_index_model_names_scipy_stats():
+    """scipy.stats costs about a second to import; only the skew-normal mode and
+    median in ``index_model`` use it, and a stray use elsewhere fails here."""
+    users = sorted(path.name for path in (SRC / "bigwinners").glob("*.py")
+                   if "scipy.stats" in path.read_text(encoding="utf-8"))
+    assert users == ["index_model.py"]
+
+
 def test_qq_loads_only_special(price_file, tmp_path):
     """The log-normal QQ quantiles need only special.ndtri."""
     assert cli_loaded(0, "analyze", "--input", str(price_file), "--out", str(tmp_path), "--qq") == {"special"}

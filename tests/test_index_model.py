@@ -167,6 +167,19 @@ class TestSkewDriftModel:
         implied = implied_log_skew_normal(DriftModelParams(0.06, 0.09, 0.29, 16), 1.88)
         assert (implied.zeta, implied.omega, implied.alpha) == (0.2872, 1.8491078930121951, 0.9468345701956261)
 
+    @pytest.mark.parametrize("alpha", [-3.0, 0.0, 1.88, 50.0])
+    def test_zero_drift_scale_is_the_implied_lognormal_law(self, alpha):
+        # sigma_d = 0 is a constant drift mu_d whatever the shape alpha.
+        p = DriftModelParams(0.1, 0.0, 0.2, 10)
+        implied, lognormal = implied_log_skew_normal(p, alpha), implied_lognormal(p)
+        assert (implied.zeta, implied.omega, implied.alpha) == (lognormal.mu, lognormal.sigma, 0.0)
+        rho = simulate_index_skew_drift(p, alpha, 5, seed=1).rho
+        assert rho.shape == (5,) and np.all(np.isfinite(rho))
+
+    def test_zero_drift_scale_and_volatility_rejected(self):
+        with pytest.raises(ParameterError, match="^the skew-drift model needs sigma > 0 or sigma_d > 0$"):
+            implied_log_skew_normal(DriftModelParams(0.1, 0.0, 0.0, 10), 1.88)
+
     def test_positive_alpha_skews_log_returns(self):
         sample = simulate_index_skew_drift(DriftModelParams(0.0, 0.08, 0.05, 16), 5.0, 100_000, seed=22)
         assert stats.skew(np.log(sample.rho)) > 0
