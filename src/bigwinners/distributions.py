@@ -191,19 +191,21 @@ def lognormal_moments(p: LogNormalParams) -> MomentSummary:
 
     mode = e^{mu - sigma^2}, median = e^{mu}, mean = e^{mu + sigma^2/2},
     variance = e^{2 mu + sigma^2}(e^{sigma^2} - 1), C = sqrt(e^{sigma^2} - 1).
-    Raises ParameterError when the mean, e^{2 mu + sigma^2} or e^{sigma^2} overflows a float.
+    Raises ParameterError when the mean, the variance or either of its factors overflows a float.
     """
     if p.sigma <= 0:
         raise ParameterError("lognormal_moments requires sigma > 0")
     s2 = p.sigma_sq
     mean = lognormal_mean(p)
-    if max(2.0 * p.mu + s2, s2) > LOG_FLOAT_MAX:
+    if max(2.0 * p.mu + s2, s2) > LOG_FLOAT_MAX or math.isinf(
+        variance := math.exp(2.0 * p.mu + s2) * math.expm1(s2)
+    ):
         raise ParameterError(f"log-normal variance overflows a float at sigma = {p.sigma:.6g}")
     return MomentSummary(
         mean=mean,
         median=math.exp(p.mu),
         mode=math.exp(p.mu - s2),
-        variance=math.exp(2.0 * p.mu + s2) * math.expm1(s2),
+        variance=variance,
         coeff_variation=math.sqrt(math.expm1(s2)),
     )
 

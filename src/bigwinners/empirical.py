@@ -15,6 +15,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,7 @@ class KDEModeResult:
 _COLUMNS = ("ticker", "date", "adj_close")
 _CHUNK_BYTES = 1 << 20  # bytes of plain rows load_panel parses at once
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+_SEGMENT_DAYS = 1 << 23  # over twice the days dt.date spans, so (segment, day) keys never overlap
 
 
 def _undecodable(lineno: int, text: str) -> ParseError | None:
@@ -321,10 +323,15 @@ def load_panel(source) -> PricePanel:
 # Total returns
 # ---------------------------------------------------------------------------
 
-def _nearest_within(dates: np.ndarray, target: np.datetime64) -> int | None:
-    gaps = np.abs((dates - target).astype("timedelta64[D]").astype(int))
-    k = int(np.argmin(gaps))
-    return k if gaps[k] <= ENDPOINT_TOLERANCE_DAYS else None
+def _nearest_within(key: np.ndarray, starts: np.ndarray, ends: np.ndarray, edge: dt.date) -> np.ndarray:
+    """Per segment of ``key``, the index of its date nearest ``edge`` (the earlier of two
+    equidistant ones, as ``argmin`` takes it), or -1 if none is within ENDPOINT_TOLERANCE_DAYS."""
+    target = np.arange(starts.size) * _SEGMENT_DAYS + np.datetime64(edge, "D").astype(np.int64)
+    j = np.searchsorted(key, target)
+    after = np.where(j < ends, np.take(key, j, mode="clip") - target, np.inf)
+    before = np.where(j > starts, target - np.take(key, j - 1, mode="clip"), np.inf)
+    k = np.where(before <= after, j - 1, j)
+    return np.where(np.minimum(before, after) <= ENDPOINT_TOLERANCE_DAYS, k, -1)
 
 
 def total_returns(
@@ -333,29 +340,26 @@ def total_returns(
     """One rho per ticker with prices near both window edges.
 
     Tickers without a price within ENDPOINT_TOLERANCE_DAYS of an edge
-    are disqualified and listed with the reason.
+    are disqualified and listed with the reason.  All series are searched
+    at once: concatenated in ticker order, keyed by segment and day.
     """
     start, end = window if window is not None else panel.window
-    t0 = np.datetime64(start)
-    t1 = np.datetime64(end)
-    rhos: list[float] = []
-    keep: list[str] = []
-    excluded: list[tuple[str, str]] = []
-    for ticker in panel.tickers:
-        dates, prices = panel.series[ticker]
-        i0 = _nearest_within(dates, t0)
-        i1 = _nearest_within(dates, t1)
-        if i0 is None or i1 is None or i0 == i1:
-            excluded.append((ticker, "insufficient window coverage"))
-            continue
-        rhos.append(prices[i1] / prices[i0])
-        keep.append(ticker)
-    if not rhos:
+    tickers = panel.tickers
+    dates = [panel.series[ticker][0] for ticker in tickers]
+    sizes = np.array([d.size for d in dates], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    days = np.concatenate([np.empty(0, "datetime64[D]"), *dates]).astype("datetime64[D]").view(np.int64)
+    key = np.repeat(np.arange(len(tickers)) * _SEGMENT_DAYS, sizes) + days
+    i0, i1 = (_nearest_within(key, starts, ends, edge) for edge in (start, end))
+    keep = (i0 >= 0) & (i1 >= 0) & (i0 != i1)
+    if not keep.any():
         raise DataError("no ticker qualifies for the requested window")
+    prices = np.concatenate([np.empty(0), *(panel.series[ticker][1] for ticker in tickers)])
     return ReturnSample(
-        rho=np.array(rhos),
-        tickers=tuple(keep),
-        excluded=tuple(excluded),
+        rho=prices[i1[keep]] / prices[i0[keep]],
+        tickers=tuple(compress(tickers, keep)),
+        excluded=tuple((ticker, "insufficient window coverage") for ticker in compress(tickers, ~keep)),
     )
 
 
@@ -693,10 +697,16 @@ def write_report(destination, fieldnames, rows, fmt: str = "csv", meta: dict | N
         raise ParameterError(f"unknown output format {fmt!r}")
     Path(destination).parent.mkdir(parents=True, exist_ok=True)
     with open(destination, "w", newline="", encoding="utf-8") as fh:
-        if fmt == "json":
-            payload = ([{"_meta": meta}] if meta else []) + [dict(zip(fieldnames, row)) for row in rows]
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        if fmt == "json":  # the bytes of json.dump(payload, fh, indent=2) plus a newline
+            head = [{"_meta": meta}] if meta else []
+            objects = [dict(zip(fieldnames, row)) for row in rows]
+            if not (objects and all(objects)):  # indent=2 writes an empty list or object as [] or {}
+                fh.write(json.dumps(head + objects, indent=2) + "\n")
+                return
+            # C-encoded (no indent), then re-indented at the row breaks: no JSON string holds a raw newline.
+            body = json.dumps(objects, separators=(",\n    ", ": "))[2:-2]
+            lead = json.dumps(head, indent=2)[:-2] + ",\n" if meta else "[\n"
+            fh.write(lead + "  {\n    " + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]\n")
             return
         for key, value in (meta or {}).items():
             fh.write(f"# {key}={value}\n")

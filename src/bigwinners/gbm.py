@@ -173,26 +173,37 @@ def estimate_gbm(path: PricePath, method: str = "endpoint") -> GBMEstimate:
     """
     if path.prices.size < 3:
         raise InsufficientDataError("estimate_gbm needs at least 3 prices")
-    r = np.diff(np.log(path.prices))
-    t_steps = r.size
-    total = float(np.sum(r))
-    if method == "endpoint":
-        raw_step = (float(np.sum(r * r)) - total * total / (t_steps - 1)) / t_steps
-    elif method == "mle":
-        raw_step = float(np.var(r))
-    else:
-        raise ParameterError(f"unknown estimator method {method!r}")
+    return _estimates([path], method)[0]
 
-    sigma_sq_raw = raw_step / path.dt
+
+def _estimates(paths: list[PricePath], method: str) -> list[GBMEstimate]:
+    """``estimate_gbm`` of every path (each of at least 3 prices) in one pass.
+
+    The log returns of all paths of one length are gathered as the rows of
+    one 2-D array and summed along the rows, in numpy's pairwise order, so
+    each sum equals ``np.sum`` of that path's returns bit for bit.
+    """
+    if method not in ("endpoint", "mle"):
+        raise ParameterError(f"unknown estimator method {method!r}")
+    sizes = np.array([path.prices.size for path in paths])
+    starts = np.cumsum(sizes) - sizes
+    r = np.diff(np.log(np.concatenate([path.prices for path in paths])))
+    steps = sizes - 1
+    total, raw_step = np.empty(len(paths)), np.empty(len(paths))
+    for t in np.unique(steps):
+        rows = np.flatnonzero(steps == t)
+        block = r[starts[rows, None] + np.arange(t)]
+        total[rows] = sums = block.sum(axis=1)
+        if method == "endpoint":
+            raw_step[rows] = ((block * block).sum(axis=1) - sums * sums / (t - 1)) / t
+        else:
+            raw_step[rows] = np.var(block, axis=1)
+    dt = np.array([path.dt for path in paths], dtype=float)
+    sigma_sq_raw = raw_step / dt
     clamped = sigma_sq_raw < 0.0
-    sigma_sq = 0.0 if clamped else sigma_sq_raw
-    mu_hat = total / (t_steps * path.dt) + 0.5 * sigma_sq
-    return GBMEstimate(
-        mu_hat=mu_hat,
-        sigma_hat=math.sqrt(sigma_sq),
-        sigma_sq_raw=sigma_sq_raw,
-        clamped=clamped,
-    )
+    sigma_sq = np.where(clamped, 0.0, sigma_sq_raw)
+    mu_hat = total / (steps * dt) + 0.5 * sigma_sq
+    return list(map(GBMEstimate, *(a.tolist() for a in (mu_hat, np.sqrt(sigma_sq), sigma_sq_raw, clamped))))
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +223,15 @@ def build_panel(
     if not paths:
         raise InsufficientDataError("build_panel needs at least 3 usable paths")
     window = max(path.duration for path in paths.values())
-    usable: list[tuple[str, GBMEstimate]] = []
+    used: list[str] = []
     excluded: list[str] = []
     for ticker in sorted(paths):
         path = paths[ticker]
         if path.prices.size < 3 or path.duration < MIN_WINDOW_COVERAGE * window:
             excluded.append(ticker)
-            continue
-        usable.append((ticker, estimate_gbm(path, method=method)))
+        else:
+            used.append(ticker)
+    usable = list(zip(used, _estimates([paths[t] for t in used], method))) if used else []
     if len(usable) < 3:
         raise InsufficientDataError(
             f"build_panel needs at least 3 usable paths, got {len(usable)}"

@@ -494,6 +494,18 @@ def test_analyze_mean_overflow_exits_2_and_writes_the_other_index(tmp_path, caps
     assert (out / "qq_calm.csv").exists() and not (out / "qq_big.csv").exists()
 
 
+def test_analyze_variance_overflow_exits_2_naming_the_index(tmp_path, capsys):
+    # ln rho is -1.9 or 38.1: mu = 18.1 and sigma = 20, so the mean and both
+    # variance factors are finite floats but the variance is not.
+    wide = make_return_panel(tmp_path, "wide", [math.exp(-1.9)] * 5 + [math.exp(38.1)] * 5)
+    calm = make_return_panel(tmp_path, "calm", np.linspace(1.5, 4.0, 10))
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(wide), "--input", str(calm), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "analyze: wide: log-normal variance overflows a float at sigma = 20\n"
+    fits = list(csv.DictReader((out / "lognormal_fit.csv").read_text(encoding="utf-8").splitlines()))
+    assert [row["index"] for row in fits] == ["calm"]
+
+
 @pytest.mark.parametrize(
     "config,where",
     [

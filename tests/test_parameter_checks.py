@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from bigwinners.distributions import AsymmetricLaplaceParams, GammaParams, SkewNormalParams
+from bigwinners.distributions import (
+    AsymmetricLaplaceParams,
+    GammaParams,
+    LogNormalParams,
+    SkewNormalParams,
+    lognormal_moments,
+)
 from bigwinners.empirical import ReturnSample, tail_filter
 from bigwinners.errors import DataError, ParameterError
 from bigwinners.gbm import GBMParams, PricePath, simulate_gbm
@@ -19,6 +25,8 @@ CASES = {
     "laplace_asymmetry": (lambda: AsymmetricLaplaceParams(0.0, 1.0, -2.0), ParameterError, "asymmetry must be > 0, got -2.0"),
     "gamma_shape": (lambda: GammaParams(0.0, 1.0), ParameterError, "shape must be > 0, got 0.0"),
     "gamma_rate": (lambda: GammaParams(1.0, -0.5), ParameterError, "rate must be > 0, got -0.5"),
+    "lognormal_variance_product": (lambda: lognormal_moments(LogNormalParams(0.0, 20.0)), ParameterError,
+                                   "log-normal variance overflows a float at sigma = 20"),
     "gbm_mu_nan": (lambda: GBMParams(math.nan, 0.2), ParameterError, "GBM parameters must be finite"),
     "gbm_sigma_inf": (lambda: GBMParams(0.1, math.inf), ParameterError, "GBM parameters must be finite"),
     "path_dt_zero": (lambda: PricePath(1.0, np.array([1.0, 2.0]), 0.0), ParameterError, "dt must be > 0, got 0.0"),

@@ -1,7 +1,13 @@
 """Exact report bytes and the CLI's handling of report and input edge cases."""
 
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigwinners import __version__
 from bigwinners.cli import main
@@ -65,6 +71,38 @@ class TestWriteReport:
         with pytest.raises(ParameterError):
             write_report(tmp_path / "r.xml", ["x"], [(1,)], fmt="xml")
         assert not (tmp_path / "r.xml").exists()
+
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN and +-inf included
+    st.text(),  # non-ASCII included
+    st.sampled_from(['},\n    {', '"},\n    {"', "}, {", "\u00e9\u2028", "x\n  },\n  {\n    y"]),
+)
+
+
+@st.composite
+def json_reports(draw):
+    fields = draw(st.lists(st.text(max_size=4), max_size=4))  # no field: each row is {}
+    rows = draw(st.lists(st.tuples(*[JSON_SCALARS] * len(fields)), max_size=5))
+    meta = draw(st.one_of(st.none(), st.just({}), st.dictionaries(st.text(max_size=4), JSON_SCALARS, max_size=3)))
+    return fields, rows, meta
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_reports())
+def test_json_report_bytes_equal_json_dump_indent_2(report):
+    fields, rows, meta = report
+    payload = ([{"_meta": meta}] if meta else []) + [dict(zip(fields, row)) for row in rows]
+    expected = io.StringIO()
+    json.dump(payload, expected, indent=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        write_report(path, fields, rows, "json", meta=meta)
+        assert path.read_bytes() == (expected.getvalue() + "\n").encode("utf-8")
 
 
 def test_returns_csv_bytes_with_tickers(tmp_path):
