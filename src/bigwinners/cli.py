@@ -291,7 +291,7 @@ def _regime_param_sets(args) -> list[tuple[str, LogNormalParams]]:
     if path := args.params_file:
         try:
             with open(path, newline="", encoding="utf-8-sig") as fh:
-                rows = [r for r in csv.DictReader(fh) if not r.get("index", "").startswith("#")]
+                rows = [r for r in csv.DictReader(fh) if not (r.get("index") or "").startswith("#")]
         except UnicodeDecodeError as exc:
             raise DataError(f"params file {path}: {exc}") from None
         if not rows or "mu" not in rows[0] or "sigma" not in rows[0]:

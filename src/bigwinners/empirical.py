@@ -131,6 +131,9 @@ class KDEModeResult:
 
 _COLUMNS = ("ticker", "date", "adj_close")
 _CHUNK_BYTES = 1 << 20  # bytes of plain rows load_panel parses at once
+_NOT_PLAIN = bytes(range(10)) + bytes(range(11, 32)) + b'"' + bytes(range(127, 256))  # all but \n and printable ASCII
+_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # byte positions of the digits of dddd-dd-dd
+_DATE_PLACES = 10 ** np.arange(7, -1, -1)  # place values of those digits: yyyy-mm-dd -> yyyymmdd
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 _SEGMENT_DAYS = 1 << 23  # over twice the days dt.date spans, so (segment, day) keys never overlap
 
@@ -187,28 +190,41 @@ def _csv_records(fh, lineno: int, encoding: str = "utf-8"):
             raise ParseError(str(exc), line=lineno + reader.line_num) from None
 
 
-def _bulk_rows(chunk: bytes) -> tuple[list[str], np.ndarray] | None:
-    """The fields and prices of ``chunk``'s lines, as ``csv.reader`` and ``float``
-    read them, or None if it is empty or fails the gate ``load_panel`` names."""
-    if not chunk or b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
+def _bulk_rows(chunk: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """``chunk``'s lines as (ticker, date, price) records, the ticker and date as their
+    raw bytes and the price as ``float`` reads it, and each date as the integer of its
+    digits; or None if the chunk is empty or fails the gate ``load_panel`` names."""
+    if not chunk or len(chunk.translate(None, _NOT_PLAIN)) != len(chunk):
         return None
     raw = np.frombuffer(chunk, dtype=np.uint8)
     stops = np.flatnonzero((raw == 44) | (raw == 10))  # commas and newlines: 44, 44, 10 on each line
-    if (stops.size % 3 or not (raw[stops].reshape(-1, 3) == (44, 44, 10)).all()
-            or np.diff(stops, prepend=-1).max() > csv.field_size_limit() + 1):
+    if stops.size % 3 or not (raw[stops].reshape(-1, 3) == (44, 44, 10)).all():
         return None
-    fields = chunk[:-1].decode("utf-8", "surrogateescape").replace("\n", ",").split(",")
+    widths = np.diff(stops, prepend=-1).reshape(-1, 3) - 1  # field lengths, line by line
+    ticker_bytes = max(int(widths[:, 0].max()), 1)
+    if (widths.max() > csv.field_size_limit() or (widths[:, 1] != 10).any()
+            or ticker_bytes * len(widths) > len(chunk)):
+        return None
     try:
-        return fields, np.array(fields[2::3], dtype=float)
+        rows = np.loadtxt(io.StringIO(chunk.decode("ascii")), delimiter=",", comments=None, quotechar=None,
+                          ndmin=1, dtype=[("ticker", f"S{ticker_bytes}"), ("date", "S10"), ("price", "f8")])
     except ValueError:
         return None
+    dates = np.ascontiguousarray(rows["date"]).view(np.uint8).reshape(-1, 10)
+    digits = dates[:, _DATE_DIGITS] - 48  # a byte below "0" wraps above 9
+    if not ((digits <= 9).all() and (dates[:, [4, 7]] == 45).all()):  # dddd-dd-dd
+        return None
+    return rows, digits.astype(np.int64) @ _DATE_PLACES
 
 
-def _intern(codes: dict[str, int], strings: list[str]):
-    """The codes of ``strings``, numbering new ones in order of first appearance."""
-    for s in dict.fromkeys(strings):
-        codes.setdefault(s, len(codes))
-    return map(codes.__getitem__, strings)
+def _column_codes(codes: dict[str, int], column: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The codes of ``column``'s byte strings, one per distinct value of ``keys``,
+    numbering new strings in order of first appearance."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    seen = np.argsort(first)
+    code = np.empty(first.size, dtype=np.int64)
+    code[seen] = [codes.setdefault(s.decode("ascii"), len(codes)) for s in column[first[seen]].tolist()]
+    return code[inverse]
 
 
 def load_panel(source) -> PricePanel:
@@ -218,10 +234,12 @@ def load_panel(source) -> PricePanel:
     out-of-order rows are sorted and noted in the panel's load report.
     Each row is read as integer codes of its raw ticker and date strings
     plus its price, so each distinct string is checked and converted once.
-    After a plain header, rows are parsed in bulk, _CHUNK_BYTES at a time, while
-    each chunk passes a gate: no quote, CR or NUL, two commas on every line, no field
-    over the csv field size limit, every price read by ``float``.  ``csv.reader``
-    reads from the first chunk that fails it on, storing the same rows and lines.
+    After a plain header, rows are parsed in bulk by ``np.loadtxt``, _CHUNK_BYTES at
+    a time, while each chunk passes a gate: only printable ASCII and newlines, no
+    quote, two commas on every line, no field over the csv field size limit, every
+    date ``dddd-dd-dd``, every price read by ``np.loadtxt``, and tickers that fit
+    in the chunk's size at its widest ticker's width.  ``csv.reader`` reads from the
+    first chunk that fails it on, storing the same rows and lines.
     One stable lexsort by (ticker, date) then groups the panel, and a faulty
     file reports the physical line its first offending record ends on, with
     the message rebuilt from that row alone.  A byte that is not UTF-8 is
@@ -229,8 +247,9 @@ def load_panel(source) -> PricePanel:
     """
     raw_tickers: dict[str, int] = {}
     raw_dates: dict[str, int] = {}
-    ticker_codes, date_codes, lines = array("l"), array("l"), array("l")
+    ticker_codes, date_codes = array("q"), array("q")
     prices = array("d")
+    lines = array("q")  # line of each row after the first n_bulk, which are on lines 2, 3, ...
     stop: Exception | None = None  # what ended the read early, raised if no stored row is faulty
 
     with open(source, "rb") as fh:
@@ -251,17 +270,17 @@ def load_panel(source) -> PricePanel:
             fh.seek(offset)
             chunk = fh.read(_CHUNK_BYTES)
             chunk = chunk[: chunk.rfind(b"\n") + 1]
-            if (rows := _bulk_rows(chunk)) is None:  # this chunk and all after it are left to csv.reader
+            if (parsed := _bulk_rows(chunk)) is None:  # this chunk and all after it are left to csv.reader
                 fh.seek(offset)
                 records = _csv_records(fh, lineno)
                 break
-            fields, px = rows
-            prices.frombytes(px.tobytes())
-            ticker_codes.extend(_intern(raw_tickers, fields[0::3]))
-            date_codes.extend(_intern(raw_dates, fields[1::3]))
-            lines.extend(range(lineno + 1, lineno + 1 + px.size))
-            lineno += px.size
+            rows, day_keys = parsed
+            prices.frombytes(rows["price"].tobytes())
+            ticker_codes.frombytes(_column_codes(raw_tickers, rows["ticker"], rows["ticker"]).tobytes())
+            date_codes.frombytes(_column_codes(raw_dates, rows["date"], day_keys).tobytes())
+            lineno += rows.size
             offset += len(chunk)
+        n_bulk = len(prices)
         try:
             for lineno, row in records:
                 if len(row) != 3:
@@ -288,7 +307,8 @@ def load_panel(source) -> PricePanel:
     bad |= np.array([day is None for day in day_of_raw], dtype=bool)[d]
     if bad.any():
         i = int(np.argmax(bad))
-        raise _row_error(lines[i], (list(raw_tickers)[t[i]], list(raw_dates)[d[i]], prices[i]))
+        line = i + 2 if i < n_bulk else lines[i - n_bulk]
+        raise _row_error(line, (list(raw_tickers)[t[i]], list(raw_dates)[d[i]], prices[i]))
     if stop is not None:
         raise stop
     if not prices:
@@ -313,8 +333,9 @@ def load_panel(source) -> PricePanel:
         f"{tickers[c]}: rows were out of date order; sorted"
         for c in np.unique(codes[1:][same & (order[1:] < order[:-1])])
     )
-    bounds = np.flatnonzero(~same) + 1
-    series = dict(zip(tickers, zip(np.split(dates, bounds), np.split(px[order], bounds))))
+    bounds = [0, *(np.flatnonzero(~same) + 1).tolist(), codes.size]
+    px = px[order]
+    series = {ticker: (dates[a:b], px[a:b]) for ticker, a, b in zip(tickers, bounds, bounds[1:])}
     window = (dates.min().astype(dt.date), dates.max().astype(dt.date))
     return PricePanel(series=series, window=window, notes=notes)
 

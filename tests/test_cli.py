@@ -616,6 +616,24 @@ def test_short_params_file_row_exits_2_naming_it(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_params_file_row_without_index_is_named_by_position(tmp_path):
+    """A row that ends before the index column is named row<i>, not a crash."""
+    params = tmp_path / "params.csv"
+    params.write_text("mu,sigma,index\n0.1,1\n")
+    out = tmp_path / "out"
+    assert main(["regime", "--params-file", str(params), "--n-grid", "1,2", "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["curve_row0.csv"]
+
+
+def test_params_file_row_without_index_or_sigma_exits_2_naming_it(tmp_path, capsys):
+    params = tmp_path / "params.csv"
+    params.write_text("mu,sigma,index\n0.1\n")
+    out = tmp_path / "out"
+    assert main(["regime", "--params-file", str(params), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"regime: params file {params}: row 'row0' has no mu or sigma\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "rows,fault",
     [("SPX,abc,1.0", "could not convert string to float: 'abc'"), ("SPX,0.5,-1", "sigma must be >= 0, got -1.0")],

@@ -361,3 +361,63 @@ def test_plain_rows_never_reach_csv_reader(tmp_path, monkeypatch):
     assert seen == ["ticker,date,adj_close\n"]
     monkeypatch.undo()
     assert_same_outcome(panel, reference_load_panel(path))
+
+
+# ---------------------------------------------------------------------------
+# Edges of the bulk gate: each row below either passes it or sends its chunk
+# to csv.reader, and every chunk size from 1 to 80 bytes must give what the
+# row-by-row reference gives.  The rows sit among plain ones and alone.
+# ---------------------------------------------------------------------------
+
+def _priced(price: bytes) -> bytes:
+    return b"AAA,2006-01-02," + price + b"\n"
+
+
+GATE_EDGE_ROWS = (
+    [_priced(price) for byte in b"\x1c\x1d\x1e\x1f\x0b\x0c"
+     for price in (bytes([byte]) + b"5", b"5" + bytes([byte]))]
+    + [_priced(price) for price in (b"1_000", b"inf", b"nan", b"1e309", b"4.9e-324")]
+    + ["ÉTF,2006-01-02,5\n".encode("utf-8"), b"ABCDEFGHI,2006-01-02,5\n", b"LONG_TICKER_1,2006-01-02,5\n"]
+    + [b"AAA," + date + b",5\n" for date in (b"20060102", b" 2006-01-02", b"2006-02-30", b"0000-01-01", b"9999-12-31",
+                                           b"2006/01/02", b"2005-:1-02")]  # the last two have 2006-01-02's digit key
+    + [b" T001 ,2006-01-02,5\n", b" T001 ,2006-01-02,-1\n", b"T001  ,2006-02-30,5\n", b"T001,2006-02-30 ,5\n",
+       b"T001, 2006-01-0x,5\n"]
+)
+
+
+@pytest.mark.parametrize("alone", [False, True], ids=["among_plain_rows", "alone"])
+@pytest.mark.parametrize("row", GATE_EDGE_ROWS, ids=repr)
+def test_gate_edges_match_the_reference_at_every_small_chunk_size(tmp_path, row, alone):
+    rows = [] if alone else plain_rows(6).splitlines(keepends=True)
+    rows.insert(3 if rows else 0, row)
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b"ticker,date,adj_close\n" + b"".join(rows))
+    want = outcome(reference_load_panel, path)
+    for size in [*range(1, 81), empirical._CHUNK_BYTES]:
+        assert_same_outcome(load_in_chunks(path, size), want)
+
+
+# A numpy upgrade that changes how np.loadtxt reads a float must fail here
+# rather than silently change a loaded price: whatever the bulk route reads
+# as a price, ``float`` reads to the same bits.  The converse does not hold
+# (``float`` also reads "1_000"); such a chunk goes to csv.reader.
+PRINTABLE_NO_DELIMITERS = st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters=',"')
+PRICE_SPELLINGS = (
+    st.text(PRINTABLE_NO_DELIMITERS, max_size=12)
+    | st.floats().map(repr)
+    | st.from_regex(r"\A *[+-]?([0-9_]+\.?[0-9_]*|\.[0-9]+)([eEdD][+-]?[0-9]{1,4})? *\Z")
+    | st.from_regex(r"\A *[+-]?(?i:inf|infinity|nan|0x[0-9a-f]+) *\Z")
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(PRICE_SPELLINGS)
+def test_bulk_price_is_read_as_float_reads_it(text):
+    parsed = empirical._bulk_rows(_priced(text.encode("ascii")))
+    if parsed is None:
+        return
+    try:
+        want = float(text)
+    except ValueError:
+        pytest.fail(f"the bulk route reads {text!r}, which float rejects")
+    assert parsed[0]["price"].tobytes() == np.float64(want).tobytes(), text
