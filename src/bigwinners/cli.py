@@ -301,6 +301,8 @@ def _regime_param_sets(args) -> list[tuple[str, LogNormalParams]]:
         for name, row in zip(names, rows):
             if None in (row["mu"], row["sigma"]):
                 raise DataError(f"params file {path}: row {name!r} has no mu or sigma")
+            if None in row:  # csv.DictReader files the fields past the header under the key None
+                raise DataError(f"params file {path}: row {name!r}: more fields than the header")
             try:
                 sets.append((name, LogNormalParams(mu=float(row["mu"]), sigma=float(row["sigma"]))))
             except ValueError as exc:
@@ -342,10 +344,8 @@ def cmd_gbm(args) -> int:
     }
     panel = build_panel(paths, method=args.estimator)
 
-    estimate_rows = [
-        (ticker, est.mu_hat, est.sigma_hat, est.sigma_sq_raw, est.clamped)
-        for ticker, est in panel.estimates
-    ]
+    columns = (panel.mu_hats, panel.sigma_hats, panel.sigma_sq_raw, panel.clamped)
+    estimate_rows = zip(panel.tickers, *(column.tolist() for column in columns))
     write_report(args.out / f"estimates.{args.format}", _ESTIMATE_FIELDS, estimate_rows, args.format)
     write_panel_csv(panel, args.out / "panel.csv")
 

@@ -362,7 +362,8 @@ def total_returns(
 
     Tickers without a price within ENDPOINT_TOLERANCE_DAYS of an edge
     are disqualified and listed with the reason.  All series are searched
-    at once: concatenated in ticker order, keyed by segment and day.
+    at once: concatenated in ticker order, keyed by segment and day.  A
+    return that leaves the float range raises DataError naming its ticker.
     """
     start, end = window if window is not None else panel.window
     tickers = panel.tickers
@@ -377,9 +378,19 @@ def total_returns(
     if not keep.any():
         raise DataError("no ticker qualifies for the requested window")
     prices = np.concatenate([np.empty(0), *(panel.series[ticker][1] for ticker in tickers)])
+    first, last = prices[i0[keep]], prices[i1[keep]]
+    with np.errstate(over="ignore", under="ignore"):
+        rho = last / first
+    kept = tuple(compress(tickers, keep))
+    bad = np.flatnonzero(~np.isfinite(rho) | (rho <= 0))
+    if bad.size:
+        k = bad[0]
+        raise DataError(
+            f"{kept[k]}: total return {last[k].item()!r} / {first[k].item()!r} leaves the float range"
+        )
     return ReturnSample(
-        rho=prices[i1[keep]] / prices[i0[keep]],
-        tickers=tuple(compress(tickers, keep)),
+        rho=rho,
+        tickers=kept,
         excluded=tuple((ticker, "insufficient window coverage") for ticker in compress(tickers, ~keep)),
     )
 

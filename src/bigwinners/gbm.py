@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping
 
 import numpy as np
@@ -112,27 +113,23 @@ class GBMEstimate:
 
 @dataclass(frozen=True)
 class DriftVolPanel:
-    """Cross-sectional drift/volatility analysis of an index's constituents."""
+    """Cross-sectional drift/volatility analysis of an index's constituents.
 
-    estimates: tuple[tuple[str, GBMEstimate], ...]
+    The estimates are one array per ``GBMEstimate`` field, in ``tickers``
+    order (the usable tickers, sorted).
+    """
+
+    tickers: tuple[str, ...]
+    mu_hats: np.ndarray
+    sigma_hats: np.ndarray
+    sigma_sq_raw: np.ndarray
+    clamped: np.ndarray
     drift_fit: SkewNormalParams | None
     vol_fit: GammaParams | None
     regression: tuple[float, float, float] | None
     correlation: float | None
     excluded: tuple[str, ...] = ()
     fit_errors: tuple[tuple[str, str], ...] = ()
-
-    @property
-    def mu_hats(self) -> np.ndarray:
-        return np.array([e.mu_hat for _, e in self.estimates])
-
-    @property
-    def sigma_hats(self) -> np.ndarray:
-        return np.array([e.sigma_hat for _, e in self.estimates])
-
-    @property
-    def clamped_count(self) -> int:
-        return sum(1 for _, e in self.estimates if e.clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +170,12 @@ def estimate_gbm(path: PricePath, method: str = "endpoint") -> GBMEstimate:
     """
     if path.prices.size < 3:
         raise InsufficientDataError("estimate_gbm needs at least 3 prices")
-    return _estimates([path], method)[0]
+    return GBMEstimate(*(column[0].item() for column in _estimates([path], method)))
 
 
-def _estimates(paths: list[PricePath], method: str) -> list[GBMEstimate]:
-    """``estimate_gbm`` of every path (each of at least 3 prices) in one pass.
+def _estimates(paths: list[PricePath], method: str) -> tuple[np.ndarray, ...]:
+    """``estimate_gbm`` of every path (each of at least 3 prices) in one pass,
+    as the columns ``mu_hat``, ``sigma_hat``, ``sigma_sq_raw`` and ``clamped``.
 
     The log returns of all paths of one length are gathered as the rows of
     one 2-D array and summed along the rows, in numpy's pairwise order, so
@@ -203,7 +201,7 @@ def _estimates(paths: list[PricePath], method: str) -> list[GBMEstimate]:
     clamped = sigma_sq_raw < 0.0
     sigma_sq = np.where(clamped, 0.0, sigma_sq_raw)
     mu_hat = total / (steps * dt) + 0.5 * sigma_sq
-    return list(map(GBMEstimate, *(a.tolist() for a in (mu_hat, np.sqrt(sigma_sq), sigma_sq_raw, clamped))))
+    return mu_hat, np.sqrt(sigma_sq), sigma_sq_raw, clamped
 
 
 # ---------------------------------------------------------------------------
@@ -222,23 +220,18 @@ def build_panel(
     """
     if not paths:
         raise InsufficientDataError("build_panel needs at least 3 usable paths")
-    window = max(path.duration for path in paths.values())
-    used: list[str] = []
-    excluded: list[str] = []
-    for ticker in sorted(paths):
-        path = paths[ticker]
-        if path.prices.size < 3 or path.duration < MIN_WINDOW_COVERAGE * window:
-            excluded.append(ticker)
-        else:
-            used.append(ticker)
-    usable = list(zip(used, _estimates([paths[t] for t in used], method))) if used else []
-    if len(usable) < 3:
+    tickers = sorted(paths)
+    sizes = np.array([paths[ticker].prices.size for ticker in tickers])
+    duration = (sizes - 1) * np.array([paths[ticker].dt for ticker in tickers], dtype=float)
+    keep = (sizes >= 3) & (duration >= MIN_WINDOW_COVERAGE * duration.max())
+    used = tuple(compress(tickers, keep))
+    columns = _estimates([paths[ticker] for ticker in used], method) if used else ()
+    if len(used) < 3:
         raise InsufficientDataError(
-            f"build_panel needs at least 3 usable paths, got {len(usable)}"
+            f"build_panel needs at least 3 usable paths, got {len(used)}"
         )
 
-    mu_hats = np.array([e.mu_hat for _, e in usable])
-    sigma_hats = np.array([e.sigma_hat for _, e in usable])
+    mu_hats, sigma_hats, sigma_sq_raw, clamped = columns
     fits: dict[str, object] = {}
     errors: list[tuple[str, str]] = []
     for name, fit, args in (
@@ -254,9 +247,9 @@ def build_panel(
             errors.append((name, str(exc)))
 
     return DriftVolPanel(
-        estimates=tuple(usable),
+        used, mu_hats, sigma_hats, sigma_sq_raw, clamped,
         **fits,
-        excluded=tuple(excluded),
+        excluded=tuple(compress(tickers, ~keep)),
         fit_errors=tuple(errors),
     )
 
@@ -296,9 +289,9 @@ def write_panel_csv(panel: DriftVolPanel, destination) -> None:
         panel.correlation,
     ]
     footer = {
-        "tickers_used": len(panel.estimates),
+        "tickers_used": len(panel.tickers),
         "excluded_delisted": len(panel.excluded),
-        "clamped_estimates": panel.clamped_count,
+        "clamped_estimates": int(panel.clamped.sum()),
     }
     footer.update((f"fit_error_{name}", message) for name, message in panel.fit_errors)
     write_report(destination, _PANEL_COLUMNS, [row], footer=footer)

@@ -4,6 +4,7 @@ import datetime as dt
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from bigwinners.cli import OPTIONS, build_parser, main
 from bigwinners.distributions import LogNormalParams
-from bigwinners.gbm import GBMParams, simulate_gbm
+from bigwinners.gbm import GBMParams, PricePath, estimate_gbm, simulate_gbm
 from bigwinners.lognormal_sum import MODERATELY_BROAD, NARROW, VERY_BROAD, classify_regime, regime_formula_values
 
 
@@ -211,6 +212,31 @@ class TestGbm:
 
     def test_missing_input_exit_2(self, tmp_path):
         assert main(["gbm", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("method", ["endpoint", "mle"])
+    def test_each_estimate_row_is_estimate_gbm_of_its_path(self, tmp_path, method, fmt):
+        paths = {f"T{i:02d}": simulate_gbm(GBMParams(0.12, 0.29), 1.0, 16, 0.25, seed=i).prices for i in range(20)}
+        paths["TREND"] = np.exp(0.05 * np.arange(17.0))  # drift-dominated: the endpoint form clamps it
+        paths["SHORT"] = paths["T00"][:5]
+        src = make_path_panel(tmp_path, "panel", paths)
+        out = tmp_path / "out"
+        argv = ["gbm", "--input", str(src), "--dt", "0.25", "--estimator", method, "--format", fmt]
+        # A clamped sigma_hat of 0 fails the gamma fit: exit 3 with every report written.
+        assert main(argv + ["--out", str(out)]) == (3 if method == "endpoint" else 0)
+        text = (out / f"estimates.{fmt}").read_text(encoding="utf-8")
+        rows = json.loads(text) if fmt == "json" else list(csv.DictReader(text.splitlines()))
+        assert [row["ticker"] for row in rows] == sorted(set(paths) - {"SHORT"})
+        for row in rows:
+            prices = paths[row["ticker"]]
+            expected = estimate_gbm(PricePath(x0=float(prices[0]), prices=prices, dt=0.25), method)
+            for field in ("mu_hat", "sigma_hat", "sigma_sq_raw"):
+                written = row[field] if fmt == "csv" else repr(row[field])
+                assert written == repr(getattr(expected, field)), (row["ticker"], field)
+            assert row["clamped"] == (str(expected.clamped) if fmt == "csv" else expected.clamped)
+        assert [row["ticker"] for row in rows if row["clamped"] in (True, "True")] == (
+            ["TREND"] if method == "endpoint" else []
+        )
 
     def test_every_loaded_ticker_is_used_or_excluded(self, tmp_path):
         paths = {
@@ -506,6 +532,19 @@ def test_analyze_variance_overflow_exits_2_naming_the_index(tmp_path, capsys):
     assert [row["index"] for row in fits] == ["calm"]
 
 
+def test_analyze_return_out_of_float_range_exits_2_naming_the_ticker(tmp_path, capsys):
+    """Valid prices whose ratio over- or underflows: the first such ticker is named, with no numpy warning."""
+    prices = {"A": ("1e308", "1e-308"), "B": ("1e-308", "1e308"), "C": ("1", "2"), "D": ("1", "2")}
+    src = tmp_path / "f.csv"
+    src.write_text("ticker,date,adj_close\n" + "".join(
+        f"{ticker},2006-01-02,{start}\n{ticker},2021-12-30,{end}\n" for ticker, (start, end) in prices.items()
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--input", str(src), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "analyze: f: A: total return 1e-308 / 1e+308 leaves the float range\n"
+
+
 @pytest.mark.parametrize(
     "config,where",
     [
@@ -636,8 +675,12 @@ def test_params_file_row_without_index_or_sigma_exits_2_naming_it(tmp_path, caps
 
 @pytest.mark.parametrize(
     "rows,fault",
-    [("SPX,abc,1.0", "could not convert string to float: 'abc'"), ("SPX,0.5,-1", "sigma must be >= 0, got -1.0")],
-    ids=["bad-number", "negative-sigma"],
+    [
+        ("SPX,abc,1.0", "could not convert string to float: 'abc'"),
+        ("SPX,0.5,-1", "sigma must be >= 0, got -1.0"),
+        ("SPX,0.5,1.0,extra", "more fields than the header"),
+    ],
+    ids=["bad-number", "negative-sigma", "extra-field"],
 )
 def test_bad_params_file_value_exits_2_naming_file_and_row(tmp_path, capsys, rows, fault):
     params = tmp_path / "params.csv"

@@ -194,21 +194,23 @@ class TestBuildPanel:
         paths["SHORT"] = simulate_gbm(GBMParams(0.1, 0.2), 1.0, 8, 1.0, 99)
         panel = build_panel(paths)
         assert panel.excluded == ("SHORT",)
-        assert len(panel.estimates) == 5
+        assert len(panel.tickers) == 5
 
     def test_single_price_series_excluded(self):
         paths = {f"T{i}": simulate_gbm(GBMParams(0.1, 0.2), 1.0, 16, 1.0, i) for i in range(5)}
         paths["ONE"] = PricePath(x0=3.0, prices=np.array([3.0]), dt=1.0)
         panel = build_panel(paths)
         assert panel.excluded == ("ONE",)
-        assert len(panel.estimates) == 5
+        assert len(panel.tickers) == 5
 
     def test_permutation_invariant(self):
         paths = {f"T{i}": simulate_gbm(GBMParams(0.1, 0.3), 1.0, 64, 0.25, i) for i in range(12)}
         panel_a = build_panel(paths)
         shuffled = {k: paths[k] for k in reversed(sorted(paths))}
         panel_b = build_panel(shuffled)
-        assert panel_a.estimates == panel_b.estimates
+        assert panel_a.tickers == panel_b.tickers
+        for name in ("mu_hats", "sigma_hats", "sigma_sq_raw", "clamped"):
+            assert getattr(panel_a, name).tobytes() == getattr(panel_b, name).tobytes()
         assert panel_a.regression == panel_b.regression
 
     def test_fit_errors_recorded_not_raised(self):
@@ -216,7 +218,7 @@ class TestBuildPanel:
         # but the panel still carries the estimates.
         paths = {f"T{i}": PricePath(x0=2.0, prices=np.full(17, 2.0), dt=1.0) for i in range(5)}
         panel = build_panel(paths)
-        assert len(panel.estimates) == 5
+        assert len(panel.tickers) == 5
         assert panel.drift_fit is None
         names = {name for name, _ in panel.fit_errors}
         assert {"drift_fit", "vol_fit", "regression", "correlation"} <= names

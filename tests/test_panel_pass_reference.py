@@ -190,6 +190,12 @@ def _bits(estimate: GBMEstimate):
     return tuple((type(v), v.hex() if isinstance(v, float) else v) for v in values)
 
 
+def _rows(panel):
+    """The panel's estimate columns as ``(ticker, GBMEstimate)`` rows."""
+    columns = (panel.mu_hats, panel.sigma_hats, panel.sigma_sq_raw, panel.clamped)
+    return list(zip(panel.tickers, map(GBMEstimate, *(column.tolist() for column in columns))))
+
+
 def _estimate_outcome(fn, path, method):
     result = _outcome(fn, path, method)
     return _bits(result) if isinstance(result, GBMEstimate) else result
@@ -221,7 +227,7 @@ def test_build_panel_estimates_match_the_per_path_formula(paths, method):
         assert _outcome(build_panel, paths, method) == (InsufficientDataError, str(exc))
         return
     panel = build_panel(paths, method)
-    assert [(t, _bits(e)) for t, e in panel.estimates] == [(t, _bits(e)) for t, e in usable]
+    assert [(t, _bits(e)) for t, e in _rows(panel)] == [(t, _bits(e)) for t, e in usable]
     assert panel.excluded == excluded
 
 
@@ -239,9 +245,9 @@ def test_every_length_3_to_300_matches_bit_for_bit(method):
     paths["TREND"] = PricePath(x0=1.0, prices=np.exp(0.1 * np.arange(300.0)), dt=10.0 / 299)
     panel = build_panel(paths, method)
     usable, excluded = reference_usable(paths, method)
-    assert [(t, _bits(e)) for t, e in panel.estimates] == [(t, _bits(e)) for t, e in usable]
-    assert len(panel.estimates) == 299 and panel.excluded == excluded == ("SHORT",)
-    assert dict(panel.estimates)["TREND"].clamped is (method == "endpoint")
+    assert [(t, _bits(e)) for t, e in _rows(panel)] == [(t, _bits(e)) for t, e in usable]
+    assert len(_rows(panel)) == 299 and panel.excluded == excluded == ("SHORT",)
+    assert dict(_rows(panel))["TREND"].clamped is (method == "endpoint")
 
 
 def _path(size):
