@@ -44,7 +44,7 @@ from .errors import (
     ParameterError,
     ParseError,
 )
-from .gbm import PricePath, build_panel, write_panel_csv
+from .gbm import _panel_of_columns, write_panel_csv
 from .index_model import DriftModelParams, implied_lognormal, model_ratios, sample_ratio_summary, simulate_index
 from .lognormal_sum import regime_curve
 
@@ -338,11 +338,10 @@ def cmd_gbm(args) -> int:
     if not args.input:
         raise ParameterError("an --input price file is required")
 
-    paths = {
-        ticker: PricePath(x0=float(prices[0]), prices=prices, dt=args.dt)
-        for ticker, (_, prices) in load_panel(args.input).series.items()
-    }
-    panel = build_panel(paths, method=args.estimator)
+    tickers, sizes, _, prices = load_panel(args.input).columns()
+    if not 0 < args.dt < float("inf"):
+        raise ParameterError(f"dt must be > 0, got {args.dt}")
+    panel = _panel_of_columns(tickers, prices, sizes, args.dt, args.estimator)
 
     columns = (panel.mu_hats, panel.sigma_hats, panel.sigma_sq_raw, panel.clamped)
     estimate_rows = zip(panel.tickers, *(column.tolist() for column in columns))

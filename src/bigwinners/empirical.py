@@ -67,6 +67,15 @@ class PricePanel:
     def tickers(self) -> tuple[str, ...]:
         return tuple(sorted(self.series))
 
+    def columns(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+        """The series laid end to end in ``tickers`` order: the tickers, the size
+        of each series, and all dates (as days since 1970-01-01) and all prices."""
+        tickers = self.tickers
+        dates = [self.series[ticker][0] for ticker in tickers]
+        days = np.concatenate([np.empty(0, "datetime64[D]"), *dates]).astype("datetime64[D]").view(np.int64)
+        prices = np.concatenate([np.empty(0), *(self.series[ticker][1] for ticker in tickers)])
+        return tickers, np.array([d.size for d in dates], dtype=np.int64), days, prices
+
 
 @dataclass(frozen=True)
 class ReturnSample:
@@ -217,14 +226,22 @@ def _bulk_rows(chunk: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     return rows, digits.astype(np.int64) @ _DATE_PLACES
 
 
-def _column_codes(codes: dict[str, int], column: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The codes of ``column``'s byte strings, one per distinct value of ``keys``,
-    numbering new strings in order of first appearance."""
+def _distinct(column: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``column``'s values, one per distinct value of ``keys``, in order of first
+    appearance, their keys, and the number of each row's value in that order."""
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     seen = np.argsort(first)
-    code = np.empty(first.size, dtype=np.int64)
-    code[seen] = [codes.setdefault(s.decode("ascii"), len(codes)) for s in column[first[seen]].tolist()]
-    return code[inverse]
+    return column[first[seen]], keys[first[seen]], np.argsort(seen)[inverse]  # argsort inverts the permutation
+
+
+def _column_codes(codes: dict[str, int], chunks: list) -> np.ndarray:
+    """The codes of the rows of consecutive chunks, given as the ``_distinct`` of
+    each chunk's column, numbering new byte strings in order of first appearance."""
+    strings, keys, numbers = zip(*chunks)
+    strings, _, number = _distinct(np.concatenate(strings), np.concatenate(keys))
+    code = np.array([codes.setdefault(s.decode("ascii"), len(codes)) for s in strings.tolist()], dtype=np.int64)
+    starts = np.cumsum([0, *map(len, keys)])
+    return np.concatenate([code[number[start + chunk_number]] for start, chunk_number in zip(starts, numbers)])
 
 
 def load_panel(source) -> PricePanel:
@@ -238,8 +255,10 @@ def load_panel(source) -> PricePanel:
     a time, while each chunk passes a gate: only printable ASCII and newlines, no
     quote, two commas on every line, no field over the csv field size limit, every
     date ``dddd-dd-dd``, every price read by ``np.loadtxt``, and tickers that fit
-    in the chunk's size at its widest ticker's width.  ``csv.reader`` reads from the
-    first chunk that fails it on, storing the same rows and lines.
+    in the chunk's size at its widest ticker's width.  Each bulk chunk keeps only
+    its distinct strings, which are decoded and numbered once, after the last one.
+    ``csv.reader`` reads from the first chunk that fails it on, storing the same
+    rows and lines.
     One stable lexsort by (ticker, date) then groups the panel, and a faulty
     file reports the physical line its first offending record ends on, with
     the message rebuilt from that row alone.  A byte that is not UTF-8 is
@@ -266,6 +285,7 @@ def load_panel(source) -> PricePanel:
                 f"expected header {','.join(_COLUMNS)!r}, got {','.join(header)!r}", line=1
             )
         lineno, offset = 1, len(head)
+        bulk_tickers, bulk_dates = [], []  # the _distinct tickers and dates of each bulk chunk
         while bulk:
             fh.seek(offset)
             chunk = fh.read(_CHUNK_BYTES)
@@ -276,10 +296,14 @@ def load_panel(source) -> PricePanel:
                 break
             rows, day_keys = parsed
             prices.frombytes(rows["price"].tobytes())
-            ticker_codes.frombytes(_column_codes(raw_tickers, rows["ticker"], rows["ticker"]).tobytes())
-            date_codes.frombytes(_column_codes(raw_dates, rows["date"], day_keys).tobytes())
+            bulk_tickers.append(_distinct(rows["ticker"], rows["ticker"]))
+            bulk_dates.append(_distinct(rows["date"], day_keys))
             lineno += rows.size
             offset += len(chunk)
+        if bulk_tickers:  # each column's strings decoded and numbered once
+            ticker_codes.frombytes(_column_codes(raw_tickers, bulk_tickers).tobytes())
+            date_codes.frombytes(_column_codes(raw_dates, bulk_dates).tobytes())
+        del bulk_tickers, bulk_dates  # free their row numbers, 16 bytes a row
         n_bulk = len(prices)
         try:
             for lineno, row in records:
@@ -366,18 +390,14 @@ def total_returns(
     return that leaves the float range raises DataError naming its ticker.
     """
     start, end = window if window is not None else panel.window
-    tickers = panel.tickers
-    dates = [panel.series[ticker][0] for ticker in tickers]
-    sizes = np.array([d.size for d in dates], dtype=np.int64)
+    tickers, sizes, days, prices = panel.columns()
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    days = np.concatenate([np.empty(0, "datetime64[D]"), *dates]).astype("datetime64[D]").view(np.int64)
     key = np.repeat(np.arange(len(tickers)) * _SEGMENT_DAYS, sizes) + days
     i0, i1 = (_nearest_within(key, starts, ends, edge) for edge in (start, end))
     keep = (i0 >= 0) & (i1 >= 0) & (i0 != i1)
     if not keep.any():
         raise DataError("no ticker qualifies for the requested window")
-    prices = np.concatenate([np.empty(0), *(panel.series[ticker][1] for ticker in tickers)])
     first, last = prices[i0[keep]], prices[i1[keep]]
     with np.errstate(over="ignore", under="ignore"):
         rho = last / first

@@ -170,12 +170,14 @@ def estimate_gbm(path: PricePath, method: str = "endpoint") -> GBMEstimate:
     """
     if path.prices.size < 3:
         raise InsufficientDataError("estimate_gbm needs at least 3 prices")
-    return GBMEstimate(*(column[0].item() for column in _estimates([path], method)))
+    columns = _estimates(path.prices, np.array([path.prices.size]), path.dt, method)
+    return GBMEstimate(*(column[0].item() for column in columns))
 
 
-def _estimates(paths: list[PricePath], method: str) -> tuple[np.ndarray, ...]:
-    """``estimate_gbm`` of every path (each of at least 3 prices) in one pass,
-    as the columns ``mu_hat``, ``sigma_hat``, ``sigma_sq_raw`` and ``clamped``.
+def _estimates(prices: np.ndarray, sizes: np.ndarray, dt, method: str) -> tuple[np.ndarray, ...]:
+    """``estimate_gbm`` of every path in one pass, as the columns ``mu_hat``,
+    ``sigma_hat``, ``sigma_sq_raw`` and ``clamped``: the paths, each of at least
+    3 prices, are laid end to end in ``prices``, with ``sizes`` and steps ``dt``.
 
     The log returns of all paths of one length are gathered as the rows of
     one 2-D array and summed along the rows, in numpy's pairwise order, so
@@ -183,11 +185,10 @@ def _estimates(paths: list[PricePath], method: str) -> tuple[np.ndarray, ...]:
     """
     if method not in ("endpoint", "mle"):
         raise ParameterError(f"unknown estimator method {method!r}")
-    sizes = np.array([path.prices.size for path in paths])
     starts = np.cumsum(sizes) - sizes
-    r = np.diff(np.log(np.concatenate([path.prices for path in paths])))
+    r = np.diff(np.log(prices))
     steps = sizes - 1
-    total, raw_step = np.empty(len(paths)), np.empty(len(paths))
+    total, raw_step = np.empty(sizes.size), np.empty(sizes.size)
     for t in np.unique(steps):
         rows = np.flatnonzero(steps == t)
         block = r[starts[rows, None] + np.arange(t)]
@@ -196,7 +197,6 @@ def _estimates(paths: list[PricePath], method: str) -> tuple[np.ndarray, ...]:
             raw_step[rows] = ((block * block).sum(axis=1) - sums * sums / (t - 1)) / t
         else:
             raw_step[rows] = np.var(block, axis=1)
-    dt = np.array([path.dt for path in paths], dtype=float)
     sigma_sq_raw = raw_step / dt
     clamped = sigma_sq_raw < 0.0
     sigma_sq = np.where(clamped, 0.0, sigma_sq_raw)
@@ -215,17 +215,28 @@ def build_panel(
     """Estimate every usable path and fit the cross-sectional distributions.
 
     Paths spanning less than ``MIN_WINDOW_COVERAGE`` of the longest path's window
-    (or too short to estimate) are excluded and listed.  Distribution fits
-    that fail are recorded per field and the panel is still returned.
+    (or too short to estimate) are excluded and listed.  Paths whose volatility
+    estimate was clamped to zero are left out of the gamma fit of volatilities
+    only.  Distribution fits that fail are recorded per field and the panel is
+    still returned.
     """
     if not paths:
         raise InsufficientDataError("build_panel needs at least 3 usable paths")
     tickers = sorted(paths)
-    sizes = np.array([paths[ticker].prices.size for ticker in tickers])
-    duration = (sizes - 1) * np.array([paths[ticker].dt for ticker in tickers], dtype=float)
+    prices = [paths[ticker].prices for ticker in tickers]
+    dt = np.array([paths[ticker].dt for ticker in tickers], dtype=float)
+    return _panel_of_columns(tickers, np.concatenate(prices), np.array([p.size for p in prices]), dt, method)
+
+
+def _panel_of_columns(tickers, prices: np.ndarray, sizes: np.ndarray, dt, method: str) -> DriftVolPanel:
+    """``build_panel`` of one or more paths laid end to end in ``prices``: path i, of
+    ticker ``tickers[i]`` (sorted), has ``sizes[i]`` prices at step ``dt`` (a float,
+    or one per path).  The caller has checked them as ``PricePath`` does."""
+    dt = np.broadcast_to(dt, sizes.shape)
+    duration = (sizes - 1) * dt
     keep = (sizes >= 3) & (duration >= MIN_WINDOW_COVERAGE * duration.max())
     used = tuple(compress(tickers, keep))
-    columns = _estimates([paths[ticker] for ticker in used], method) if used else ()
+    columns = _estimates(prices[np.repeat(keep, sizes)], sizes[keep], dt[keep], method) if used else ()
     if len(used) < 3:
         raise InsufficientDataError(
             f"build_panel needs at least 3 usable paths, got {len(used)}"
@@ -236,7 +247,7 @@ def build_panel(
     errors: list[tuple[str, str]] = []
     for name, fit, args in (
         ("drift_fit", fit_skew_normal, (mu_hats,)),
-        ("vol_fit", fit_gamma, (sigma_hats,)),
+        ("vol_fit", fit_gamma, (sigma_hats[~clamped],)),
         ("regression", huber_regression, (sigma_hats, mu_hats)),
         ("correlation", pearson_correlation, (mu_hats, sigma_hats)),
     ):
@@ -293,5 +304,7 @@ def write_panel_csv(panel: DriftVolPanel, destination) -> None:
         "excluded_delisted": len(panel.excluded),
         "clamped_estimates": int(panel.clamped.sum()),
     }
+    if panel.clamped.any():  # the paths left out of the gamma fit
+        footer["vol_fit_degenerate"] = footer["clamped_estimates"]
     footer.update((f"fit_error_{name}", message) for name, message in panel.fit_errors)
     write_report(destination, _PANEL_COLUMNS, [row], footer=footer)

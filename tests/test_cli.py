@@ -12,7 +12,7 @@ import pytest
 
 from bigwinners.cli import OPTIONS, build_parser, main
 from bigwinners.distributions import LogNormalParams
-from bigwinners.gbm import GBMParams, PricePath, estimate_gbm, simulate_gbm
+from bigwinners.gbm import GBMParams, PricePath, build_panel, estimate_gbm, simulate_gbm, write_panel_csv
 from bigwinners.lognormal_sum import MODERATELY_BROAD, NARROW, VERY_BROAD, classify_regime, regime_formula_values
 
 
@@ -213,6 +213,41 @@ class TestGbm:
     def test_missing_input_exit_2(self, tmp_path):
         assert main(["gbm", "--out", str(tmp_path)]) == 2
 
+    def test_gbm_builds_no_price_path(self, tmp_path, monkeypatch):
+        """``gbm`` reads the loaded panel's columns: with ``PricePath`` refusing
+        every path it writes the panel that ``build_panel`` of the paths gives."""
+        paths = {f"T{i:02d}": simulate_gbm(GBMParams(0.12, 0.29), 1.0, 16, 0.25, seed=i).prices for i in range(12)}
+        paths["SHORT"], paths["ONE"] = paths["T00"][:5], paths["T01"][:1]
+        write_panel_csv(build_panel({t: PricePath(float(p[0]), p, 0.25) for t, p in paths.items()}), tmp_path / "want.csv")
+        src = make_path_panel(tmp_path, "panel", paths)
+        argv = ["gbm", "--input", str(src), "--dt", "0.25", "--format", "json"]
+        assert main(argv + ["--out", str(tmp_path / "before")]) == 0
+
+        def refuse(self):
+            raise AssertionError("gbm built a PricePath")
+
+        monkeypatch.setattr(PricePath, "__post_init__", refuse)
+        assert main(argv + ["--out", str(tmp_path / "after")]) == 0
+        for name in ("estimates.json", "panel.csv"):
+            assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes(), name
+        assert (tmp_path / "after" / "panel.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_dt_exits_2_after_the_file_is_read(self, tmp_path, capsys, value):
+        paths = {f"T{i}": simulate_gbm(GBMParams(0.12, 0.29), 1.0, 16, 1.0, seed=i).prices for i in range(4)}
+        good = make_path_panel(tmp_path, "panel", paths)
+        malformed = tmp_path / "malformed.csv"
+        malformed.write_text("ticker,date,adj_close\nT0,2006-01-02,x\n", encoding="utf-8")
+        argv = ["gbm", "--dt", value, "--out", str(tmp_path / "out"), "--input"]
+        for src, message in [
+            (good, f"dt must be > 0, got {float(value)}"),
+            (malformed, "line 2: bad price 'x'"),
+            (tmp_path / "missing.csv", "No such file or directory"),
+        ]:
+            assert main(argv + [str(src)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("gbm: ") and message in err, (src.name, err)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("method", ["endpoint", "mle"])
     def test_each_estimate_row_is_estimate_gbm_of_its_path(self, tmp_path, method, fmt):
@@ -222,8 +257,8 @@ class TestGbm:
         src = make_path_panel(tmp_path, "panel", paths)
         out = tmp_path / "out"
         argv = ["gbm", "--input", str(src), "--dt", "0.25", "--estimator", method, "--format", fmt]
-        # A clamped sigma_hat of 0 fails the gamma fit: exit 3 with every report written.
-        assert main(argv + ["--out", str(out)]) == (3 if method == "endpoint" else 0)
+        # A clamped sigma_hat of 0 is left out of the gamma fit, which succeeds without it.
+        assert main(argv + ["--out", str(out)]) == 0
         text = (out / f"estimates.{fmt}").read_text(encoding="utf-8")
         rows = json.loads(text) if fmt == "json" else list(csv.DictReader(text.splitlines()))
         assert [row["ticker"] for row in rows] == sorted(set(paths) - {"SHORT"})

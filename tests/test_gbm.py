@@ -213,6 +213,25 @@ class TestBuildPanel:
             assert getattr(panel_a, name).tobytes() == getattr(panel_b, name).tobytes()
         assert panel_a.regression == panel_b.regression
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_clamped_path_is_left_out_of_the_vol_fit_only(self, tmp_path, seed):
+        """A noiseless trend, clamped to sigma_hat = 0, leaves the gamma fit as it
+        was without it, and stays in the drift fit, regression and correlation."""
+        vols = np.random.default_rng(seed).gamma(8.0, 0.29 / 8.0, 30)
+        paths = {f"T{i:02d}": simulate_gbm(GBMParams(0.12, vol), 1.0, 64, 0.25, (seed, i)) for i, vol in enumerate(vols)}
+        trend = PricePath(x0=1.0, prices=np.exp(0.05 * np.arange(65.0)), dt=0.25)
+        without, with_trend = build_panel(paths), build_panel({**paths, "TREND": trend})
+        assert with_trend.clamped.tolist() == [False] * 30 + [True]
+        assert with_trend.fit_errors == without.fit_errors == ()
+        assert repr(with_trend.vol_fit) == repr(without.vol_fit)
+        assert with_trend.mu_hats[-1] == estimate_gbm(trend).mu_hat
+        for name in ("drift_fit", "regression", "correlation"):
+            assert repr(getattr(with_trend, name)) != repr(getattr(without, name)), name
+        for panel, footer in ((without, []), (with_trend, ["# vol_fit_degenerate=1"])):
+            write_panel_csv(panel, tmp_path / "panel.csv")
+            lines = (tmp_path / "panel.csv").read_text(encoding="utf-8").splitlines()
+            assert [line for line in lines if line.startswith("# vol_fit_degenerate=")] == footer
+
     def test_fit_errors_recorded_not_raised(self):
         # Flat paths give constant estimates: every cross-sectional fit fails
         # but the panel still carries the estimates.

@@ -6,16 +6,27 @@ verbatim as oracles.  Every result must match them bit for bit: the same
 float bits, tickers and exclusions, or the same exception type and message.
 """
 
+import dataclasses
 import datetime as dt
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bigwinners.empirical import ENDPOINT_TOLERANCE_DAYS, PricePanel, ReturnSample, total_returns
+from bigwinners.empirical import ENDPOINT_TOLERANCE_DAYS, PricePanel, ReturnSample, load_panel, total_returns
 from bigwinners.errors import DataError, InsufficientDataError, ParameterError
-from bigwinners.gbm import MIN_WINDOW_COVERAGE, GBMEstimate, PricePath, build_panel, estimate_gbm
+from bigwinners.gbm import (
+    MIN_WINDOW_COVERAGE,
+    DriftVolPanel,
+    GBMEstimate,
+    PricePath,
+    _panel_of_columns,
+    build_panel,
+    estimate_gbm,
+)
 
 EPOCH = dt.date(1970, 1, 1).toordinal()
 MIN_DAY = dt.date.min.toordinal() - EPOCH  # 0001-01-01
@@ -266,3 +277,49 @@ def test_no_usable_path_is_insufficient_data_whatever_the_method():
         build_panel({"A": _path(2), "B": _path(1)}, method="bogus")
     with pytest.raises(InsufficientDataError, match="at least 3 prices"):
         estimate_gbm(_path(2), method="bogus")
+
+
+@st.composite
+def gbm_price_files(draw):
+    """Paths of 1 to 40 prices, most over a common window and some delisted early,
+    as the rows of a price file, ticker-major or date-major."""
+    window = draw(st.integers(3, 40))
+    names = draw(st.lists(st.text("ABCab", min_size=1, max_size=3), min_size=3, max_size=10, unique=True))
+    paths = {}
+    for name in names:
+        size = window if draw(st.integers(0, 2)) else draw(st.integers(1, window))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        kind = draw(st.sampled_from(["walk", "walk", "trend", "flat"]))
+        step = {"walk": rng.normal(0.01, 0.2, size - 1), "trend": np.full(size - 1, 0.05), "flat": np.zeros(size - 1)}[kind]
+        paths[name] = float(rng.uniform(0.5, 50.0)) * np.exp(np.concatenate(([0.0], np.cumsum(step))))
+    rows = [(j, ticker, price) for ticker, prices in paths.items() for j, price in enumerate(prices.tolist())]
+    if draw(st.booleans()):
+        rows.sort()  # date-major
+    day0 = dt.date(2006, 1, 2)
+    text = "ticker,date,adj_close\n" + "".join(f"{t},{day0 + dt.timedelta(days=j)},{p!r}\n" for j, t, p in rows)
+    return paths, text
+
+
+def _fields(panel):
+    """Every field of a panel: arrays by dtype and bytes, the rest by repr."""
+    if isinstance(panel, tuple):
+        return panel
+    return [
+        (value.dtype, value.tobytes()) if isinstance(value, np.ndarray) else repr(value)
+        for value in (getattr(panel, field.name) for field in dataclasses.fields(DriftVolPanel))
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(gbm_price_files(), st.sampled_from([1.0, 0.25, 1 / 252]), st.sampled_from(["endpoint", "mle"]))
+def test_loaded_columns_give_build_panel_of_the_paths(case, dt_, method):
+    """The ``gbm`` route (the loaded panel's columns) and ``build_panel`` of the
+    same prices as ``PricePath``s give the same panel, field for field."""
+    paths, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        path.write_text(text, encoding="utf-8")
+        tickers, sizes, _, prices = load_panel(path).columns()
+    got = _outcome(_panel_of_columns, tickers, prices, sizes, dt_, method)
+    want = _outcome(build_panel, {t: PricePath(float(p[0]), p, dt_) for t, p in paths.items()}, method)
+    assert _fields(got) == _fields(want)
