@@ -338,10 +338,10 @@ def cmd_gbm(args) -> int:
     if not args.input:
         raise ParameterError("an --input price file is required")
 
-    tickers, sizes, _, prices = load_panel(args.input).columns()
+    loaded = load_panel(args.input)
     if not 0 < args.dt < float("inf"):
         raise ParameterError(f"dt must be > 0, got {args.dt}")
-    panel = _panel_of_columns(tickers, prices, sizes, args.dt, args.estimator)
+    panel = _panel_of_columns(loaded.tickers, loaded.prices, loaded.sizes, args.dt, args.estimator)
 
     columns = (panel.mu_hats, panel.sigma_hats, panel.sigma_sq_raw, panel.clamped)
     estimate_rows = zip(panel.tickers, *(column.tolist() for column in columns))

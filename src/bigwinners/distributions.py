@@ -382,7 +382,7 @@ def fit_gamma(x) -> GammaParams:
     arr = _clean(x, 3, "fit_gamma", positive=True)
     xbar = float(np.mean(arr))
     s = math.log(xbar) - float(np.mean(np.log(arr)))
-    if s <= 0 or not math.isfinite(s):
+    if s <= 0 or not math.isfinite(s) or arr.min() == arr.max():  # equal values can round to s > 0
         raise FitFailureError("fit_gamma: zero dispersion (ln-mean gap is not positive)")
 
     k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
@@ -390,6 +390,8 @@ def fit_gamma(x) -> GammaParams:
     for _ in range(GAMMA_NEWTON_MAXITER):
         f = math.log(k) - float(scipy.special.digamma(k)) - s
         fprime = 1.0 / k - float(scipy.special.polygamma(1, k))
+        if fprime == 0:  # k so large that the slope rounds to 0: Newton has stalled
+            break
         step = f / fprime
         k_new = k - step
         if k_new <= 0:

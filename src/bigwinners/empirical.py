@@ -52,29 +52,21 @@ TAIL_THRESHOLD_LOG = -2.0
 
 @dataclass(frozen=True)
 class PricePanel:
-    """Per-ticker price histories on a common study window.
+    """Price histories on a common study window, laid end to end as one table.
 
-    ``series`` maps ticker -> (dates, prices) with dates as datetime64[D]
-    in strictly increasing order and prices strictly positive.  ``notes``
-    collects non-fatal load diagnostics (e.g. rows that needed sorting).
+    Ticker ``tickers[i]`` (sorted) has ``sizes[i]`` rows, following those of
+    the tickers before it in ``dates`` (datetime64[D], strictly increasing
+    within each ticker) and ``prices`` (float64, strictly positive).  ``notes``
+    collects non-fatal load diagnostics (e.g. rows that needed sorting), in
+    file order.
     """
 
-    series: dict[str, tuple[np.ndarray, np.ndarray]]
+    tickers: tuple[str, ...]
+    sizes: np.ndarray
+    dates: np.ndarray
+    prices: np.ndarray
     window: tuple[dt.date, dt.date]
     notes: tuple[str, ...] = ()
-
-    @property
-    def tickers(self) -> tuple[str, ...]:
-        return tuple(sorted(self.series))
-
-    def columns(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
-        """The series laid end to end in ``tickers`` order: the tickers, the size
-        of each series, and all dates (as days since 1970-01-01) and all prices."""
-        tickers = self.tickers
-        dates = [self.series[ticker][0] for ticker in tickers]
-        days = np.concatenate([np.empty(0, "datetime64[D]"), *dates]).astype("datetime64[D]").view(np.int64)
-        prices = np.concatenate([np.empty(0), *(self.series[ticker][1] for ticker in tickers)])
-        return tickers, np.array([d.size for d in dates], dtype=np.int64), days, prices
 
 
 @dataclass(frozen=True)
@@ -338,30 +330,31 @@ def load_panel(source) -> PricePanel:
     if not prices:
         raise DataError("no price records found")
 
-    # Raw tickers that strip to the same name share a code, numbered by first appearance.
+    # Raw tickers that strip to the same name share a code, numbered by first appearance,
+    # which orders the notes and picks the duplicate reported; the rows go in name order.
     codes_of_name: dict[str, int] = {}
     codes = np.array([codes_of_name.setdefault(n, len(codes_of_name)) for n in names])[t]
+    met = list(codes_of_name)
+    tickers = tuple(sorted(met))
+    rank = {name: i for i, name in enumerate(tickers)}
+    ranks = np.array([rank[n] for n in met])[codes]
     days = np.array(day_of_raw, dtype=np.int64)[d]
-    order = np.lexsort((days, codes))
+    order = np.lexsort((days, ranks))
     codes, days = codes[order], days[order]
     dates = days.view("datetime64[D]")
-    tickers = list(codes_of_name)
     same = codes[1:] == codes[:-1]
 
-    dup = same & (days[1:] == days[:-1])
-    if dup.any():
-        k = int(np.argmax(dup))
-        raise DataError(f"duplicate (ticker, date) row: {tickers[codes[k]]} on {dates[k + 1]}")
+    dup = np.flatnonzero(same & (days[1:] == days[:-1]))
+    if dup.size:
+        k = dup[np.argmin(codes[dup])]  # the first ticker in the file with one, at its earliest date
+        raise DataError(f"duplicate (ticker, date) row: {met[codes[k]]} on {dates[k + 1]}")
 
     notes = tuple(
-        f"{tickers[c]}: rows were out of date order; sorted"
+        f"{met[c]}: rows were out of date order; sorted"
         for c in np.unique(codes[1:][same & (order[1:] < order[:-1])])
     )
-    bounds = [0, *(np.flatnonzero(~same) + 1).tolist(), codes.size]
-    px = px[order]
-    series = {ticker: (dates[a:b], px[a:b]) for ticker, a, b in zip(tickers, bounds, bounds[1:])}
     window = (dates.min().astype(dt.date), dates.max().astype(dt.date))
-    return PricePanel(series=series, window=window, notes=notes)
+    return PricePanel(tickers, np.bincount(ranks), dates, px[order], window, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +383,10 @@ def total_returns(
     return that leaves the float range raises DataError naming its ticker.
     """
     start, end = window if window is not None else panel.window
-    tickers, sizes, days, prices = panel.columns()
+    tickers, sizes, prices = panel.tickers, panel.sizes, panel.prices
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    key = np.repeat(np.arange(len(tickers)) * _SEGMENT_DAYS, sizes) + days
+    key = np.repeat(np.arange(len(tickers)) * _SEGMENT_DAYS, sizes) + panel.dates.view(np.int64)
     i0, i1 = (_nearest_within(key, starts, ends, edge) for edge in (start, end))
     keep = (i0 >= 0) & (i1 >= 0) & (i0 != i1)
     if not keep.any():

@@ -216,9 +216,9 @@ def build_panel(
 
     Paths spanning less than ``MIN_WINDOW_COVERAGE`` of the longest path's window
     (or too short to estimate) are excluded and listed.  Paths whose volatility
-    estimate was clamped to zero are left out of the gamma fit of volatilities
-    only.  Distribution fits that fail are recorded per field and the panel is
-    still returned.
+    estimate is zero (clamped, or a flat path) are left out of the gamma fit of
+    volatilities only.  Distribution fits that fail are recorded per field and
+    the panel is still returned.
     """
     if not paths:
         raise InsufficientDataError("build_panel needs at least 3 usable paths")
@@ -247,7 +247,7 @@ def _panel_of_columns(tickers, prices: np.ndarray, sizes: np.ndarray, dt, method
     errors: list[tuple[str, str]] = []
     for name, fit, args in (
         ("drift_fit", fit_skew_normal, (mu_hats,)),
-        ("vol_fit", fit_gamma, (sigma_hats[~clamped],)),
+        ("vol_fit", fit_gamma, (sigma_hats[sigma_hats > 0],)),
         ("regression", huber_regression, (sigma_hats, mu_hats)),
         ("correlation", pearson_correlation, (mu_hats, sigma_hats)),
     ):
@@ -304,7 +304,8 @@ def write_panel_csv(panel: DriftVolPanel, destination) -> None:
         "excluded_delisted": len(panel.excluded),
         "clamped_estimates": int(panel.clamped.sum()),
     }
-    if panel.clamped.any():  # the paths left out of the gamma fit
-        footer["vol_fit_degenerate"] = footer["clamped_estimates"]
+    degenerate = int((panel.sigma_hats == 0).sum())
+    if degenerate:  # the paths left out of the gamma fit
+        footer["vol_fit_degenerate"] = degenerate
     footer.update((f"fit_error_{name}", message) for name, message in panel.fit_errors)
     write_report(destination, _PANEL_COLUMNS, [row], footer=footer)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from bigwinners.empirical import PricePanel
+
 
 def bootstrap_se(values, statistic, seed, replicates=200):
     """Standard error of a statistic by nonparametric bootstrap."""
@@ -10,6 +12,26 @@ def bootstrap_se(values, statistic, seed, replicates=200):
     for i in range(replicates):
         out[i] = statistic(values[rng.integers(0, values.size, values.size)])
     return float(np.std(out, ddof=1))
+
+
+def panel_of_series(series, window, notes=()) -> PricePanel:
+    """The panel of per-ticker ``series`` (ticker -> (dates, prices)), laid end
+    to end in sorted ticker order."""
+    tickers = tuple(sorted(series))
+    return PricePanel(
+        tickers,
+        np.array([series[ticker][0].size for ticker in tickers], dtype=np.int64),
+        np.concatenate([np.empty(0, "datetime64[D]"), *(series[ticker][0] for ticker in tickers)]),
+        np.concatenate([np.empty(0), *(series[ticker][1] for ticker in tickers)]),
+        window,
+        tuple(notes),
+    )
+
+
+def series_of(panel: PricePanel) -> dict:
+    """The ticker -> (dates, prices) slices of ``panel``, in its ticker order."""
+    bounds = [0, *np.cumsum(panel.sizes).tolist()]
+    return {ticker: (panel.dates[a:b], panel.prices[a:b]) for ticker, a, b in zip(panel.tickers, bounds, bounds[1:])}
 
 
 @pytest.fixture

@@ -224,8 +224,19 @@ class TestFitGamma:
         assert fit.shape == pytest.approx(1.0, abs=0.05)
 
     def test_constant_data_fails(self):
-        with pytest.raises(FitFailureError):
-            fit_gamma(np.full(50, 3.0))
+        # Equal values whose ln-mean gap rounds above 0 (1.2738..., 3 of them: the
+        # Newton slope underflows) or whose variance rounds above 0 (0.123, 20 of them).
+        for n, value in [(50, 3.0), (3, 1.2738347913809989), (20, 0.123)]:
+            with pytest.raises(FitFailureError, match="zero dispersion"):
+                fit_gamma(np.full(n, value))
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-9, 1e-10, 1e-14])
+    def test_vanishing_newton_slope_falls_back_to_moments(self, eps):
+        """Values this close give a shape so large that the Newton slope rounds to 0."""
+        x = np.array([1.0, 1.0 + eps, 1.0])
+        fit = fit_gamma(x)
+        assert fit.method == "moments"
+        assert fit.shape == np.mean(x) ** 2 / np.var(x)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):

@@ -19,7 +19,7 @@ from bigwinners.empirical import (
 )
 from bigwinners.errors import DataError, InsufficientDataError, ParameterError, ParseError
 
-from conftest import bootstrap_se
+from conftest import bootstrap_se, series_of
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ class TestLoadPanel:
             ]
         )
         panel = load_panel(path)
-        dates, prices = panel.series["AAA"]
+        dates, prices = series_of(panel)["AAA"]
         assert list(prices) == [10.0, 12.0]
         assert any("sorted" in note for note in panel.notes)
 

@@ -232,6 +232,20 @@ class TestBuildPanel:
             lines = (tmp_path / "panel.csv").read_text(encoding="utf-8").splitlines()
             assert [line for line in lines if line.startswith("# vol_fit_degenerate=")] == footer
 
+    @pytest.mark.parametrize("method", ["endpoint", "mle"])
+    def test_flat_path_is_left_out_of_the_vol_fit(self, tmp_path, method):
+        """A halted stock's flat path (sigma_hat exactly 0, not clamped) leaves the
+        gamma fit as it was without it, under either estimator, and is counted."""
+        paths = {f"T{i:02d}": simulate_gbm(GBMParams(0.12, 0.29), 1.0, 16, 0.25, seed=i) for i in range(20)}
+        without = build_panel(paths, method)
+        with_halt = build_panel({**paths, "HALT": PricePath(x0=2.0, prices=np.full(17, 2.0), dt=0.25)}, method)
+        assert with_halt.fit_errors == without.fit_errors == ()
+        assert not with_halt.clamped.any() and with_halt.sigma_hats[0] == 0.0
+        assert repr(with_halt.vol_fit) == repr(without.vol_fit)
+        write_panel_csv(with_halt, tmp_path / "panel.csv")
+        lines = (tmp_path / "panel.csv").read_text(encoding="utf-8").splitlines()
+        assert [line for line in lines if line.startswith("# vol_fit_degenerate=")] == ["# vol_fit_degenerate=1"]
+
     def test_fit_errors_recorded_not_raised(self):
         # Flat paths give constant estimates: every cross-sectional fit fails
         # but the panel still carries the estimates.

@@ -1,11 +1,13 @@
 """The columnar ``load_panel`` against the row-by-row loader it replaced.
 
-``reference_load_panel`` is that loader, kept verbatim as an oracle.  On
-every generated file both loaders must return equal panels (series order,
-dtypes, arrays, notes, window) or raise the same exception type with the
-same message.  Which date spellings ``datetime.date.fromisoformat``
-accepts depends on the Python version, so acceptance is only ever judged
-against the reference, never asserted directly.
+``reference_load_panel`` is that loader, kept verbatim as an oracle; only
+its per-ticker series are laid out as one table at the end.  On every
+generated file both loaders must return equal panels (sorted tickers,
+sizes, dates and prices by dtype and value, notes in file order, window)
+or raise the same exception type with the same message.  Which date
+spellings ``datetime.date.fromisoformat`` accepts depends on the Python
+version, so acceptance is only ever judged against the reference, never
+asserted directly.
 """
 
 import csv
@@ -25,6 +27,7 @@ from bigwinners import empirical
 from bigwinners.cli import main
 from bigwinners.empirical import PricePanel, load_panel
 from bigwinners.errors import DataError, ParseError
+from conftest import panel_of_series
 
 _COLUMNS = ("ticker", "date", "adj_close")
 
@@ -91,7 +94,7 @@ def reference_load_panel(source) -> PricePanel:
         hi = dates[-1] if hi is None else max(hi, dates[-1])
 
     window = (lo.astype(dt.date), hi.astype(dt.date))
-    return PricePanel(series=series, window=window, notes=tuple(notes))
+    return panel_of_series(series, window, notes)
 
 
 # Raw spellings of each ticker: padded ones strip to the same name, and a
@@ -180,13 +183,12 @@ def assert_same_outcome(got, want):
         assert str(got) == str(want)
         return
     assert isinstance(got, PricePanel), got
-    assert list(got.series) == list(want.series)
+    assert got.tickers == want.tickers
     assert got.notes == want.notes
     assert got.window == want.window
-    for ticker, (dates, prices) in want.series.items():
-        got_dates, got_prices = got.series[ticker]
-        assert got_dates.dtype == dates.dtype and got_prices.dtype == prices.dtype
-        assert np.array_equal(got_dates, dates) and np.array_equal(got_prices, prices)
+    for field in ("sizes", "dates", "prices"):
+        got_column, want_column = getattr(got, field), getattr(want, field)
+        assert got_column.dtype == want_column.dtype and np.array_equal(got_column, want_column), field
 
 
 @settings(max_examples=400, deadline=None)
@@ -208,9 +210,24 @@ def test_fixed_file_with_note_merged_ticker_and_quoted_comma(tmp_path):
         encoding="utf-8",
     )
     panel = load_panel(path)
-    assert list(panel.series) == ["AAA", "B,1", "CC"]
+    assert panel.tickers == ("AAA", "B,1", "CC")
     assert panel.notes == ("AAA: rows were out of date order; sorted",)
     assert_same_outcome(panel, reference_load_panel(path))
+
+
+def test_duplicates_of_several_tickers_name_the_first_met(tmp_path):
+    """With duplicates in two tickers, the error names the ticker met first in
+    the file, not first by name, at its earliest duplicate date."""
+    path = tmp_path / "prices.csv"
+    path.write_text(
+        "ticker,date,adj_close\n"
+        "ZZZ,2006-01-03,1\nAAA,2006-01-02,1\nAAA,2006-01-02,2\nZZZ,2006-01-03,2\nZZZ,2006-01-02,3\n"
+        "ZZZ,2006-01-02,4\n",
+        encoding="utf-8",
+    )
+    got = outcome(load_panel, path)
+    assert str(got) == "duplicate (ticker, date) row: ZZZ on 2006-01-02"
+    assert_same_outcome(got, outcome(reference_load_panel, path))
 
 
 def test_undecodable_bytes_after_a_bad_row(tmp_path):

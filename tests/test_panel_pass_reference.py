@@ -26,7 +26,9 @@ from bigwinners.gbm import (
     _panel_of_columns,
     build_panel,
     estimate_gbm,
+    write_panel_csv,
 )
+from conftest import panel_of_series, series_of
 
 EPOCH = dt.date(1970, 1, 1).toordinal()
 MIN_DAY = dt.date.min.toordinal() - EPOCH  # 0001-01-01
@@ -50,8 +52,7 @@ def reference_total_returns(panel, window=None) -> ReturnSample:
     rhos: list[float] = []
     keep: list[str] = []
     excluded: list[tuple[str, str]] = []
-    for ticker in panel.tickers:
-        dates, prices = panel.series[ticker]
+    for ticker, (dates, prices) in series_of(panel).items():
         i0 = _nearest_within(dates, t0)
         i1 = _nearest_within(dates, t1)
         if i0 is None or i1 is None or i0 == i1:
@@ -78,7 +79,7 @@ def _panel(days_by_ticker: dict[str, list[int]], prices_by_ticker: dict[str, lis
         for ticker, days in days_by_ticker.items()
     }
     every = [d for days in days_by_ticker.values() for d in days]
-    return PricePanel(series=series, window=(_date(min(every)), _date(max(every))))
+    return panel_of_series(series, window=(_date(min(every)), _date(max(every))))
 
 
 def _outcome(fn, *args):
@@ -213,10 +214,13 @@ def _estimate_outcome(fn, path, method):
 
 
 @st.composite
-def price_paths(draw):
-    """Random walks, drift-dominated (clamped) and flat paths of 1 to 300 prices."""
-    size = draw(st.one_of(st.integers(1, 12), st.integers(1, 300), st.sampled_from([9, 10, 129, 130, 257])))
-    dt_ = draw(st.sampled_from([1.0, 1 / 252, 0.25, 7.0, 3]))
+def price_paths(draw, size=None, dt_=None):
+    """Random walks, drift-dominated (clamped) and flat paths of 1 to 300 prices,
+    or of ``size`` prices at step ``dt_`` where given."""
+    if size is None:
+        size = draw(st.one_of(st.integers(1, 12), st.integers(1, 300), st.sampled_from([9, 10, 129, 130, 257])))
+    if dt_ is None:
+        dt_ = draw(st.sampled_from([1.0, 1 / 252, 0.25, 7.0, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["walk", "trend", "flat"]))
     step = {"walk": rng.normal(0.01, 0.2, size - 1), "trend": np.full(size - 1, 0.05), "flat": np.zeros(size - 1)}[kind]
@@ -259,6 +263,44 @@ def test_every_length_3_to_300_matches_bit_for_bit(method):
     assert [(t, _bits(e)) for t, e in _rows(panel)] == [(t, _bits(e)) for t, e in usable]
     assert len(_rows(panel)) == 299 and panel.excluded == excluded == ("SHORT",)
     assert dict(_rows(panel))["TREND"].clamped is (method == "endpoint")
+
+
+def _vol_fit_degenerate(panel) -> int:
+    """The ``vol_fit_degenerate`` count of ``panel``'s ``panel.csv`` footer, 0 if absent."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_panel_csv(panel, Path(tmp) / "panel.csv")
+        lines = (Path(tmp) / "panel.csv").read_text(encoding="utf-8").splitlines()
+    counts = [int(line.split("=")[1]) for line in lines if line.startswith("# vol_fit_degenerate=")]
+    return counts[0] if counts else 0
+
+
+@st.composite
+def usable_panels(draw):
+    """Paths at one step: 3 over the whole window of 3 to 60 prices and up to 5
+    more of any length up to it; the window's size and the step."""
+    window, dt_ = draw(st.integers(3, 60)), draw(st.sampled_from([1.0, 1 / 252, 0.25]))
+    sizes = [window] * 3 + draw(st.lists(st.integers(1, window), max_size=5))
+    return {f"T{i:02d}": draw(price_paths(size, dt_)) for i, size in enumerate(sizes)}, window, dt_
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    usable_panels(),
+    st.sampled_from([("flat", "endpoint"), ("flat", "mle"), ("trend", "endpoint")]),
+    st.floats(0.01, 0.3) | st.floats(-0.3, -0.01),
+)
+def test_a_zero_vol_path_leaves_the_vol_fit_as_it_was(panel, case, growth):
+    """One flat path (either estimator) or noiseless trend (``endpoint``, which
+    clamps it) added over the whole window leaves ``vol_fit`` as it was and
+    raises the ``vol_fit_degenerate`` count by one."""
+    (paths, window, dt_), (kind, method) = panel, case
+    without = build_panel(paths, method)
+    steps = np.arange(float(window)) * (growth if kind == "trend" else 0.0)
+    with_added = build_panel({**paths, "ZERO": PricePath(3.0, 3.0 * np.exp(steps), dt_)}, method)
+    assert with_added.sigma_hats[with_added.tickers.index("ZERO")] == 0.0
+    assert repr(with_added.vol_fit) == repr(without.vol_fit)
+    assert dict(with_added.fit_errors).get("vol_fit") == dict(without.fit_errors).get("vol_fit")
+    assert _vol_fit_degenerate(with_added) == _vol_fit_degenerate(without) + 1
 
 
 def _path(size):
@@ -313,13 +355,13 @@ def _fields(panel):
 @settings(max_examples=150, deadline=None)
 @given(gbm_price_files(), st.sampled_from([1.0, 0.25, 1 / 252]), st.sampled_from(["endpoint", "mle"]))
 def test_loaded_columns_give_build_panel_of_the_paths(case, dt_, method):
-    """The ``gbm`` route (the loaded panel's columns) and ``build_panel`` of the
+    """The ``gbm`` route (the loaded panel's table) and ``build_panel`` of the
     same prices as ``PricePath``s give the same panel, field for field."""
     paths, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "prices.csv"
         path.write_text(text, encoding="utf-8")
-        tickers, sizes, _, prices = load_panel(path).columns()
-    got = _outcome(_panel_of_columns, tickers, prices, sizes, dt_, method)
+        loaded = load_panel(path)
+    got = _outcome(_panel_of_columns, loaded.tickers, loaded.prices, loaded.sizes, dt_, method)
     want = _outcome(build_panel, {t: PricePath(float(p[0]), p, dt_) for t, p in paths.items()}, method)
     assert _fields(got) == _fields(want)

@@ -13,6 +13,7 @@ from bigwinners import __version__
 from bigwinners.cli import main
 from bigwinners.empirical import ReturnSample, load_panel, write_report, write_returns_csv
 from bigwinners.errors import ParameterError
+from conftest import series_of
 
 FIELDS = ["name", "none", "float", "np_float", "flag", "count"]
 ROWS = [
@@ -174,8 +175,8 @@ def test_bom_price_file_loads_like_plain(tmp_path):
     with_bom = load_panel(_return_panel(tmp_path / "bom.csv", rhos, bom=True))
     assert with_bom.tickers == plain.tickers
     assert with_bom.window == plain.window
-    for ticker in plain.tickers:
-        for got, want in zip(with_bom.series[ticker], plain.series[ticker]):
+    for ticker, series in series_of(plain).items():
+        for got, want in zip(series_of(with_bom)[ticker], series):
             np.testing.assert_array_equal(got, want)
 
 
