@@ -44,7 +44,7 @@ from .errors import (
     ParameterError,
     ParseError,
 )
-from .gbm import _panel_of_columns, write_panel_csv
+from .gbm import build_panel, write_panel_csv
 from .index_model import DriftModelParams, implied_lognormal, model_ratios, sample_ratio_summary, simulate_index
 from .lognormal_sum import regime_curve
 
@@ -161,7 +161,7 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
         if not Path(path).is_file():
             raise DataError(f"config file not found: {path}")
         try:
-            config.read(path, encoding="utf-8")
+            config.read(path, encoding="utf-8-sig")
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ParameterError(f"config file {path}: {' '.join(str(exc).split())}") from None
     every = {key for options in OPTIONS.values() for key in options}
@@ -338,21 +338,15 @@ def cmd_gbm(args) -> int:
     if not args.input:
         raise ParameterError("an --input price file is required")
 
-    loaded = load_panel(args.input)
-    if not 0 < args.dt < float("inf"):
-        raise ParameterError(f"dt must be > 0, got {args.dt}")
-    panel = _panel_of_columns(loaded.tickers, loaded.prices, loaded.sizes, args.dt, args.estimator)
-
+    panel = build_panel(load_panel(args.input), args.dt, args.estimator)
     columns = (panel.mu_hats, panel.sigma_hats, panel.sigma_sq_raw, panel.clamped)
     estimate_rows = zip(panel.tickers, *(column.tolist() for column in columns))
     write_report(args.out / f"estimates.{args.format}", _ESTIMATE_FIELDS, estimate_rows, args.format)
     write_panel_csv(panel, args.out / "panel.csv")
 
-    if panel.fit_errors:
-        for name, message in panel.fit_errors:
-            print(f"gbm: fit failure in {name}: {message}", file=sys.stderr)
-        return EXIT_FIT_FAILURE
-    return EXIT_OK
+    for name, message in panel.fit_errors:
+        print(f"gbm: fit failure in {name}: {message}", file=sys.stderr)
+    return EXIT_FIT_FAILURE if panel.fit_errors else EXIT_OK
 
 
 _MODEL_FIELDS = [
@@ -369,6 +363,8 @@ def cmd_model(args) -> int:
         raise ParameterError("--mu-d, --sigma-d, --sigma and --horizon are required")
     if args.simulate > 0 and args.seed is None:
         raise ParameterError("--seed is required with --simulate")
+    if args.export_sample and args.simulate == 0:
+        raise ParameterError("--export-sample needs --simulate > 0")
     params = DriftModelParams(mu_d=mu_d, sigma_d=sigma_d, sigma=sigma, horizon=horizon)
     implied = implied_lognormal(params)
     ratios = model_ratios(params)

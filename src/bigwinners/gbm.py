@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Mapping
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .distributions import (
     huber_regression,
     pearson_correlation,
 )
-from .empirical import write_report
+from .empirical import PricePanel, write_report
 from .errors import FitFailureError, InsufficientDataError, ParameterError
 
 __all__ = [
@@ -208,11 +207,10 @@ def _estimates(prices: np.ndarray, sizes: np.ndarray, dt, method: str) -> tuple[
 # Panel analysis
 # ---------------------------------------------------------------------------
 
-def build_panel(
-    paths: Mapping[str, PricePath],
-    method: str = "endpoint",
-) -> DriftVolPanel:
-    """Estimate every usable path and fit the cross-sectional distributions.
+def build_panel(panel: PricePanel, dt=1.0, method: str = "endpoint") -> DriftVolPanel:
+    """Estimate every usable path of ``panel`` (a ``load_panel`` table, or one laid out
+    the same way) at step ``dt`` (one float, or one per ticker) and fit the
+    cross-sectional distributions.
 
     Paths spanning less than ``MIN_WINDOW_COVERAGE`` of the longest path's window
     (or too short to estimate) are excluded and listed.  Paths whose volatility
@@ -220,21 +218,16 @@ def build_panel(
     volatilities only.  Distribution fits that fail are recorded per field and
     the panel is still returned.
     """
-    if not paths:
-        raise InsufficientDataError("build_panel needs at least 3 usable paths")
-    tickers = sorted(paths)
-    prices = [paths[ticker].prices for ticker in tickers]
-    dt = np.array([paths[ticker].dt for ticker in tickers], dtype=float)
-    return _panel_of_columns(tickers, np.concatenate(prices), np.array([p.size for p in prices]), dt, method)
-
-
-def _panel_of_columns(tickers, prices: np.ndarray, sizes: np.ndarray, dt, method: str) -> DriftVolPanel:
-    """``build_panel`` of one or more paths laid end to end in ``prices``: path i, of
-    ticker ``tickers[i]`` (sorted), has ``sizes[i]`` prices at step ``dt`` (a float,
-    or one per path).  The caller has checked them as ``PricePath`` does."""
+    tickers, sizes, prices = panel.tickers, panel.sizes, panel.prices
+    dt = np.asarray(dt, dtype=float)
+    if dt.ndim and dt.shape != sizes.shape:
+        raise ParameterError(f"dt needs one value or one per ticker, got {dt.size} for {sizes.size} tickers")
+    bad = dt[~((0 < dt) & (dt < np.inf))]
+    if bad.size:
+        raise ParameterError(f"dt must be > 0, got {bad[0]}")
     dt = np.broadcast_to(dt, sizes.shape)
     duration = (sizes - 1) * dt
-    keep = (sizes >= 3) & (duration >= MIN_WINDOW_COVERAGE * duration.max())
+    keep = (sizes >= 3) & (duration >= MIN_WINDOW_COVERAGE * duration.max(initial=0.0))
     used = tuple(compress(tickers, keep))
     columns = _estimates(prices[np.repeat(keep, sizes)], sizes[keep], dt[keep], method) if used else ()
     if len(used) < 3:

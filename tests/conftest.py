@@ -1,7 +1,10 @@
+import datetime as dt
+
 import numpy as np
 import pytest
 
 from bigwinners.empirical import PricePanel
+from bigwinners.gbm import build_panel
 
 
 def bootstrap_se(values, statistic, seed, replicates=200):
@@ -26,6 +29,15 @@ def panel_of_series(series, window, notes=()) -> PricePanel:
         window,
         tuple(notes),
     )
+
+
+def build_panel_of_paths(paths, method="endpoint"):
+    """``build_panel`` of ``paths`` (ticker -> ``PricePath``): their prices laid end
+    to end as one table, each ticker at its path's own ``dt``."""
+    tickers = sorted(paths)
+    series = {ticker: (np.arange(paths[ticker].prices.size).astype("datetime64[D]"), paths[ticker].prices) for ticker in tickers}
+    table = panel_of_series(series, (dt.date(1970, 1, 1), dt.date(1970, 1, 1)))
+    return build_panel(table, [paths[ticker].dt for ticker in tickers], method)
 
 
 def series_of(panel: PricePanel) -> dict:

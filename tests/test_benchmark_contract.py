@@ -8,11 +8,14 @@ run, and a rename or a dropped parameter would silently zero those
 per-layer metrics.
 """
 
+import datetime as dt
 import importlib
 import importlib.util
 import inspect
 import sys
 from pathlib import Path
+
+import numpy as np
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -66,3 +69,24 @@ def test_layer_functions_are_functions(monkeypatch):
     for qualified in sys.modules["run"].LAYER_FUNCTIONS:
         short, name = qualified.split(".")
         assert inspect.isfunction(getattr(package_module(sys.modules["tracer"], short), name, None)), qualified
+
+
+def test_cli_gbm_runs_through_the_traced_build_panel(tmp_path):
+    """The traced ``gbm`` command reaches the estimator through ``gbm.build_panel``,
+    so the benchmark's gbm layer reads what the command runs."""
+    tracer = load_tracer()
+    cli = package_module(tracer, "cli")  # imports every traced module
+    rng = np.random.default_rng(0)
+    rows = [
+        f"T{i},{dt.date(2006, 1, 2) + dt.timedelta(days=j)},{price!r}"
+        for i in range(4)
+        for j, price in enumerate(np.exp(np.cumsum(rng.normal(0.0, 0.1, 12))).tolist())
+    ]
+    (tmp_path / "prices.csv").write_text("\n".join(["ticker,date,adj_close", *rows]) + "\n", encoding="utf-8")
+    trace = tracer.Tracer("gbm")
+    trace.install()
+    try:
+        assert cli.main(["gbm", "--input", str(tmp_path / "prices.csv"), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        trace.uninstall()
+    assert [span[0] for span in trace.spans].count("gbm.build_panel") == 1

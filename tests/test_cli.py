@@ -12,8 +12,9 @@ import pytest
 
 from bigwinners.cli import OPTIONS, build_parser, main
 from bigwinners.distributions import LogNormalParams
-from bigwinners.gbm import GBMParams, PricePath, build_panel, estimate_gbm, simulate_gbm, write_panel_csv
+from bigwinners.gbm import GBMParams, PricePath, estimate_gbm, simulate_gbm, write_panel_csv
 from bigwinners.lognormal_sum import MODERATELY_BROAD, NARROW, VERY_BROAD, classify_regime, regime_formula_values
+from conftest import build_panel_of_paths
 
 
 def make_return_panel(tmp_path, name, rhos, start="2006-01-02", end="2021-12-30"):
@@ -218,7 +219,7 @@ class TestGbm:
         every path it writes the panel that ``build_panel`` of the paths gives."""
         paths = {f"T{i:02d}": simulate_gbm(GBMParams(0.12, 0.29), 1.0, 16, 0.25, seed=i).prices for i in range(12)}
         paths["SHORT"], paths["ONE"] = paths["T00"][:5], paths["T01"][:1]
-        write_panel_csv(build_panel({t: PricePath(float(p[0]), p, 0.25) for t, p in paths.items()}), tmp_path / "want.csv")
+        write_panel_csv(build_panel_of_paths({t: PricePath(float(p[0]), p, 0.25) for t, p in paths.items()}), tmp_path / "want.csv")
         src = make_path_panel(tmp_path, "panel", paths)
         argv = ["gbm", "--input", str(src), "--dt", "0.25", "--format", "json"]
         assert main(argv + ["--out", str(tmp_path / "before")]) == 0
@@ -339,6 +340,18 @@ class TestModel:
         assert lines[0] == "rho"
         assert len(lines) == 501
         assert all(float(v) > 0 for v in lines[1:])
+
+    @pytest.mark.parametrize("config", [None, "[model]\nexport_sample = yes\n"], ids=["flag", "config"])
+    def test_export_sample_without_simulate_exits_2(self, tmp_path, capsys, config):
+        argv = MODEL_ARGS + ["--out", str(tmp_path / "out")]
+        if config is None:
+            argv.append("--export-sample")
+        else:
+            (tmp_path / "run.ini").write_text(config)
+            argv += ["--config", str(tmp_path / "run.ini")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "model: --export-sample needs --simulate > 0\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigFile:

@@ -7,12 +7,11 @@ from bigwinners.errors import InsufficientDataError, ParameterError
 from bigwinners.gbm import (
     GBMParams,
     PricePath,
-    build_panel,
     estimate_gbm,
     simulate_gbm,
     write_panel_csv,
 )
-
+from conftest import build_panel_of_paths
 
 
 def path_with_estimates(sigma_hat: float, mu_hat: float, x0: float = 1.0) -> PricePath:
@@ -163,7 +162,7 @@ class TestBuildPanel:
         for i, s in enumerate(seeds):
             mu_i = rng.normal(0.12, 0.06)
             paths[f"T{i:04d}"] = simulate_gbm(GBMParams(mu_i, 0.29), 1.0, 16 * 252, 1 / 252, s)
-        panel = build_panel(paths)
+        panel = build_panel_of_paths(paths)
         assert np.mean(panel.mu_hats) == pytest.approx(0.12, abs=0.01)
         assert np.mean(panel.sigma_hats) == pytest.approx(0.29, abs=0.01)
         assert panel.drift_fit is not None
@@ -174,7 +173,7 @@ class TestBuildPanel:
         rng = np.random.default_rng(52)
         for i, sigma in enumerate(rng.uniform(0.15, 0.5, 30)):
             paths[f"T{i:03d}"] = path_with_estimates(sigma, 2.0 * sigma + 0.01)
-        panel = build_panel(paths)
+        panel = build_panel_of_paths(paths)
         a, b, r2 = panel.regression
         assert a == pytest.approx(2.0, abs=1e-6)
         assert b == pytest.approx(0.01, abs=1e-6)
@@ -187,27 +186,27 @@ class TestBuildPanel:
             "B": simulate_gbm(GBMParams(0.1, 0.2), 1.0, 16, 1.0, 2),
         }
         with pytest.raises(InsufficientDataError):
-            build_panel(paths)
+            build_panel_of_paths(paths)
 
     def test_short_series_excluded(self):
         paths = {f"T{i}": simulate_gbm(GBMParams(0.1, 0.2), 1.0, 16, 1.0, i) for i in range(5)}
         paths["SHORT"] = simulate_gbm(GBMParams(0.1, 0.2), 1.0, 8, 1.0, 99)
-        panel = build_panel(paths)
+        panel = build_panel_of_paths(paths)
         assert panel.excluded == ("SHORT",)
         assert len(panel.tickers) == 5
 
     def test_single_price_series_excluded(self):
         paths = {f"T{i}": simulate_gbm(GBMParams(0.1, 0.2), 1.0, 16, 1.0, i) for i in range(5)}
         paths["ONE"] = PricePath(x0=3.0, prices=np.array([3.0]), dt=1.0)
-        panel = build_panel(paths)
+        panel = build_panel_of_paths(paths)
         assert panel.excluded == ("ONE",)
         assert len(panel.tickers) == 5
 
     def test_permutation_invariant(self):
         paths = {f"T{i}": simulate_gbm(GBMParams(0.1, 0.3), 1.0, 64, 0.25, i) for i in range(12)}
-        panel_a = build_panel(paths)
+        panel_a = build_panel_of_paths(paths)
         shuffled = {k: paths[k] for k in reversed(sorted(paths))}
-        panel_b = build_panel(shuffled)
+        panel_b = build_panel_of_paths(shuffled)
         assert panel_a.tickers == panel_b.tickers
         for name in ("mu_hats", "sigma_hats", "sigma_sq_raw", "clamped"):
             assert getattr(panel_a, name).tobytes() == getattr(panel_b, name).tobytes()
@@ -220,7 +219,7 @@ class TestBuildPanel:
         vols = np.random.default_rng(seed).gamma(8.0, 0.29 / 8.0, 30)
         paths = {f"T{i:02d}": simulate_gbm(GBMParams(0.12, vol), 1.0, 64, 0.25, (seed, i)) for i, vol in enumerate(vols)}
         trend = PricePath(x0=1.0, prices=np.exp(0.05 * np.arange(65.0)), dt=0.25)
-        without, with_trend = build_panel(paths), build_panel({**paths, "TREND": trend})
+        without, with_trend = build_panel_of_paths(paths), build_panel_of_paths({**paths, "TREND": trend})
         assert with_trend.clamped.tolist() == [False] * 30 + [True]
         assert with_trend.fit_errors == without.fit_errors == ()
         assert repr(with_trend.vol_fit) == repr(without.vol_fit)
@@ -237,8 +236,8 @@ class TestBuildPanel:
         """A halted stock's flat path (sigma_hat exactly 0, not clamped) leaves the
         gamma fit as it was without it, under either estimator, and is counted."""
         paths = {f"T{i:02d}": simulate_gbm(GBMParams(0.12, 0.29), 1.0, 16, 0.25, seed=i) for i in range(20)}
-        without = build_panel(paths, method)
-        with_halt = build_panel({**paths, "HALT": PricePath(x0=2.0, prices=np.full(17, 2.0), dt=0.25)}, method)
+        without = build_panel_of_paths(paths, method)
+        with_halt = build_panel_of_paths({**paths, "HALT": PricePath(x0=2.0, prices=np.full(17, 2.0), dt=0.25)}, method)
         assert with_halt.fit_errors == without.fit_errors == ()
         assert not with_halt.clamped.any() and with_halt.sigma_hats[0] == 0.0
         assert repr(with_halt.vol_fit) == repr(without.vol_fit)
@@ -250,7 +249,7 @@ class TestBuildPanel:
         # Flat paths give constant estimates: every cross-sectional fit fails
         # but the panel still carries the estimates.
         paths = {f"T{i}": PricePath(x0=2.0, prices=np.full(17, 2.0), dt=1.0) for i in range(5)}
-        panel = build_panel(paths)
+        panel = build_panel_of_paths(paths)
         assert len(panel.tickers) == 5
         assert panel.drift_fit is None
         names = {name for name, _ in panel.fit_errors}
@@ -258,7 +257,7 @@ class TestBuildPanel:
 
     def test_csv_export_layout(self, tmp_path):
         paths = {f"T{i}": simulate_gbm(GBMParams(0.12, 0.29), 1.0, 64, 0.25, i) for i in range(40)}
-        panel = build_panel(paths)
+        panel = build_panel_of_paths(paths)
         write_panel_csv(panel, tmp_path / "panel.csv")
         lines = (tmp_path / "panel.csv").read_text(encoding="utf-8").strip().splitlines()
         assert lines[0].split(",") == [

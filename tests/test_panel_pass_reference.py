@@ -23,12 +23,11 @@ from bigwinners.gbm import (
     DriftVolPanel,
     GBMEstimate,
     PricePath,
-    _panel_of_columns,
     build_panel,
     estimate_gbm,
     write_panel_csv,
 )
-from conftest import panel_of_series, series_of
+from conftest import build_panel_of_paths, panel_of_series, series_of
 
 EPOCH = dt.date(1970, 1, 1).toordinal()
 MIN_DAY = dt.date.min.toordinal() - EPOCH  # 0001-01-01
@@ -239,9 +238,9 @@ def test_build_panel_estimates_match_the_per_path_formula(paths, method):
     try:
         usable, excluded = reference_usable(paths, method)
     except InsufficientDataError as exc:
-        assert _outcome(build_panel, paths, method) == (InsufficientDataError, str(exc))
+        assert _outcome(build_panel_of_paths, paths, method) == (InsufficientDataError, str(exc))
         return
-    panel = build_panel(paths, method)
+    panel = build_panel_of_paths(paths, method)
     assert [(t, _bits(e)) for t, e in _rows(panel)] == [(t, _bits(e)) for t, e in usable]
     assert panel.excluded == excluded
 
@@ -258,7 +257,7 @@ def test_every_length_3_to_300_matches_bit_for_bit(method):
         paths[f"L{size:03d}"] = PricePath(x0=x0, prices=prices, dt=10.0 / (size - 1))
     paths["SHORT"] = PricePath(x0=1.0, prices=np.exp(0.01 * np.arange(50.0)), dt=0.1)  # covers 4.9 of 10 years
     paths["TREND"] = PricePath(x0=1.0, prices=np.exp(0.1 * np.arange(300.0)), dt=10.0 / 299)
-    panel = build_panel(paths, method)
+    panel = build_panel_of_paths(paths, method)
     usable, excluded = reference_usable(paths, method)
     assert [(t, _bits(e)) for t, e in _rows(panel)] == [(t, _bits(e)) for t, e in usable]
     assert len(_rows(panel)) == 299 and panel.excluded == excluded == ("SHORT",)
@@ -294,9 +293,9 @@ def test_a_zero_vol_path_leaves_the_vol_fit_as_it_was(panel, case, growth):
     clamps it) added over the whole window leaves ``vol_fit`` as it was and
     raises the ``vol_fit_degenerate`` count by one."""
     (paths, window, dt_), (kind, method) = panel, case
-    without = build_panel(paths, method)
+    without = build_panel_of_paths(paths, method)
     steps = np.arange(float(window)) * (growth if kind == "trend" else 0.0)
-    with_added = build_panel({**paths, "ZERO": PricePath(3.0, 3.0 * np.exp(steps), dt_)}, method)
+    with_added = build_panel_of_paths({**paths, "ZERO": PricePath(3.0, 3.0 * np.exp(steps), dt_)}, method)
     assert with_added.sigma_hats[with_added.tickers.index("ZERO")] == 0.0
     assert repr(with_added.vol_fit) == repr(without.vol_fit)
     assert dict(with_added.fit_errors).get("vol_fit") == dict(without.fit_errors).get("vol_fit")
@@ -309,14 +308,14 @@ def _path(size):
 
 def test_unknown_method_is_refused_once_a_path_is_usable():
     with pytest.raises(ParameterError, match="unknown estimator method 'bogus'"):
-        build_panel({"A": _path(5), "B": _path(2)}, method="bogus")
+        build_panel_of_paths({"A": _path(5), "B": _path(2)}, method="bogus")
     with pytest.raises(ParameterError, match="unknown estimator method 'bogus'"):
         estimate_gbm(_path(3), method="bogus")
 
 
 def test_no_usable_path_is_insufficient_data_whatever_the_method():
     with pytest.raises(InsufficientDataError, match="got 0"):
-        build_panel({"A": _path(2), "B": _path(1)}, method="bogus")
+        build_panel_of_paths({"A": _path(2), "B": _path(1)}, method="bogus")
     with pytest.raises(InsufficientDataError, match="at least 3 prices"):
         estimate_gbm(_path(2), method="bogus")
 
@@ -362,6 +361,6 @@ def test_loaded_columns_give_build_panel_of_the_paths(case, dt_, method):
         path = Path(tmp) / "prices.csv"
         path.write_text(text, encoding="utf-8")
         loaded = load_panel(path)
-    got = _outcome(_panel_of_columns, loaded.tickers, loaded.prices, loaded.sizes, dt_, method)
-    want = _outcome(build_panel, {t: PricePath(float(p[0]), p, dt_) for t, p in paths.items()}, method)
+    got = _outcome(build_panel, loaded, dt_, method)
+    want = _outcome(build_panel_of_paths, {t: PricePath(float(p[0]), p, dt_) for t, p in paths.items()}, method)
     assert _fields(got) == _fields(want)

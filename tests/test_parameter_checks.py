@@ -1,6 +1,7 @@
 """Each parameter container, simulator and library-owned option rejects its
 out-of-domain inputs with the documented error type and message."""
 
+import datetime as dt
 import math
 
 import numpy as np
@@ -14,9 +15,17 @@ from bigwinners.distributions import (
     lognormal_moments,
 )
 from bigwinners.empirical import ReturnSample, tail_filter
-from bigwinners.errors import DataError, ParameterError
-from bigwinners.gbm import GBMParams, PricePath, simulate_gbm
+from bigwinners.errors import DataError, InsufficientDataError, ParameterError
+from bigwinners.gbm import GBMParams, PricePath, build_panel, simulate_gbm
 from bigwinners.index_model import DriftModelParams, model_ratios
+from conftest import panel_of_series
+
+
+def _table(tickers):
+    """A price table of ``tickers``, each with the same 4 prices."""
+    series = {t: (np.arange(4).astype("datetime64[D]"), np.array([1.0, 1.1, 1.05, 1.2])) for t in tickers}
+    return panel_of_series(series, (dt.date(1970, 1, 1), dt.date(1970, 1, 4)))
+
 
 CASES = {
     "skew_normal_omega_zero": (lambda: SkewNormalParams(0.0, 0.0, 1.0), ParameterError, "omega must be > 0, got 0.0"),
@@ -37,6 +46,12 @@ CASES = {
                          "prices[0] must equal the positive starting price x0"),
     "simulate_gbm_dt": (lambda: simulate_gbm(GBMParams(0.1, 0.2), 1.0, 4, 0.0, 1), ParameterError,
                         "dt must be > 0, got 0.0"),
+    "panel_dt_nan": (lambda: build_panel(_table("ABC"), math.nan), ParameterError, "dt must be > 0, got nan"),
+    "panel_dt_one_zero": (lambda: build_panel(_table("ABC"), [1.0, 0.0, 1.0]), ParameterError, "dt must be > 0, got 0.0"),
+    "panel_dt_length": (lambda: build_panel(_table("ABC"), [1.0, 1.0]), ParameterError,
+                        "dt needs one value or one per ticker, got 2 for 3 tickers"),
+    "panel_empty": (lambda: build_panel(_table("")), InsufficientDataError,
+                    "build_panel needs at least 3 usable paths, got 0"),
     "drift_model_nan": (lambda: DriftModelParams(0.1, 0.1, math.nan, 16), ParameterError, "sigma must be finite"),
     "drift_model_sigma": (lambda: DriftModelParams(0.1, 0.1, -0.1, 16), ParameterError, "sigma must be >= 0, got -0.1"),
     "drift_model_horizon": (lambda: DriftModelParams(0.1, 0.1, 0.1, 0), ParameterError, "horizon must be > 0, got 0"),

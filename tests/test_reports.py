@@ -188,6 +188,14 @@ def test_bom_params_file_keeps_index_names(tmp_path):
     assert [p.name for p in out.iterdir()] == ["curve_alpha.csv"]
 
 
+def test_bom_config_file_reads_like_plain(tmp_path):
+    config = "[model]\nmu_d = 0.12\nsigma_d = 0.03\nsigma = 0.1\nhorizon = 16\n"
+    for name, text in (("plain", config), ("bom", "\ufeff" + config)):
+        (tmp_path / f"{name}.ini").write_text(text, encoding="utf-8")
+        assert main(["model", "--config", str(tmp_path / f"{name}.ini"), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "bom" / "model.csv").read_bytes() == (tmp_path / "plain" / "model.csv").read_bytes()
+
+
 # Report bytes that depend on the kernel density mode (its binned smoothing and
 # bounded refine) and on the log-normal quantile, pinned so that a rewrite of
 # either keeps every bit.
