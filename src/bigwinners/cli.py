@@ -365,6 +365,8 @@ def cmd_model(args) -> int:
         raise ParameterError("--seed is required with --simulate")
     if args.export_sample and args.simulate == 0:
         raise ParameterError("--export-sample needs --simulate > 0")
+    if 0 < args.simulate < 5:
+        raise ParameterError(f"--simulate must be 0 or at least 5, got {args.simulate}")
     params = DriftModelParams(mu_d=mu_d, sigma_d=sigma_d, sigma=sigma, horizon=horizon)
     implied = implied_lognormal(params)
     ratios = model_ratios(params)

@@ -59,9 +59,18 @@ SKEW_SYMMETRY_LRT = 3.841
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
+def _check_domain(params, finite, nonnegative=(), positive=()) -> None:
+    """Raise ParameterError naming the first of ``params``'s listed fields that is
+    not finite, then the first not >= 0, then the first not > 0."""
+    for name in finite:
+        if not math.isfinite(value := getattr(params, name)):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+    for name in nonnegative:
+        if (value := getattr(params, name)) < 0:
+            raise ParameterError(f"{name} must be >= 0, got {value}")
+    for name in positive:
+        if (value := getattr(params, name)) <= 0:
+            raise ParameterError(f"{name} must be > 0, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +90,7 @@ class LogNormalParams:
     sigma: float
 
     def __post_init__(self):
-        _require_finite("mu", self.mu)
-        _require_finite("sigma", self.sigma)
-        if self.sigma < 0:
-            raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
+        _check_domain(self, ("mu", "sigma"), nonnegative=("sigma",))
 
     @property
     def degenerate(self) -> bool:
@@ -108,11 +114,7 @@ class SkewNormalParams:
     capped: bool = False
 
     def __post_init__(self):
-        _require_finite("zeta", self.zeta)
-        _require_finite("omega", self.omega)
-        _require_finite("alpha", self.alpha)
-        if self.omega <= 0:
-            raise ParameterError(f"omega must be > 0, got {self.omega}")
+        _check_domain(self, ("zeta", "omega", "alpha"), positive=("omega",))
 
     @property
     def delta(self) -> float:
@@ -133,13 +135,7 @@ class AsymmetricLaplaceParams:
     asymmetry: float
 
     def __post_init__(self):
-        _require_finite("location", self.location)
-        _require_finite("scale", self.scale)
-        _require_finite("asymmetry", self.asymmetry)
-        if self.scale <= 0:
-            raise ParameterError(f"scale must be > 0, got {self.scale}")
-        if self.asymmetry <= 0:
-            raise ParameterError(f"asymmetry must be > 0, got {self.asymmetry}")
+        _check_domain(self, ("location", "scale", "asymmetry"), positive=("scale", "asymmetry"))
 
 
 @dataclass(frozen=True)
@@ -155,12 +151,7 @@ class GammaParams:
     method: str = "mle"
 
     def __post_init__(self):
-        _require_finite("shape", self.shape)
-        _require_finite("rate", self.rate)
-        if self.shape <= 0:
-            raise ParameterError(f"shape must be > 0, got {self.shape}")
-        if self.rate <= 0:
-            raise ParameterError(f"rate must be > 0, got {self.rate}")
+        _check_domain(self, ("shape", "rate"), positive=("shape", "rate"))
 
 
 @dataclass(frozen=True)

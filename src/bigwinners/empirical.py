@@ -132,6 +132,7 @@ class KDEModeResult:
 
 _COLUMNS = ("ticker", "date", "adj_close")
 _CHUNK_BYTES = 1 << 20  # bytes of plain rows load_panel parses at once
+_FIELD_BYTES = 64  # widest bulk field; merging the chunks pads every distinct ticker to the widest one
 _NOT_PLAIN = bytes(range(10)) + bytes(range(11, 32)) + b'"' + bytes(range(127, 256))  # all but \n and printable ASCII
 _DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # byte positions of the digits of dddd-dd-dd
 _DATE_PLACES = 10 ** np.arange(7, -1, -1)  # place values of those digits: yyyy-mm-dd -> yyyymmdd
@@ -202,10 +203,9 @@ def _bulk_rows(chunk: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     if stops.size % 3 or not (raw[stops].reshape(-1, 3) == (44, 44, 10)).all():
         return None
     widths = np.diff(stops, prepend=-1).reshape(-1, 3) - 1  # field lengths, line by line
-    ticker_bytes = max(int(widths[:, 0].max()), 1)
-    if (widths.max() > csv.field_size_limit() or (widths[:, 1] != 10).any()
-            or ticker_bytes * len(widths) > len(chunk)):
+    if widths.max() > min(_FIELD_BYTES, csv.field_size_limit()) or (widths[:, 1] != 10).any():
         return None
+    ticker_bytes = max(int(widths[:, 0].max()), 1)
     try:
         rows = np.loadtxt(io.StringIO(chunk.decode("ascii")), delimiter=",", comments=None, quotechar=None,
                           ndmin=1, dtype=[("ticker", f"S{ticker_bytes}"), ("date", "S10"), ("price", "f8")])
@@ -245,10 +245,10 @@ def load_panel(source) -> PricePanel:
     plus its price, so each distinct string is checked and converted once.
     After a plain header, rows are parsed in bulk by ``np.loadtxt``, _CHUNK_BYTES at
     a time, while each chunk passes a gate: only printable ASCII and newlines, no
-    quote, two commas on every line, no field over the csv field size limit, every
-    date ``dddd-dd-dd``, every price read by ``np.loadtxt``, and tickers that fit
-    in the chunk's size at its widest ticker's width.  Each bulk chunk keeps only
-    its distinct strings, which are decoded and numbered once, after the last one.
+    quote, two commas on every line, no field over _FIELD_BYTES (or the csv field
+    size limit, if lower), every date ``dddd-dd-dd`` and every price read by
+    ``np.loadtxt``.  Each bulk chunk keeps only its distinct strings, which are
+    decoded and numbered once, after the last one.
     ``csv.reader`` reads from the first chunk that fails it on, storing the same
     rows and lines.
     One stable lexsort by (ticker, date) then groups the panel, and a faulty

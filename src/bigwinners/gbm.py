@@ -29,6 +29,7 @@ import numpy as np
 from .distributions import (
     GammaParams,
     SkewNormalParams,
+    _check_domain,
     fit_gamma,
     fit_skew_normal,
     huber_regression,
@@ -61,10 +62,7 @@ class GBMParams:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
-            raise ParameterError("GBM parameters must be finite")
-        if self.sigma < 0:
-            raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
+        _check_domain(self, ("mu", "sigma"), nonnegative=("sigma",))
 
 
 @dataclass(frozen=True)
@@ -86,14 +84,6 @@ class PricePath:
             raise ParameterError("prices must be finite and strictly positive")
         if self.x0 <= 0 or arr[0] != self.x0:
             raise ParameterError("prices[0] must equal the positive starting price x0")
-
-    @property
-    def steps(self) -> int:
-        return int(self.prices.size - 1)
-
-    @property
-    def duration(self) -> float:
-        return self.steps * self.dt
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .distributions import LOG_FLOAT_MAX, LogNormalParams, SkewNormalParams, lognormal_mean, sample as draw
+from .distributions import (LOG_FLOAT_MAX, LogNormalParams, SkewNormalParams, _check_domain, lognormal_mean,
+                            sample as draw)
 from .empirical import ReturnSample, _fminbound, kde_mode
 from .errors import ParameterError
 
@@ -45,15 +46,8 @@ class DriftModelParams:
     horizon: float
 
     def __post_init__(self):
-        for name in ("mu_d", "sigma_d", "sigma", "horizon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite")
-        if self.sigma_d < 0:
-            raise ParameterError(f"sigma_d must be >= 0, got {self.sigma_d}")
-        if self.sigma < 0:
-            raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
-        if self.horizon <= 0:
-            raise ParameterError(f"horizon must be > 0, got {self.horizon}")
+        _check_domain(self, ("mu_d", "sigma_d", "sigma", "horizon"), nonnegative=("sigma_d", "sigma"),
+                      positive=("horizon",))
 
 
 @dataclass(frozen=True)

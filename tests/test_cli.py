@@ -353,6 +353,19 @@ class TestModel:
         assert capsys.readouterr().err == "model: --export-sample needs --simulate > 0\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [1, 4])
+    @pytest.mark.parametrize("config", [False, True], ids=["flag", "config"])
+    def test_simulate_below_five_exits_2_before_any_work(self, tmp_path, capsys, value, config):
+        argv = MODEL_ARGS + ["--seed", "1", "--out", str(tmp_path / "out")]
+        if config:
+            (tmp_path / "run.ini").write_text(f"[model]\nsimulate = {value}\n")
+            argv += ["--config", str(tmp_path / "run.ini")]
+        else:
+            argv += ["--simulate", str(value)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"model: --simulate must be 0 or at least 5, got {value}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigFile:
     def test_config_supplies_values_flags_override(self, tmp_path):
@@ -498,8 +511,11 @@ def test_nan_or_out_of_range_option_exits_2_naming_it(tmp_path, capsys, argv, me
         (["analyze", "--window", "bad"], "argument --window: bad window 'bad'; expected START:END ISO dates"),
         (["regime", "--n-grid", "1,x"], "argument --n-grid: bad n-grid '1,x'; expected comma-separated integers"),
         (["regime", "--seed", "-1"], "argument --seed: expected a non-negative integer, got '-1'"),
+        (["analyze", "--window", "2021-01-01:2020-01-01"],
+         "argument --window: window end must follow start, got '2021-01-01:2020-01-01'"),
+        (["regime", "--n-grid", ","], "argument --n-grid: n-grid must be nonempty"),
     ],
-    ids=["window", "n-grid", "seed"],
+    ids=["window", "n-grid", "seed", "window-order", "n-grid-empty"],
 )
 def test_flag_error_names_the_broken_rule(capsys, argv, rule):
     assert exit_code(argv) == 2
@@ -545,6 +561,24 @@ def test_overflow_exits_2_with_a_message(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith(message) and err.endswith("\n") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["analyze"], "analyze: at least one --input price file is required"),
+        (["regime", "--mu", "0", "--sigma", "0"], "regime: inline: regime analysis requires sigma > 0"),
+        (["regime", "--params-file", "params.csv"], "regime: params file params.csv needs index,mu,sigma columns"),
+        (MODEL_ARGS + ["--simulate", "10"], "model: --seed is required with --simulate"),
+    ],
+    ids=["analyze-no-input", "regime-sigma-zero", "regime-params-columns", "model-simulate-no-seed"],
+)
+def test_missing_or_invalid_setting_exits_2_before_any_work(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    Path("params.csv").write_text("index,mu\nSPX,0.5\n")
+    assert main(argv + ["--out", "out"]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not Path("out").exists()
 
 
 def test_regime_mean_overflow_exits_2_before_drawing(tmp_path, capsys):

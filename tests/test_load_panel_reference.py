@@ -17,6 +17,7 @@ import math
 import re
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,25 @@ def test_plain_rows_never_reach_csv_reader(tmp_path, monkeypatch):
     assert_same_outcome(panel, reference_load_panel(path))
 
 
+def test_wide_tickers_filling_a_chunk_keep_the_load_small(tmp_path, monkeypatch):
+    """Ten wide tickers that fill the first chunk, then short distinct ones: the
+    merge of the chunks' tickers would pad every short ticker to the wide width,
+    so the traced peak must stay within a small multiple of the file's size."""
+    size = 1 << 16
+    wide = b"".join(b"W%d" % i + b"x" * (size // 10 - 16) + b",2006-01-02,1\n" for i in range(10))
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b"ticker,date,adj_close\n" + wide + b"".join(b"S%06d,2006-01-02,1.5\n" % i for i in range(2000)))
+    monkeypatch.setattr(empirical, "_CHUNK_BYTES", size)
+    tracemalloc.start()
+    try:
+        panel = load_panel(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * path.stat().st_size
+    assert_same_outcome(panel, reference_load_panel(path))
+
+
 # ---------------------------------------------------------------------------
 # Edges of the bulk gate: each row below either passes it or sends its chunk
 # to csv.reader, and every chunk size from 1 to 80 bytes must give what the
@@ -395,6 +415,7 @@ GATE_EDGE_ROWS = (
      for price in (bytes([byte]) + b"5", b"5" + bytes([byte]))]
     + [_priced(price) for price in (b"1_000", b"inf", b"nan", b"1e309", b"4.9e-324")]
     + ["ÉTF,2006-01-02,5\n".encode("utf-8"), b"ABCDEFGHI,2006-01-02,5\n", b"LONG_TICKER_1,2006-01-02,5\n"]
+    + [b"T" * 65 + b",2006-01-02,5\n", _priced(b"0" * 64 + b"5")]  # one byte over the widest bulk field
     + [b"AAA," + date + b",5\n" for date in (b"20060102", b" 2006-01-02", b"2006-02-30", b"0000-01-01", b"9999-12-31",
                                            b"2006/01/02", b"2005-:1-02")]  # the last two have 2006-01-02's digit key
     + [b" T001 ,2006-01-02,5\n", b" T001 ,2006-01-02,-1\n", b"T001  ,2006-02-30,5\n", b"T001,2006-02-30 ,5\n",

@@ -182,11 +182,11 @@ def reference_estimate(path: PricePath, method: str = "endpoint") -> GBMEstimate
 
 def reference_usable(paths, method):
     """The estimates and exclusions of the per-path loop ``build_panel`` ran."""
-    window = max(path.duration for path in paths.values())
+    window = max((path.prices.size - 1) * path.dt for path in paths.values())
     usable, excluded = [], []
     for ticker in sorted(paths):
         path = paths[ticker]
-        if path.prices.size < 3 or path.duration < MIN_WINDOW_COVERAGE * window:
+        if path.prices.size < 3 or (path.prices.size - 1) * path.dt < MIN_WINDOW_COVERAGE * window:
             excluded.append(ticker)
             continue
         usable.append((ticker, reference_estimate(path, method=method)))

@@ -36,8 +36,8 @@ CASES = {
     "gamma_rate": (lambda: GammaParams(1.0, -0.5), ParameterError, "rate must be > 0, got -0.5"),
     "lognormal_variance_product": (lambda: lognormal_moments(LogNormalParams(0.0, 20.0)), ParameterError,
                                    "log-normal variance overflows a float at sigma = 20"),
-    "gbm_mu_nan": (lambda: GBMParams(math.nan, 0.2), ParameterError, "GBM parameters must be finite"),
-    "gbm_sigma_inf": (lambda: GBMParams(0.1, math.inf), ParameterError, "GBM parameters must be finite"),
+    "gbm_mu_nan": (lambda: GBMParams(math.nan, 0.2), ParameterError, "mu must be finite, got nan"),
+    "gbm_sigma_inf": (lambda: GBMParams(0.1, math.inf), ParameterError, "sigma must be finite, got inf"),
     "path_dt_zero": (lambda: PricePath(1.0, np.array([1.0, 2.0]), 0.0), ParameterError, "dt must be > 0, got 0.0"),
     "path_dt_negative": (lambda: PricePath(1.0, np.array([1.0, 2.0]), -1.0), ParameterError, "dt must be > 0, got -1.0"),
     "path_price_zero": (lambda: PricePath(1.0, np.array([1.0, 0.0]), 1.0), ParameterError,
@@ -52,7 +52,8 @@ CASES = {
                         "dt needs one value or one per ticker, got 2 for 3 tickers"),
     "panel_empty": (lambda: build_panel(_table("")), InsufficientDataError,
                     "build_panel needs at least 3 usable paths, got 0"),
-    "drift_model_nan": (lambda: DriftModelParams(0.1, 0.1, math.nan, 16), ParameterError, "sigma must be finite"),
+    "drift_model_nan": (lambda: DriftModelParams(0.1, 0.1, math.nan, 16), ParameterError,
+                        "sigma must be finite, got nan"),
     "drift_model_sigma": (lambda: DriftModelParams(0.1, 0.1, -0.1, 16), ParameterError, "sigma must be >= 0, got -0.1"),
     "drift_model_horizon": (lambda: DriftModelParams(0.1, 0.1, 0.1, 0), ParameterError, "horizon must be > 0, got 0"),
     "model_ratio_overflow": (lambda: model_ratios(DriftModelParams(0.1, 1.0, 0.2, 22)), ParameterError,
