@@ -43,7 +43,6 @@ from .index_model import (
     implied_lognormal,
     model_ratios,
     simulate_index,
-    simulate_index_skew_drift,
 )
 from .lognormal_sum import (
     classify_regime,

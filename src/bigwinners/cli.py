@@ -27,6 +27,7 @@ from pathlib import Path
 from . import __version__
 from .distributions import LogNormalParams
 from .empirical import (
+    KDE_MIN_POINTS,
     TAIL_THRESHOLD_LOG,
     fit_macroscopic,
     load_panel,
@@ -37,13 +38,7 @@ from .empirical import (
     write_report,
     write_returns_csv,
 )
-from .errors import (
-    BigWinnersError,
-    DataError,
-    InsufficientDataError,
-    ParameterError,
-    ParseError,
-)
+from .errors import BigWinnersError, DataError, InsufficientDataError, ParameterError
 from .gbm import build_panel, write_panel_csv
 from .index_model import DriftModelParams, implied_lognormal, model_ratios, sample_ratio_summary, simulate_index
 from .lognormal_sum import regime_curve
@@ -248,7 +243,7 @@ def cmd_analyze(args) -> int:
             panel = load_panel(source)
             sample = total_returns(panel, window=args.window)
             summary = summarize_index(sample)
-        except (ParseError, DataError, InsufficientDataError, ParameterError, OSError) as exc:
+        except (DataError, InsufficientDataError, ParameterError, OSError) as exc:
             print(f"analyze: {name}: {exc}", file=sys.stderr)
             exit_code = EXIT_INPUT_ERROR
             continue
@@ -365,8 +360,8 @@ def cmd_model(args) -> int:
         raise ParameterError("--seed is required with --simulate")
     if args.export_sample and args.simulate == 0:
         raise ParameterError("--export-sample needs --simulate > 0")
-    if 0 < args.simulate < 5:
-        raise ParameterError(f"--simulate must be 0 or at least 5, got {args.simulate}")
+    if 0 < args.simulate < KDE_MIN_POINTS:
+        raise ParameterError(f"--simulate must be 0 or at least {KDE_MIN_POINTS}, got {args.simulate}")
     params = DriftModelParams(mu_d=mu_d, sigma_d=sigma_d, sigma=sigma, horizon=horizon)
     implied = implied_lognormal(params)
     ratios = model_ratios(params)

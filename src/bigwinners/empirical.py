@@ -442,6 +442,8 @@ def top_contribution(sample: ReturnSample, pct: float) -> float:
 # ---------------------------------------------------------------------------
 
 KDE_GRID_SIZE = 1024
+# Fewest points a KDE mode is taken from.
+KDE_MIN_POINTS = 5
 # Instability thresholds: rival local maximum within this density fraction
 # of the top one, or the mode shifting more than this many bandwidths under
 # a +/-20% bandwidth perturbation.
@@ -456,7 +458,7 @@ def _kde_axis(x, who: str):
     is exact), anything else on the raw axis.  ``h`` is None for a constant
     sample, which has no spread to smooth.
     """
-    arr = _clean(x, 5, who)
+    arr = _clean(x, KDE_MIN_POINTS, who)
     if float(np.ptp(arr)) == 0.0:
         return arr, arr, None, False
     log_scale = bool(np.all(arr > 0))
@@ -626,6 +628,12 @@ def kde_mode(x) -> KDEModeResult:
     return KDEModeResult(mode=mode, bandwidth=h, stable=stable, log_scale=log_scale)
 
 
+def _check_replicates(replicates: int) -> None:
+    # A standard error over replicates (ddof=1) needs two of them.
+    if replicates < 2:
+        raise ParameterError(f"replicates must be >= 2, got {replicates}")
+
+
 def kde_mode_bootstrap_stderr(x, seed, replicates: int = 32) -> float:
     """Smoothed-bootstrap standard error of the KDE mode.
 
@@ -637,6 +645,7 @@ def kde_mode_bootstrap_stderr(x, seed, replicates: int = 32) -> float:
     flat-topped density the replicate modes cluster around those bumps and
     the spread understates the estimator's seed-to-seed scatter.
     """
+    _check_replicates(replicates)
     arr, t, h, log_scale = _kde_axis(x, "bootstrap stderr")
     if h is None:
         return 0.0
@@ -691,7 +700,7 @@ def summarize_index(sample: ReturnSample) -> IndexSummary:
 
     mode: float | None = None
     mode_note = ""
-    if n < 5:
+    if n < KDE_MIN_POINTS:
         mode_note = "too few returns for kernel density mode"
     else:
         result = kde_mode(sample.rho)

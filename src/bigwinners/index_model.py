@@ -1,10 +1,9 @@
 """Analytically solvable index model with distributed drift.
 
-Each constituent follows a GBM with common volatility and a drift drawn
-per stock.  With normal drift the cross-section of total returns is exactly
+Each constituent follows a GBM with common volatility and a normal drift
+drawn per stock.  The cross-section of total returns is then exactly
 log-normal, giving closed forms for the mean/median and mean/mode
-under-performance ratios; with skew-normal drift the cross-section is
-log-skew-normal, whose mode and median are only available numerically.
+under-performance ratios.
 """
 
 from __future__ import annotations
@@ -13,11 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
-from .distributions import (LOG_FLOAT_MAX, LogNormalParams, SkewNormalParams, _check_domain, lognormal_mean,
-                            sample as draw)
-from .empirical import ReturnSample, _fminbound, kde_mode
+from .distributions import LOG_FLOAT_MAX, LogNormalParams, _check_domain
+from .empirical import KDE_MIN_POINTS, ReturnSample, _check_replicates, kde_mode
 from .errors import ParameterError
 
 __all__ = [
@@ -27,11 +24,6 @@ __all__ = [
     "implied_lognormal",
     "model_ratios",
     "simulate_index",
-    "implied_log_skew_normal",
-    "simulate_index_skew_drift",
-    "log_skew_normal_mode",
-    "log_skew_normal_mean",
-    "log_skew_normal_median",
     "sample_ratio_summary",
 ]
 
@@ -84,91 +76,20 @@ def model_ratios(p: DriftModelParams) -> UnderperformanceRatios:
 # Simulation
 # ---------------------------------------------------------------------------
 
-def _terminal_returns(drifts: np.ndarray, p: DriftModelParams, rng: np.random.Generator) -> ReturnSample:
-    # Exact GBM solution per stock; covariance between stocks is neglected.
-    shocks = rng.standard_normal(drifts.size)
-    log_rho = (drifts - 0.5 * p.sigma * p.sigma) * p.horizon + p.sigma * math.sqrt(p.horizon) * shocks
-    return ReturnSample(rho=np.exp(log_rho))
-
-
-def _generator(n_stocks: int, seed) -> np.random.Generator:
-    if n_stocks < 2:
-        raise ParameterError(f"n_stocks must be >= 2, got {n_stocks}")
-    return np.random.default_rng(seed)
-
-
 def simulate_index(p: DriftModelParams, n_stocks: int, seed) -> ReturnSample:
     """Terminal total returns of ``n_stocks`` independent constituents.
 
     Drifts are drawn Normal(mu_d, sigma_d), then each terminal return uses
-    the exact GBM solution with the common volatility ``p.sigma``.
+    the exact GBM solution with the common volatility ``p.sigma``;
+    covariance between stocks is neglected.
     """
-    rng = _generator(n_stocks, seed)
-    return _terminal_returns(p.mu_d + p.sigma_d * rng.standard_normal(n_stocks), p, rng)
-
-
-def implied_log_skew_normal(p: DriftModelParams, alpha: float) -> SkewNormalParams:
-    """Skew-normal law of ln rho when the drift is D = mu_d + sigma_d * SN(0, 1, alpha).
-
-    Here mu_d and sigma_d are the drift's skew-normal location and scale,
-    not its mean and spread.  ln rho = (D*T - sigma^2*T/2) + sigma*sqrt(T)*Z;
-    the sum of a skew-normal and an independent normal stays skew-normal
-    with scale sqrt(sigma_d^2 T^2 + sigma^2 T) and a shape shrunk
-    accordingly.  At sigma_d = 0 it is ``implied_lognormal(p)`` with alpha = 0.
-    """
-    loc = p.mu_d * p.horizon - 0.5 * p.sigma * p.sigma * p.horizon
-    w = p.sigma_d * p.horizon
-    scale = math.sqrt(w * w + p.sigma * p.sigma * p.horizon)
-    if scale == 0.0:
-        raise ParameterError("the skew-drift model needs sigma > 0 or sigma_d > 0")
-    delta_bar = w * SkewNormalParams(zeta=0.0, omega=1.0, alpha=alpha).delta / scale
-    alpha_bar = delta_bar / math.sqrt(max(1.0 - delta_bar * delta_bar, 1e-300))
-    return SkewNormalParams(zeta=loc, omega=scale, alpha=alpha_bar)
-
-
-def simulate_index_skew_drift(p: DriftModelParams, alpha: float, n_stocks: int, seed) -> ReturnSample:
-    """``simulate_index`` with skew-normal drift mu_d + sigma_d * SN(0, 1, alpha).
-
-    Here mu_d and sigma_d are the drift's skew-normal location and scale,
-    not its mean and spread.  The cross-section is log-skew-normal; its mode
-    and median have no closed form, so summarize the returned sample
-    (``sample_ratio_summary``) or evaluate the implied density numerically
-    (``log_skew_normal_mode``).
-    """
-    rng = _generator(n_stocks, seed)
-    shape = draw(SkewNormalParams(zeta=0.0, omega=1.0, alpha=alpha), n_stocks, rng)
-    return _terminal_returns(p.mu_d + p.sigma_d * shape, p, rng)
-
-
-# ---------------------------------------------------------------------------
-# Log-skew-normal statistics (numeric where transcendental)
-# ---------------------------------------------------------------------------
-
-def log_skew_normal_mode(sn: SkewNormalParams) -> float:
-    """Mode of exp(Y) for skew-normal Y, by bounded Brent search.
-
-    The log-density of exp(Y) at x = e^t is log f_Y(t) - t up to a
-    constant; f_Y is log-concave, so the tilted objective has a single
-    maximum, bracketed by a coarse grid and polished by ``_fminbound``
-    between the winner's neighbours (the winner itself if that fails).
-    """
-    logpdf = scipy.stats.skewnorm(sn.alpha, loc=sn.zeta, scale=sn.omega).logpdf
-    lo = sn.zeta - sn.omega * sn.omega - 20.0 * sn.omega
-    hi = sn.zeta + 20.0 * sn.omega
-    grid = np.linspace(lo, hi, 512)
-    k = min(max(int(np.argmax(logpdf(grid) - grid)), 1), grid.size - 2)
-    x, success = _fminbound(lambda t: float(t - logpdf(t)), grid[k - 1], grid[k + 1], xatol=1e-10)
-    return math.exp(float(x) if success else float(grid[k]))
-
-
-def log_skew_normal_mean(sn: SkewNormalParams) -> float:
-    """E[exp(Y)] = 2 exp(zeta + omega^2/2) Phi(delta * omega), exactly."""
-    return 2.0 * lognormal_mean(LogNormalParams(sn.zeta, sn.omega)) * float(scipy.special.ndtr(sn.delta * sn.omega))
-
-
-def log_skew_normal_median(sn: SkewNormalParams) -> float:
-    """exp of the skew-normal median (numeric quantile)."""
-    return math.exp(float(scipy.stats.skewnorm(sn.alpha, loc=sn.zeta, scale=sn.omega).ppf(0.5)))
+    if n_stocks < 2:
+        raise ParameterError(f"n_stocks must be >= 2, got {n_stocks}")
+    rng = np.random.default_rng(seed)
+    drifts = p.mu_d + p.sigma_d * rng.standard_normal(n_stocks)
+    shocks = rng.standard_normal(n_stocks)
+    log_rho = (drifts - 0.5 * p.sigma * p.sigma) * p.horizon + p.sigma * math.sqrt(p.horizon) * shocks
+    return ReturnSample(rho=np.exp(log_rho))
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +141,10 @@ def sample_ratio_summary(sample: ReturnSample, seed, replicates: int = 200) -> S
     A replicate's median almost surely lies within 8 sqrt(n) ranks of the
     sample's, so each is read from that window of values (``_median_within``).
     """
+    _check_replicates(replicates)
     rho = sample.rho
-    if rho.size < 5:
-        raise ParameterError("sample_ratio_summary needs at least 5 returns")
+    if rho.size < KDE_MIN_POINTS:
+        raise ParameterError(f"sample_ratio_summary needs at least {KDE_MIN_POINTS} returns")
     mean = float(np.mean(rho))
     median = float(np.median(rho))
     mode = kde_mode(rho).mode

@@ -67,11 +67,15 @@ class CurvePoint:
     mc_stderr: float | None = None
 
 
-def _check_params(p: LogNormalParams, n: int = 1) -> None:
+def _check_params(p: LogNormalParams, n: int = 1) -> int:
+    """The portfolio size ``n`` as an int, once sigma > 0 and n is an integer >= 1."""
     if p.sigma <= 0:
         raise ParameterError("regime analysis requires sigma > 0")
+    if n % 1 != 0:  # also NaN and +-inf
+        raise ParameterError(f"portfolio size must be an integer, got {n}")
     if n < 1:
         raise ParameterError(f"portfolio size must be >= 1, got {n}")
+    return int(n)
 
 
 def classify_regime(p: LogNormalParams) -> str:
@@ -112,13 +116,13 @@ def regime_formula_values(p: LogNormalParams, n: int) -> dict[str, float]:
     Useful near the regime boundaries (1 <= sigma^2 <= 4), where the
     moderate and very-broad forms visibly disagree.
     """
-    _check_params(p, n)
+    n = _check_params(p, n)
     return {label: fn(p.sigma_sq, n) for label, fn in _FORMULAS.items()}
 
 
 def typical_mean_ratio(p: LogNormalParams, n: int) -> float:
     """Typical-sample-mean / true-mean ratio from the regime's closed form."""
-    _check_params(p, n)
+    n = _check_params(p, n)
     return _FORMULAS[classify_regime(p)](p.sigma_sq, n)
 
 
@@ -160,7 +164,7 @@ def mc_typical_mean(p: LogNormalParams, n: int, reps: int, seed) -> tuple[float,
     Returns (mode_ratio, standard error from ``kde_mode_bootstrap_stderr``
     at its default 32 replicates).
     """
-    _check_params(p, n)
+    n = _check_params(p, n)
     _check_reps(reps)
     return _mode_ratio(lognormal_mean(p), *_portfolio_means(p, n, reps, seed))
 
@@ -178,8 +182,8 @@ def exact_typical_mean_ratio(p: LogNormalParams, n: int) -> float:
     parabola through the log masses refines the mode, which must lie
     EXACT_MIN_BINS bins above zero.
     """
-    _check_params(p)
-    if not 1 <= n < 2048:
+    n = _check_params(p, n)
+    if n >= 2048:
         raise ParameterError(f"the exact oracle takes portfolio sizes 1..2047, got {n}")
     mean = lognormal_mean(p)
     width = 4 * n * mean
@@ -221,12 +225,11 @@ def regime_curve(
     point equals ``mc_typical_mean(p, n, reps, child_seed)`` whatever the
     thread count.
     """
-    grid = [int(n) for n in n_grid]
+    grid = [_check_params(p, n) for n in n_grid]
     if not grid:
         raise ParameterError("n_grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ParameterError("n_grid must be strictly increasing")
-    _check_params(p)
 
     analytic = [typical_mean_ratio(p, n) for n in grid]
     if reps <= 0:

@@ -12,6 +12,7 @@ import pytest
 
 from bigwinners.cli import OPTIONS, build_parser, main
 from bigwinners.distributions import LogNormalParams
+from bigwinners.empirical import KDE_MIN_POINTS
 from bigwinners.gbm import GBMParams, PricePath, estimate_gbm, simulate_gbm, write_panel_csv
 from bigwinners.lognormal_sum import MODERATELY_BROAD, NARROW, VERY_BROAD, classify_regime, regime_formula_values
 from conftest import build_panel_of_paths
@@ -330,15 +331,16 @@ class TestModel:
                      "--horizon", "16", "--out", str(tmp_path)]) == 2
         assert main(["model", "--mu-d", "0.1", "--out", str(tmp_path)]) == 2
 
-    def test_export_sample(self, tmp_path):
+    @pytest.mark.parametrize("n", [KDE_MIN_POINTS, 500])
+    def test_export_sample(self, tmp_path, n):
         out = tmp_path / "out"
         rc = main(["model", "--mu-d", "0.12", "--sigma-d", "0.03", "--sigma", "0.1",
-                   "--horizon", "16", "--simulate", "500", "--seed", "3",
+                   "--horizon", "16", "--simulate", str(n), "--seed", "3",
                    "--export-sample", "--out", str(out)])
         assert rc == 0
         lines = (out / "sample.csv").read_text().strip().splitlines()
         assert lines[0] == "rho"
-        assert len(lines) == 501
+        assert len(lines) == n + 1
         assert all(float(v) > 0 for v in lines[1:])
 
     @pytest.mark.parametrize("config", [None, "[model]\nexport_sample = yes\n"], ids=["flag", "config"])

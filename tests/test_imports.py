@@ -96,19 +96,18 @@ def test_malformed_file_loads_no_scipy_submodule(tmp_path):
 
 
 def test_only_the_skew_normal_fit_names_scipy_optimize():
-    """Both mode searches (``kde_mode``, ``log_skew_normal_mode``) share
-    ``empirical._fminbound``; a second minimiser from scipy.optimize fails here."""
+    """``kde_mode`` refines its mode with ``empirical._fminbound``; a second
+    minimiser from scipy.optimize fails here."""
     users = sorted(path.name for path in (SRC / "bigwinners").glob("*.py")
                    if "scipy.optimize" in path.read_text(encoding="utf-8"))
     assert users == ["distributions.py"]
 
 
-def test_only_index_model_names_scipy_stats():
-    """scipy.stats costs about a second to import; only the skew-normal mode and
-    median in ``index_model`` use it, and a stray use elsewhere fails here."""
+def test_no_module_names_scipy_stats():
+    """scipy.stats costs about a second to import and no module needs it; a use fails here."""
     users = sorted(path.name for path in (SRC / "bigwinners").glob("*.py")
                    if "scipy.stats" in path.read_text(encoding="utf-8"))
-    assert users == ["index_model.py"]
+    assert users == []
 
 
 def test_qq_loads_only_special(price_file, tmp_path):
@@ -138,3 +137,28 @@ def test_package_imports_only_names_in_each_modules_all():
     for node in imports:
         module = importlib.import_module(f"bigwinners.{node.module}")
         assert {alias.name for alias in node.names} <= set(module.__all__), node.module
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that ``source`` imports (anywhere, ``__future__`` aside) but never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    return sorted(imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """No linter runs on the package, so a dead import fails here.  ``__init__.py``
+    is left out: its imports are the re-exported public surface."""
+    unused = {path.name: names for path in sorted((SRC / "bigwinners").glob("*.py"))
+              if path.name != "__init__.py" and (names := unused_imports(path.read_text(encoding="utf-8")))}
+    assert unused == {}
+
+
+def test_unused_imports_sees_each_import_form():
+    source = "import a.b\nimport c as d\nfrom e import f, g as h\nfrom __future__ import annotations\nf(a)\n"
+    assert unused_imports(source) == ["d", "h"]

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import stats
 
 from bigwinners.distributions import fit_lognormal, lognormal_moments
 from bigwinners.empirical import ReturnSample, kde_mode
@@ -12,15 +11,10 @@ from bigwinners.index_model import (
     RATIO_CI_LEVEL,
     DriftModelParams,
     _median_within,
-    implied_log_skew_normal,
     implied_lognormal,
-    log_skew_normal_mean,
-    log_skew_normal_median,
-    log_skew_normal_mode,
     model_ratios,
     sample_ratio_summary,
     simulate_index,
-    simulate_index_skew_drift,
 )
 
 from conftest import bootstrap_se
@@ -134,96 +128,30 @@ class TestSimulateIndex:
         with pytest.raises(ParameterError):
             simulate_index(SPX_LIKE, 1, seed=1)
 
-
-class TestSkewDriftModel:
-    def test_alpha_zero_matches_normal_drift(self):
-        n = 100_000
-        a = simulate_index_skew_drift(DriftModelParams(0.12, 0.03, 0.1, 16), 0.0, n, seed=20)
-        b = simulate_index(DriftModelParams(0.12, 0.03, 0.1, 16), n, seed=21)
-        stat = stats.ks_2samp(a.rho, b.rho).statistic
-        critical = 1.628 * math.sqrt(2.0 / n)  # 99th percentile, equal sizes
-        assert stat < critical
-
-    @pytest.mark.parametrize("sigma, horizon, message", [
-        (-0.2, 16, "sigma must be >= 0, got -0.2"),
-        (0.29, 0, "horizon must be > 0, got 0"),
-        (0.29, -1, "horizon must be > 0, got -1"),
-    ])
-    def test_rejects_what_the_drift_model_rejects(self, sigma, horizon, message):
-        for build in (
-            lambda: simulate_index_skew_drift(DriftModelParams(0.06, 0.09, sigma, horizon), 1.88, 5, seed=1),
-            lambda: implied_log_skew_normal(DriftModelParams(0.06, 0.09, sigma, horizon), 1.88),
-        ):
-            with pytest.raises(ParameterError) as info:
-                build()
-            assert str(info.value) == message
-
-    def test_samples_are_pinned_bit_for_bit(self):
-        # Any change to the draw order of either simulator shows here.
-        skew = simulate_index_skew_drift(DriftModelParams(0.06, 0.09, 0.29, 16), 1.88, 4, seed=3)
-        assert skew.rho.tolist() == [4.816976761987832, 1401.3523427298544, 0.7517554942997493, 1.5575775817697353]
+    def test_sample_is_pinned_bit_for_bit(self):
+        # Any change to the draw order (the drifts, then the shocks) shows here.
         normal = simulate_index(DriftModelParams(0.12, 0.03, 0.1, 16), 4, seed=3)
         assert normal.rho.tolist() == [13.993339430178665, 1.6939141561899496, 3.430455306435833, 4.369714337601376]
-        implied = implied_log_skew_normal(DriftModelParams(0.06, 0.09, 0.29, 16), 1.88)
-        assert (implied.zeta, implied.omega, implied.alpha) == (0.2872, 1.8491078930121951, 0.9468345701956261)
-
-    @pytest.mark.parametrize("alpha", [-3.0, 0.0, 1.88, 50.0])
-    def test_zero_drift_scale_is_the_implied_lognormal_law(self, alpha):
-        # sigma_d = 0 is a constant drift mu_d whatever the shape alpha.
-        p = DriftModelParams(0.1, 0.0, 0.2, 10)
-        implied, lognormal = implied_log_skew_normal(p, alpha), implied_lognormal(p)
-        assert (implied.zeta, implied.omega, implied.alpha) == (lognormal.mu, lognormal.sigma, 0.0)
-        rho = simulate_index_skew_drift(p, alpha, 5, seed=1).rho
-        assert rho.shape == (5,) and np.all(np.isfinite(rho))
-
-    def test_zero_drift_scale_and_volatility_rejected(self):
-        with pytest.raises(ParameterError, match="^the skew-drift model needs sigma > 0 or sigma_d > 0$"):
-            implied_log_skew_normal(DriftModelParams(0.1, 0.0, 0.0, 10), 1.88)
-
-    def test_positive_alpha_skews_log_returns(self):
-        sample = simulate_index_skew_drift(DriftModelParams(0.0, 0.08, 0.05, 16), 5.0, 100_000, seed=22)
-        assert stats.skew(np.log(sample.rho)) > 0
-
-    def test_implied_log_skew_normal_moments(self):
-        # Simulated ln rho matches the implied skew-normal law's moments.
-        p, alpha = DriftModelParams(0.06, 0.09, 0.29, 16), 1.88
-        implied = implied_log_skew_normal(p, alpha)
-        sample = simulate_index_skew_drift(p, alpha, 400_000, seed=23)
-        logs = np.log(sample.rho)
-        mean, var = stats.skewnorm.stats(implied.alpha, loc=implied.zeta, scale=implied.omega)
-        assert np.mean(logs) == pytest.approx(float(mean), abs=4 * np.std(logs) / math.sqrt(logs.size))
-        assert np.var(logs) == pytest.approx(float(var), rel=0.02)
 
     def test_density_route_matches_sample_route(self):
-        # Dual route: bounded-Brent mode / numeric median of the implied
-        # density against KDE mode / sample median of a large simulation.
-        # The KDE mode of this broad law is noisy, so its tolerance comes
-        # from the estimator's own bootstrap stderr plus a smoothing margin.
+        # Dual route: closed-form mean, median and mode of the implied law
+        # against the summary of a large simulation.  The KDE mode of this
+        # broad law is noisy, so its tolerance comes from the estimator's
+        # own bootstrap stderr plus a smoothing margin.
         from bigwinners.empirical import kde_mode_bootstrap_stderr
 
-        p, alpha = DriftModelParams(0.06, 0.09, 0.29, 16), 1.88
-        implied = implied_log_skew_normal(p, alpha)
-        sample = simulate_index_skew_drift(p, alpha, 400_000, seed=24)
+        p = DriftModelParams(0.06, 0.09, 0.29, 16)
+        exact = lognormal_moments(implied_lognormal(p))
+        sample = simulate_index(p, 400_000, seed=24)
         summary = sample_ratio_summary(sample, seed=25)
-        mean_exact = log_skew_normal_mean(implied)
-        median_exact = log_skew_normal_median(implied)
-        mode_exact = log_skew_normal_mode(implied)
-        assert summary.mean == pytest.approx(mean_exact, rel=0.02)
-        assert summary.median == pytest.approx(median_exact, rel=0.01)
+        assert summary.mean == pytest.approx(exact.mean, rel=0.02)
+        assert summary.median == pytest.approx(exact.median, rel=0.01)
         mode_se = kde_mode_bootstrap_stderr(sample.rho, seed=26)
-        assert abs(summary.mode - mode_exact) <= 3 * mode_se + 0.02 * mode_exact
-        assert summary.ci_low <= mean_exact / median_exact <= summary.ci_high
-
-    @pytest.mark.parametrize("zeta,omega", [(0.95, 1.02), (-1.0, 0.05), (0.3, 0.7), (2.0, 2.5)])
-    def test_log_skew_normal_mode_reduces_to_lognormal(self, zeta, omega):
-        # alpha=0 collapses to the log-normal closed form e^{mu - sigma^2}.
-        from bigwinners.distributions import SkewNormalParams
-
-        sn = SkewNormalParams(zeta=zeta, omega=omega, alpha=0.0)
-        assert log_skew_normal_mode(sn) == pytest.approx(math.exp(zeta - omega**2), rel=1e-6)
+        assert abs(summary.mode - exact.mode) <= 3 * mode_se + 0.02 * exact.mode
+        assert summary.ci_low <= exact.mean / exact.median <= summary.ci_high
 
     def test_table_params_ratio_reported_with_ci(self):
-        sample = simulate_index_skew_drift(DriftModelParams(0.06, 0.09, 0.29, 16), 1.88, 100_000, seed=26)
+        sample = simulate_index(DriftModelParams(0.06, 0.09, 0.29, 16), 100_000, seed=26)
         summary = sample_ratio_summary(sample, seed=27)
         assert summary.mean_over_median > 1.0
         assert summary.ci_low < summary.mean_over_median < summary.ci_high

@@ -14,10 +14,12 @@ from bigwinners.distributions import (
     SkewNormalParams,
     lognormal_moments,
 )
-from bigwinners.empirical import ReturnSample, tail_filter
+from bigwinners.empirical import ReturnSample, kde_mode_bootstrap_stderr, tail_filter
 from bigwinners.errors import DataError, InsufficientDataError, ParameterError
 from bigwinners.gbm import GBMParams, PricePath, build_panel, simulate_gbm
-from bigwinners.index_model import DriftModelParams, model_ratios
+from bigwinners.index_model import DriftModelParams, model_ratios, sample_ratio_summary
+from bigwinners.lognormal_sum import (exact_typical_mean_ratio, mc_typical_mean, regime_curve, regime_formula_values,
+                                      typical_mean_ratio)
 from conftest import panel_of_series
 
 
@@ -25,6 +27,10 @@ def _table(tickers):
     """A price table of ``tickers``, each with the same 4 prices."""
     series = {t: (np.arange(4).astype("datetime64[D]"), np.array([1.0, 1.1, 1.05, 1.2])) for t in tickers}
     return panel_of_series(series, (dt.date(1970, 1, 1), dt.date(1970, 1, 4)))
+
+
+SPREAD = np.arange(1.0, 11.0)
+UNIT = LogNormalParams(0.0, 1.0)
 
 
 CASES = {
@@ -72,6 +78,26 @@ CASES = {
                            "threshold_log must not be NaN"),
     "tail_threshold_inf": (lambda: tail_filter(ReturnSample(np.array([1.0, 2.0])), math.inf), ParameterError,
                            "threshold_log must be below +inf, got inf"),
+    "bootstrap_replicates_zero": (lambda: kde_mode_bootstrap_stderr(SPREAD, seed=1, replicates=0), ParameterError,
+                                  "replicates must be >= 2, got 0"),
+    "bootstrap_replicates_one": (lambda: kde_mode_bootstrap_stderr(SPREAD, seed=1, replicates=1), ParameterError,
+                                 "replicates must be >= 2, got 1"),
+    "ratio_summary_replicates_zero": (lambda: sample_ratio_summary(ReturnSample(SPREAD), seed=1, replicates=0),
+                                      ParameterError, "replicates must be >= 2, got 0"),
+    "ratio_summary_replicates_one": (lambda: sample_ratio_summary(ReturnSample(SPREAD), seed=1, replicates=1),
+                                     ParameterError, "replicates must be >= 2, got 1"),
+    "regime_curve_fractional_n": (lambda: regime_curve(UNIT, [1.5, 2]), ParameterError,
+                                  "portfolio size must be an integer, got 1.5"),
+    "typical_ratio_fractional_n": (lambda: typical_mean_ratio(UNIT, 2.5), ParameterError,
+                                   "portfolio size must be an integer, got 2.5"),
+    "typical_ratio_nan_n": (lambda: typical_mean_ratio(UNIT, math.nan), ParameterError,
+                            "portfolio size must be an integer, got nan"),
+    "formula_values_fractional_n": (lambda: regime_formula_values(UNIT, 2.5), ParameterError,
+                                    "portfolio size must be an integer, got 2.5"),
+    "exact_ratio_fractional_n": (lambda: exact_typical_mean_ratio(UNIT, 2.5), ParameterError,
+                                 "portfolio size must be an integer, got 2.5"),
+    "mc_typical_mean_fractional_n": (lambda: mc_typical_mean(UNIT, 2.5, 10_000, 1), ParameterError,
+                                     "portfolio size must be an integer, got 2.5"),
 }
 
 

@@ -23,7 +23,7 @@ from bigwinners.distributions import (
 from bigwinners.empirical import ReturnSample, summarize_index, tail_filter, top_contribution
 from bigwinners.gbm import GBMParams, estimate_gbm, simulate_gbm
 from bigwinners.errors import ParameterError
-from bigwinners.index_model import DriftModelParams, log_skew_normal_mean, model_ratios
+from bigwinners.index_model import DriftModelParams, model_ratios
 from bigwinners.lognormal_sum import MODERATELY_BROAD, VERY_BROAD, regime_formula_values, typical_mean_ratio
 
 SUITE = settings(max_examples=200, derandomize=True, deadline=None)
@@ -289,7 +289,7 @@ def test_top_contribution_matches_sorted_reference(sample, pct):
 
 
 # ---------------------------------------------------------------------------
-# Moment skewness and the normal CDF without scipy.stats
+# Moment skewness without scipy.stats
 # ---------------------------------------------------------------------------
 
 def reference_skew_normal_moment_start(x):
@@ -337,10 +337,3 @@ def test_skew_normal_start_bit_identical_to_scipy_skew(x):
     got, want = _skew_normal_moment_start(x), reference_skew_normal_moment_start(x)
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
-
-@SUITE
-@given(zeta=st.floats(-2.0, 2.0), omega=st.floats(0.01, 10.0), alpha=st.floats(-60.0, 60.0))
-def test_log_skew_normal_mean_bit_identical_to_norm_cdf(zeta, omega, alpha):
-    sn = SkewNormalParams(zeta=zeta, omega=omega, alpha=alpha)
-    want = 2.0 * math.exp(sn.zeta + 0.5 * sn.omega * sn.omega) * float(stats.norm.cdf(sn.delta * sn.omega))
-    assert log_skew_normal_mean(sn) == want
