@@ -133,6 +133,23 @@ class TestSimulateIndex:
         normal = simulate_index(DriftModelParams(0.12, 0.03, 0.1, 16), 4, seed=3)
         assert normal.rho.tolist() == [13.993339430178665, 1.6939141561899496, 3.430455306435833, 4.369714337601376]
 
+    @pytest.mark.parametrize("n, seed", [(2, 0), (5, 1), (64, 7), (1001, 3)])
+    def test_zero_drift_scale_is_the_implied_lognormal_law(self, n, seed):
+        # sigma_d = 0 is a constant drift mu_d: each return is the implied law
+        # applied to the n shocks drawn after the n (unused) drift normals.
+        p = DriftModelParams(0.1, 0.0, 0.2, 10)
+        implied = implied_lognormal(p)
+        shocks = np.random.default_rng(seed).standard_normal(2 * n)[n:]
+        rho = simulate_index(p, n, seed=seed).rho
+        np.testing.assert_allclose(rho, np.exp(implied.mu + implied.sigma * shocks), rtol=1e-12)
+
+    def test_log_returns_have_the_implied_moments(self):
+        p = DriftModelParams(0.06, 0.09, 0.29, 16)
+        implied = implied_lognormal(p)
+        logs = np.log(simulate_index(p, 400_000, seed=23).rho)
+        assert np.mean(logs) == pytest.approx(implied.mu, abs=4 * np.std(logs) / math.sqrt(logs.size))
+        assert np.var(logs) == pytest.approx(implied.sigma**2, rel=0.02)
+
     def test_density_route_matches_sample_route(self):
         # Dual route: closed-form mean, median and mode of the implied law
         # against the summary of a large simulation.  The KDE mode of this
