@@ -510,85 +510,17 @@ def _grid_objective(t: np.ndarray, h: float, log_scale: bool) -> tuple[np.ndarra
     return centers, dens * np.exp(-centers) if log_scale else dens
 
 
-def _exact_neg_objective(s: float, t: np.ndarray, h: float, log_scale: bool) -> float:
-    z = (s - t) / h
-    f = float(np.mean(np.exp(-0.5 * z * z))) / (h * math.sqrt(2.0 * math.pi))
-    if f <= 0:
-        return math.inf
-    return -(math.log(f) - s) if log_scale else -f
-
-
-def _fminbound(func, a, b, xatol: float):
-    """Minimiser of ``func`` on [a, b] by Brent's bounded method, and a success flag.
-
-    scipy 1.17's ``optimize._minimize_scalar_bounded`` at its default
-    ``maxiter=500``, without its printing: the same float operations, so the
-    same iterates.  Success is False once 500 evaluations are spent or a NaN is met.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    fu = np.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if np.abs(e) > tol1:  # try a parabolic step
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-            if np.abs(p) < np.abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            return xf, False
-    return xf, not (np.isnan(xf) or np.isnan(fx) or np.isnan(fu))
-
-
 def kde_mode(x) -> KDEModeResult:
-    """Gaussian-KDE mode with Scott bandwidth, grid search plus local refine.
+    """Gaussian-KDE mode with Scott bandwidth, grid search plus parabolic refine.
 
     Strictly positive samples are smoothed in log space (the back-transform
-    is exact), anything else on the raw axis; the grid has KDE_GRID_SIZE
-    bins.  The estimate is flagged unstable when a rival local maximum
-    comes within KDE_PEAK_GAP of the top density or the mode moves more
-    than KDE_SHIFT_FACTOR bandwidths under a +/-20% bandwidth change.
+    is exact), anything else on the raw axis, on KDE_GRID_SIZE bins.  As in
+    ``exact_typical_mean_ratio``, the mode is the vertex of the parabola
+    through the log objective at the argmax bin and its neighbours, or that
+    bin's centre at an end bin, a non-finite log or a convex fit.  It is
+    flagged unstable when a rival local maximum comes within KDE_PEAK_GAP of
+    the top density or a +/-20% bandwidth change moves it by more than
+    KDE_SHIFT_FACTOR bandwidths.
     """
     arr, t, h, log_scale = _kde_axis(x, "kde_mode")
     if h is None:
@@ -597,12 +529,12 @@ def kde_mode(x) -> KDEModeResult:
     centers, obj = _grid_objective(t, h, log_scale)
     k = int(np.argmax(obj))
 
-    # Refine the grid winner against the exact kernel sum.
-    lo = centers[max(k - 1, 0)]
-    hi = centers[min(k + 1, KDE_GRID_SIZE - 1)]
-    x, success = _fminbound(lambda s: _exact_neg_objective(s, t, h, log_scale), lo, hi,
-                            xatol=1e-10 * max(1.0, abs(hi - lo)))
-    t_mode = float(x) if success else float(centers[k])
+    t_mode = float(centers[k])  # moved to the parabola's vertex where the guard allows
+    if 0 < k < KDE_GRID_SIZE - 1:
+        with np.errstate(divide="ignore"):
+            a, b, c = np.log(obj[k - 1 : k + 2])
+        if np.isfinite([a, b, c]).all() and a - 2 * b + c < 0:
+            t_mode += 0.5 * (a - c) / (a - 2 * b + c) * float(centers[1] - centers[0])
 
     # Rival-peak check on the (back-transformed) density heights.
     interior = (obj[1:-1] > obj[:-2]) & (obj[1:-1] >= obj[2:])
@@ -628,10 +560,13 @@ def kde_mode(x) -> KDEModeResult:
     return KDEModeResult(mode=mode, bandwidth=h, stable=stable, log_scale=log_scale)
 
 
-def _check_replicates(replicates: int) -> None:
-    # A standard error over replicates (ddof=1) needs two of them.
+def _check_replicates(replicates: int) -> int:
+    """``replicates`` as an int, once it is an integer >= 2: a standard error (ddof=1) needs two."""
+    if replicates % 1 != 0:  # also NaN and +-inf
+        raise ParameterError(f"replicates must be an integer, got {replicates}")
     if replicates < 2:
         raise ParameterError(f"replicates must be >= 2, got {replicates}")
+    return int(replicates)
 
 
 def kde_mode_bootstrap_stderr(x, seed, replicates: int = 32) -> float:
@@ -645,7 +580,7 @@ def kde_mode_bootstrap_stderr(x, seed, replicates: int = 32) -> float:
     flat-topped density the replicate modes cluster around those bumps and
     the spread understates the estimator's seed-to-seed scatter.
     """
-    _check_replicates(replicates)
+    replicates = _check_replicates(replicates)
     arr, t, h, log_scale = _kde_axis(x, "bootstrap stderr")
     if h is None:
         return 0.0

@@ -83,8 +83,11 @@ def simulate_index(p: DriftModelParams, n_stocks: int, seed) -> ReturnSample:
     the exact GBM solution with the common volatility ``p.sigma``;
     covariance between stocks is neglected.
     """
+    if n_stocks % 1 != 0:  # also NaN and +-inf
+        raise ParameterError(f"n_stocks must be an integer, got {n_stocks}")
     if n_stocks < 2:
         raise ParameterError(f"n_stocks must be >= 2, got {n_stocks}")
+    n_stocks = int(n_stocks)
     rng = np.random.default_rng(seed)
     drifts = p.mu_d + p.sigma_d * rng.standard_normal(n_stocks)
     shocks = rng.standard_normal(n_stocks)
@@ -141,7 +144,7 @@ def sample_ratio_summary(sample: ReturnSample, seed, replicates: int = 200) -> S
     A replicate's median almost surely lies within 8 sqrt(n) ranks of the
     sample's, so each is read from that window of values (``_median_within``).
     """
-    _check_replicates(replicates)
+    replicates = _check_replicates(replicates)
     rho = sample.rho
     if rho.size < KDE_MIN_POINTS:
         raise ParameterError(f"sample_ratio_summary needs at least {KDE_MIN_POINTS} returns")

@@ -150,9 +150,12 @@ def _mode_ratio(true_mean: float, y: np.ndarray, rng: np.random.Generator) -> tu
     return mode / true_mean, stderr
 
 
-def _check_reps(reps: int) -> None:
+def _check_reps(reps: int) -> int:
+    if reps % 1 != 0:  # also NaN and +-inf
+        raise ParameterError(f"reps must be an integer, got {reps}")
     if reps < MIN_MC_REPS:
         raise ParameterError(f"reps must be >= {MIN_MC_REPS}, got {reps}")
+    return int(reps)
 
 
 def mc_typical_mean(p: LogNormalParams, n: int, reps: int, seed) -> tuple[float, float]:
@@ -165,7 +168,7 @@ def mc_typical_mean(p: LogNormalParams, n: int, reps: int, seed) -> tuple[float,
     at its default 32 replicates).
     """
     n = _check_params(p, n)
-    _check_reps(reps)
+    reps = _check_reps(reps)
     return _mode_ratio(lognormal_mean(p), *_portfolio_means(p, n, reps, seed))
 
 
@@ -235,7 +238,7 @@ def regime_curve(
     if reps <= 0:
         return tuple(CurvePoint(n=n, ratio_analytic=a) for n, a in zip(grid, analytic))
 
-    _check_reps(reps)
+    reps = _check_reps(reps)
     mean = lognormal_mean(p)
     from concurrent.futures import ThreadPoolExecutor
 

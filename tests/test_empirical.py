@@ -1,5 +1,7 @@
 import datetime as dt
 import math
+import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ import pytest
 from bigwinners.distributions import LogNormalParams, sample
 from bigwinners.empirical import (
     ReturnSample,
+    _grid_objective,
+    _kde_axis,
     fit_macroscopic,
     kde_mode,
     kde_mode_bootstrap_stderr,
@@ -223,6 +227,45 @@ class TestKdeMode:
     def test_too_few_points(self):
         with pytest.raises(InsufficientDataError):
             kde_mode([1.0, 2.0, 3.0, 4.0])
+
+    def test_symmetric_sample_refines_to_its_centre(self):
+        # Normal quantiles below c and their mirror images: the grid objective is
+        # symmetric, so its top two bins tie and the parabola's vertex is c.
+        c = -1.5
+        x = c + np.array([NormalDist().inv_cdf((i - 0.5) / 2000) for i in range(1, 1001)])
+        sample = np.concatenate([x, 2 * c - x])
+        r = kde_mode(sample)
+        assert not r.log_scale
+        _, t, h, _ = _kde_axis(sample, "test")
+        centers, _ = _grid_objective(t, h, False)
+        assert abs(r.mode - c) <= 1e-6 * (centers[1] - centers[0])
+
+    def test_end_bin_winner_keeps_the_grid_centre(self):
+        # The log-axis tilt puts the grid argmax in bin 0, where no parabola is taken.
+        x = [1e-100, 1.0, 1.0, 1.0, 1e100]
+        _, t, h, log_scale = _kde_axis(x, "test")
+        assert int(np.argmax(_grid_objective(t, h, log_scale)[1])) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = kde_mode(x)
+        assert r.mode == 1e-100  # exp(centers[0]) clipped to the sample minimum
+        assert not r.stable
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_refine_lands_between_grid_winner_and_exact_kernel_mode(self, seed):
+        # Within half a bin of the grid winner, and within one bin of the maximiser of
+        # the unbinned kernel sum, searched on a 1/1000-bin grid two bins either side.
+        rng = np.random.default_rng(seed)
+        x = rng.lognormal(0.5, 0.8, 200) if seed % 2 else rng.normal(0.0, 1.0, 200) - 5.0
+        _, t, h, log_scale = _kde_axis(x, "test")
+        centers, obj = _grid_objective(t, h, log_scale)
+        k, width = int(np.argmax(obj)), centers[1] - centers[0]
+        r = kde_mode(x)
+        t_mode = math.log(r.mode) if log_scale else r.mode
+        assert abs(t_mode - centers[k]) <= 0.5 * width * (1 + 1e-9)
+        s = centers[k] + width * np.linspace(-2.0, 2.0, 4001)
+        log_f = np.log(np.exp(-0.5 * ((s[:, None] - t) / h) ** 2).sum(axis=1)) - (s if log_scale else 0.0)
+        assert abs(t_mode - s[np.argmax(log_f)]) <= width
 
     def test_bootstrap_stderr_that_overflows_is_a_parameter_error(self):
         # Modes near 1e173 square past the largest float; no inf and no warning.

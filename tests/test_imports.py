@@ -96,8 +96,8 @@ def test_malformed_file_loads_no_scipy_submodule(tmp_path):
 
 
 def test_only_the_skew_normal_fit_names_scipy_optimize():
-    """``kde_mode`` refines its mode with ``empirical._fminbound``; a second
-    minimiser from scipy.optimize fails here."""
+    """``kde_mode`` refines its mode with a three-point parabola and needs no
+    minimiser; a second user of scipy.optimize fails here."""
     users = sorted(path.name for path in (SRC / "bigwinners").glob("*.py")
                    if "scipy.optimize" in path.read_text(encoding="utf-8"))
     assert users == ["distributions.py"]

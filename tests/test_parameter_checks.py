@@ -17,7 +17,7 @@ from bigwinners.distributions import (
 from bigwinners.empirical import ReturnSample, kde_mode_bootstrap_stderr, tail_filter
 from bigwinners.errors import DataError, InsufficientDataError, ParameterError
 from bigwinners.gbm import GBMParams, PricePath, build_panel, simulate_gbm
-from bigwinners.index_model import DriftModelParams, model_ratios, sample_ratio_summary
+from bigwinners.index_model import DriftModelParams, model_ratios, sample_ratio_summary, simulate_index
 from bigwinners.lognormal_sum import (exact_typical_mean_ratio, mc_typical_mean, regime_curve, regime_formula_values,
                                       typical_mean_ratio)
 from conftest import panel_of_series
@@ -31,6 +31,7 @@ def _table(tickers):
 
 SPREAD = np.arange(1.0, 11.0)
 UNIT = LogNormalParams(0.0, 1.0)
+DRIFT = DriftModelParams(0.1, 0.1, 0.1, 16)
 
 
 CASES = {
@@ -98,6 +99,18 @@ CASES = {
                                  "portfolio size must be an integer, got 2.5"),
     "mc_typical_mean_fractional_n": (lambda: mc_typical_mean(UNIT, 2.5, 10_000, 1), ParameterError,
                                      "portfolio size must be an integer, got 2.5"),
+    "mc_typical_mean_fractional_reps": (lambda: mc_typical_mean(UNIT, 2, 10_000.5, 1), ParameterError,
+                                        "reps must be an integer, got 10000.5"),
+    "regime_curve_fractional_reps": (lambda: regime_curve(UNIT, [1, 2], reps=10_000.5), ParameterError,
+                                     "reps must be an integer, got 10000.5"),
+    "simulate_index_fractional_n": (lambda: simulate_index(DRIFT, 2.5, 1), ParameterError,
+                                    "n_stocks must be an integer, got 2.5"),
+    "simulate_index_nan_n": (lambda: simulate_index(DRIFT, math.nan, 1), ParameterError,
+                             "n_stocks must be an integer, got nan"),
+    "bootstrap_replicates_fractional": (lambda: kde_mode_bootstrap_stderr(SPREAD, seed=1, replicates=2.5),
+                                        ParameterError, "replicates must be an integer, got 2.5"),
+    "ratio_summary_replicates_fractional": (lambda: sample_ratio_summary(ReturnSample(SPREAD), seed=1, replicates=2.5),
+                                            ParameterError, "replicates must be an integer, got 2.5"),
 }
 
 
@@ -107,3 +120,18 @@ def test_out_of_domain_input_raises(build, error, message):
         build()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+INTEGRAL_FLOATS = {
+    "simulate_index_n": (lambda n: simulate_index(DRIFT, n, 1).rho, 5),
+    "mc_typical_mean_reps": (lambda reps: mc_typical_mean(UNIT, 2, reps, 1), 10_000),
+    "regime_curve_reps": (lambda reps: regime_curve(UNIT, [1, 2], reps=reps, seed=1), 10_000),
+    "bootstrap_replicates": (lambda k: kde_mode_bootstrap_stderr(SPREAD, seed=1, replicates=k), 2),
+    "ratio_summary_replicates": (lambda k: sample_ratio_summary(ReturnSample(SPREAD), seed=1, replicates=k), 2),
+}
+
+
+@pytest.mark.parametrize("call, count", INTEGRAL_FLOATS.values(), ids=INTEGRAL_FLOATS.keys())
+def test_integral_float_count_runs_as_its_int(call, count):
+    """A count given as an integral float is taken as that integer, as the portfolio size is."""
+    np.testing.assert_array_equal(call(float(count)), call(count))

@@ -197,7 +197,7 @@ def test_bom_config_file_reads_like_plain(tmp_path):
 
 
 # Report bytes that depend on the kernel density mode (its binned smoothing and
-# bounded refine) and on the log-normal quantile, pinned so that a rewrite of
+# parabolic refine) and on the log-normal quantile, pinned so that a rewrite of
 # either keeps every bit.
 
 def _kde_panels(tmp_path):
@@ -216,8 +216,8 @@ def test_analyze_mode_columns_are_pinned(tmp_path):
     header = rows[0]
     picked = [(row[0], row[header.index("mode")], row[header.index("mean_over_mode")]) for row in rows[1:]]
     assert picked == [
-        ("alpha", "0.9962465205743245", "1.9713850513374047"),
-        ("beta", "1.0294328329394917", "2.0569882692663497"),
+        ("alpha", "0.9983271597117811", "1.9672764373896547"),
+        ("beta", "1.029495170452829", "2.0568637154681872"),
     ]
 
 
@@ -250,9 +250,9 @@ def test_monte_carlo_regime_report_bytes(tmp_path):
         "# reps=10000\n"
         f"# version={__version__}\n"
         "n,ratio_analytic,ratio_mc,mc_stderr\n"
-        "1,0.22313016014842985,0.21900786345691142,0.020771941083489065\n"
-        "4,0.5850482074411315,0.5655835373281712,0.028976606277364567\n"
-        "16,0.8581190948509415,0.8347049144367115,0.013690470918164594\n"
+        "1,0.22313016014842985,0.21889641027774953,0.020771941083489065\n"
+        "4,0.5850482074411315,0.5657929888196048,0.028976606277364567\n"
+        "16,0.8581190948509415,0.8344520754762497,0.013690470918164594\n"
     )
 
 
