@@ -73,6 +73,15 @@ def _check_domain(params, finite, nonnegative=(), positive=()) -> None:
             raise ParameterError(f"{name} must be > 0, got {value}")
 
 
+def _check_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int, once it is an integer (not NaN or +-inf) >= ``minimum``."""
+    if value % 1 != 0:  # also NaN and +-inf
+        raise ParameterError(f"{name} must be an integer, got {value}")
+    if value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # Parameter containers
 # ---------------------------------------------------------------------------
@@ -211,8 +220,7 @@ def sample(params, n: int, seed) -> np.ndarray:
     ``seed`` may be an integer, a SeedSequence or a Generator; identical
     (params, n, seed) triples yield bit-identical arrays.
     """
-    if n < 1:
-        raise ParameterError(f"sample size must be >= 1, got {n}")
+    n = _check_count(n, "sample size", 1)
     rng = np.random.default_rng(seed)
     if isinstance(params, LogNormalParams):
         return rng.lognormal(params.mu, params.sigma, size=n)

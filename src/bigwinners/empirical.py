@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import LogNormalParams, MomentSummary, _clean, fit_lognormal, lognormal_moments, quantile
+from .distributions import (LogNormalParams, MomentSummary, _check_count, _clean, fit_lognormal,
+                            lognormal_moments, quantile)
 from .errors import DataError, InsufficientDataError, ParameterError, ParseError
 
 __all__ = [
@@ -560,15 +561,6 @@ def kde_mode(x) -> KDEModeResult:
     return KDEModeResult(mode=mode, bandwidth=h, stable=stable, log_scale=log_scale)
 
 
-def _check_replicates(replicates: int) -> int:
-    """``replicates`` as an int, once it is an integer >= 2: a standard error (ddof=1) needs two."""
-    if replicates % 1 != 0:  # also NaN and +-inf
-        raise ParameterError(f"replicates must be an integer, got {replicates}")
-    if replicates < 2:
-        raise ParameterError(f"replicates must be >= 2, got {replicates}")
-    return int(replicates)
-
-
 def kde_mode_bootstrap_stderr(x, seed, replicates: int = 32) -> float:
     """Smoothed-bootstrap standard error of the KDE mode.
 
@@ -580,7 +572,7 @@ def kde_mode_bootstrap_stderr(x, seed, replicates: int = 32) -> float:
     flat-topped density the replicate modes cluster around those bumps and
     the spread understates the estimator's seed-to-seed scatter.
     """
-    replicates = _check_replicates(replicates)
+    replicates = _check_count(replicates, "replicates", 2)  # a standard error (ddof=1) needs two
     arr, t, h, log_scale = _kde_axis(x, "bootstrap stderr")
     if h is None:
         return 0.0

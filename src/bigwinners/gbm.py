@@ -29,6 +29,7 @@ import numpy as np
 from .distributions import (
     GammaParams,
     SkewNormalParams,
+    _check_count,
     _check_domain,
     fit_gamma,
     fit_skew_normal,
@@ -129,9 +130,8 @@ def simulate_gbm(p: GBMParams, x0: float, steps: int, dt: float, seed) -> PriceP
     """Exact-discretization GBM path: log-increments ~ N((mu - s^2/2)dt, s^2 dt)."""
     if x0 <= 0 or not math.isfinite(x0):
         raise ParameterError(f"x0 must be > 0, got {x0}")
-    if steps < 1:
-        raise ParameterError(f"steps must be >= 1, got {steps}")
-    if dt <= 0:
+    steps = _check_count(steps, "steps", 1)
+    if not 0 < dt < math.inf:
         raise ParameterError(f"dt must be > 0, got {dt}")
     rng = np.random.default_rng(seed)
     drift = (p.mu - 0.5 * p.sigma * p.sigma) * dt

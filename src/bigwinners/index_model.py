@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import LOG_FLOAT_MAX, LogNormalParams, _check_domain
-from .empirical import KDE_MIN_POINTS, ReturnSample, _check_replicates, kde_mode
+from .distributions import LOG_FLOAT_MAX, LogNormalParams, _check_count, _check_domain
+from .empirical import KDE_MIN_POINTS, ReturnSample, kde_mode
 from .errors import ParameterError
 
 __all__ = [
@@ -83,11 +83,7 @@ def simulate_index(p: DriftModelParams, n_stocks: int, seed) -> ReturnSample:
     the exact GBM solution with the common volatility ``p.sigma``;
     covariance between stocks is neglected.
     """
-    if n_stocks % 1 != 0:  # also NaN and +-inf
-        raise ParameterError(f"n_stocks must be an integer, got {n_stocks}")
-    if n_stocks < 2:
-        raise ParameterError(f"n_stocks must be >= 2, got {n_stocks}")
-    n_stocks = int(n_stocks)
+    n_stocks = _check_count(n_stocks, "n_stocks", 2)
     rng = np.random.default_rng(seed)
     drifts = p.mu_d + p.sigma_d * rng.standard_normal(n_stocks)
     shocks = rng.standard_normal(n_stocks)
@@ -144,7 +140,7 @@ def sample_ratio_summary(sample: ReturnSample, seed, replicates: int = 200) -> S
     A replicate's median almost surely lies within 8 sqrt(n) ranks of the
     sample's, so each is read from that window of values (``_median_within``).
     """
-    replicates = _check_replicates(replicates)
+    replicates = _check_count(replicates, "replicates", 2)  # a standard error (ddof=1) needs two
     rho = sample.rho
     if rho.size < KDE_MIN_POINTS:
         raise ParameterError(f"sample_ratio_summary needs at least {KDE_MIN_POINTS} returns")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .distributions import LogNormalParams, lognormal_mean
+from .distributions import LOG_FLOAT_MAX, LogNormalParams, _check_count, lognormal_mean
 from .empirical import kde_mode, kde_mode_bootstrap_stderr
 from .errors import ParameterError
 
@@ -71,11 +71,7 @@ def _check_params(p: LogNormalParams, n: int = 1) -> int:
     """The portfolio size ``n`` as an int, once sigma > 0 and n is an integer >= 1."""
     if p.sigma <= 0:
         raise ParameterError("regime analysis requires sigma > 0")
-    if n % 1 != 0:  # also NaN and +-inf
-        raise ParameterError(f"portfolio size must be an integer, got {n}")
-    if n < 1:
-        raise ParameterError(f"portfolio size must be >= 1, got {n}")
-    return int(n)
+    return _check_count(n, "portfolio size", 1)
 
 
 def classify_regime(p: LogNormalParams) -> str:
@@ -89,27 +85,6 @@ def classify_regime(p: LogNormalParams) -> str:
     return MODERATELY_BROAD
 
 
-def _ratio_narrow(s2: float, n: int) -> float:
-    # Typical mean e^mu against true mean e^{mu + s2/2}; independent of n.
-    return math.exp(-0.5 * s2)
-
-
-def _ratio_moderate(s2: float, n: int) -> float:
-    c_sq = math.expm1(s2)
-    return (1.0 + c_sq / n) ** -1.5
-
-
-def _ratio_broad(s2: float, n: int) -> float:
-    return math.exp(-1.5 * s2 / n ** _BROAD_EXPONENT)
-
-
-_FORMULAS = {
-    NARROW: _ratio_narrow,
-    MODERATELY_BROAD: _ratio_moderate,
-    VERY_BROAD: _ratio_broad,
-}
-
-
 def regime_formula_values(p: LogNormalParams, n: int) -> dict[str, float]:
     """Evaluate all three regime formulas at (p, n).
 
@@ -117,13 +92,19 @@ def regime_formula_values(p: LogNormalParams, n: int) -> dict[str, float]:
     moderate and very-broad forms visibly disagree.
     """
     n = _check_params(p, n)
-    return {label: fn(p.sigma_sq, n) for label, fn in _FORMULAS.items()}
+    s2 = p.sigma_sq
+    # c^2 = e^{s2} - 1 overflows a float past LOG_FLOAT_MAX, where the moderate form's limit is 0.
+    c_sq = math.expm1(s2) if s2 <= LOG_FLOAT_MAX else math.inf
+    return {
+        NARROW: math.exp(-0.5 * s2),  # typical mean e^mu against true mean e^{mu + s2/2}
+        MODERATELY_BROAD: (1.0 + c_sq / n) ** -1.5,
+        VERY_BROAD: math.exp(-1.5 * s2 / n ** _BROAD_EXPONENT),
+    }
 
 
 def typical_mean_ratio(p: LogNormalParams, n: int) -> float:
     """Typical-sample-mean / true-mean ratio from the regime's closed form."""
-    n = _check_params(p, n)
-    return _FORMULAS[classify_regime(p)](p.sigma_sq, n)
+    return regime_formula_values(p, n)[classify_regime(p)]
 
 
 def _portfolio_means(p: LogNormalParams, n: int, reps: int, seed) -> tuple[np.ndarray, np.random.Generator]:
@@ -150,14 +131,6 @@ def _mode_ratio(true_mean: float, y: np.ndarray, rng: np.random.Generator) -> tu
     return mode / true_mean, stderr
 
 
-def _check_reps(reps: int) -> int:
-    if reps % 1 != 0:  # also NaN and +-inf
-        raise ParameterError(f"reps must be an integer, got {reps}")
-    if reps < MIN_MC_REPS:
-        raise ParameterError(f"reps must be >= {MIN_MC_REPS}, got {reps}")
-    return int(reps)
-
-
 def mc_typical_mean(p: LogNormalParams, n: int, reps: int, seed) -> tuple[float, float]:
     """Monte Carlo estimate of the typical-to-true mean ratio.
 
@@ -168,7 +141,7 @@ def mc_typical_mean(p: LogNormalParams, n: int, reps: int, seed) -> tuple[float,
     at its default 32 replicates).
     """
     n = _check_params(p, n)
-    reps = _check_reps(reps)
+    reps = _check_count(reps, "reps", MIN_MC_REPS)
     return _mode_ratio(lognormal_mean(p), *_portfolio_means(p, n, reps, seed))
 
 
@@ -238,7 +211,7 @@ def regime_curve(
     if reps <= 0:
         return tuple(CurvePoint(n=n, ratio_analytic=a) for n, a in zip(grid, analytic))
 
-    reps = _check_reps(reps)
+    reps = _check_count(reps, "reps", MIN_MC_REPS)
     mean = lognormal_mean(p)
     from concurrent.futures import ThreadPoolExecutor
 

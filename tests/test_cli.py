@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bigwinners as bw
 from bigwinners.cli import OPTIONS, build_parser, main
 from bigwinners.distributions import LogNormalParams
 from bigwinners.empirical import KDE_MIN_POINTS
@@ -885,3 +886,18 @@ def test_readme_cli_section_names_every_flag():
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     flags = {s for p in commands.choices.values() for a in p._actions for s in a.option_strings if s.startswith("--")}
     assert documented == flags
+
+
+def test_readme_library_tour_prints_what_each_call_returns():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library quick tour\n", 1)[1].split("\n## ", 1)[0]
+    scope = {"bw": bw}
+    for assignment in re.findall(r"^(?:p|model) = .*$", section, flags=re.M):
+        exec(assignment, scope)
+    printed = dict(re.findall(r"^(bw\.\S.*?)\s+# (\d+\.\d+)", section, flags=re.M))
+    printed["bw.typical_mean_ratio(bw.implied_lognormal(model), n=10)"] = re.search(
+        r"\(closed form: (\d+\.\d+)\)", section).group(1)
+    assert len(printed) == 6
+    for call, digits in printed.items():
+        decimals = len(digits.split(".")[1])
+        assert f"{eval(call, scope):.{decimals}f}" == digits, call

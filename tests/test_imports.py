@@ -103,6 +103,13 @@ def test_only_the_skew_normal_fit_names_scipy_optimize():
     assert users == ["distributions.py"]
 
 
+def test_only_distributions_words_the_integer_count_rule():
+    """Every count goes through ``distributions._check_count``; a second copy of its rule fails here."""
+    owners = sorted(path.name for path in (SRC / "bigwinners").glob("*.py")
+                    if "must be an integer, got" in path.read_text(encoding="utf-8"))
+    assert owners == ["distributions.py"]
+
+
 def test_no_module_names_scipy_stats():
     """scipy.stats costs about a second to import and no module needs it; a use fails here."""
     users = sorted(path.name for path in (SRC / "bigwinners").glob("*.py")

@@ -78,6 +78,14 @@ class TestTypicalMeanRatio:
         with pytest.raises(ParameterError):
             typical_mean_ratio(LogNormalParams(0, 1.0), 0)
 
+    @pytest.mark.parametrize("sigma", [26.6, 27.0])
+    def test_moderate_form_underflows_to_zero_past_float_range(self, sigma):
+        # At sigma = 27, c^2 = e^729 - 1 is past the largest float; the moderate form reads its limit 0.
+        p = LogNormalParams(0.0, sigma)
+        values = regime_formula_values(p, 4)
+        assert values[MODERATELY_BROAD] == 0.0
+        assert typical_mean_ratio(p, 4) == values[VERY_BROAD]
+
 
 class TestMcTypicalMean:
     def test_narrow_sigma_ratio_one(self):

@@ -13,6 +13,7 @@ from bigwinners.distributions import (
     LogNormalParams,
     SkewNormalParams,
     lognormal_moments,
+    sample,
 )
 from bigwinners.empirical import ReturnSample, kde_mode_bootstrap_stderr, tail_filter
 from bigwinners.errors import DataError, InsufficientDataError, ParameterError
@@ -53,6 +54,16 @@ CASES = {
                          "prices[0] must equal the positive starting price x0"),
     "simulate_gbm_dt": (lambda: simulate_gbm(GBMParams(0.1, 0.2), 1.0, 4, 0.0, 1), ParameterError,
                         "dt must be > 0, got 0.0"),
+    "simulate_gbm_dt_inf": (lambda: simulate_gbm(GBMParams(0.1, 0.2), 1.0, 4, math.inf, 1), ParameterError,
+                            "dt must be > 0, got inf"),
+    "simulate_gbm_dt_nan": (lambda: simulate_gbm(GBMParams(0.1, 0.2), 1.0, 4, math.nan, 1), ParameterError,
+                            "dt must be > 0, got nan"),
+    "simulate_gbm_fractional_steps": (lambda: simulate_gbm(GBMParams(0.1, 0.2), 1.0, 2.5, 1.0, 1), ParameterError,
+                                      "steps must be an integer, got 2.5"),
+    "simulate_gbm_nan_steps": (lambda: simulate_gbm(GBMParams(0.1, 0.2), 1.0, math.nan, 1.0, 1), ParameterError,
+                               "steps must be an integer, got nan"),
+    "sample_fractional_n": (lambda: sample(UNIT, 2.5, 1), ParameterError, "sample size must be an integer, got 2.5"),
+    "sample_nan_n": (lambda: sample(UNIT, math.nan, 1), ParameterError, "sample size must be an integer, got nan"),
     "panel_dt_nan": (lambda: build_panel(_table("ABC"), math.nan), ParameterError, "dt must be > 0, got nan"),
     "panel_dt_one_zero": (lambda: build_panel(_table("ABC"), [1.0, 0.0, 1.0]), ParameterError, "dt must be > 0, got 0.0"),
     "panel_dt_length": (lambda: build_panel(_table("ABC"), [1.0, 1.0]), ParameterError,
@@ -123,6 +134,8 @@ def test_out_of_domain_input_raises(build, error, message):
 
 
 INTEGRAL_FLOATS = {
+    "sample_size": (lambda n: sample(UNIT, n, 1), 3),
+    "simulate_gbm_steps": (lambda steps: simulate_gbm(GBMParams(0.1, 0.2), 1.0, steps, 1.0, 1).prices, 4),
     "simulate_index_n": (lambda n: simulate_index(DRIFT, n, 1).rho, 5),
     "mc_typical_mean_reps": (lambda reps: mc_typical_mean(UNIT, 2, reps, 1), 10_000),
     "regime_curve_reps": (lambda reps: regime_curve(UNIT, [1, 2], reps=reps, seed=1), 10_000),
