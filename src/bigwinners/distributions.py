@@ -75,7 +75,9 @@ def _check_domain(params, finite, nonnegative=(), positive=()) -> None:
 
 def _check_count(value, name: str, minimum: int) -> int:
     """``value`` as an int, once it is an integer (not NaN or +-inf) >= ``minimum``."""
-    if value % 1 != 0:  # also NaN and +-inf
+    with np.errstate(invalid="ignore"):  # a numpy +-inf warns in the remainder
+        fractional = value % 1 != 0  # also NaN and +-inf
+    if fractional:
         raise ParameterError(f"{name} must be an integer, got {value}")
     if value < minimum:
         raise ParameterError(f"{name} must be >= {minimum}, got {value}")

@@ -698,15 +698,22 @@ def write_report(destination, fieldnames, rows, fmt: str = "csv", meta: dict | N
             fh.write(f"# {key}={value}\n")
 
 
+_WRITE_BLOCK = 1 << 14  # values per joined block of a single-column sample write
+
+
 def write_returns_csv(sample: ReturnSample, destination) -> None:
     """Write a return sample as CSV: ``ticker,rho`` (or a single ``rho``
     column when the sample carries no tickers).  Python floats format
-    faster than numpy scalars and print the same digits."""
-    rho = sample.rho.tolist()
-    if sample.tickers is None:
-        write_report(destination, ["rho"], zip(rho))
-    else:
-        write_report(destination, ["ticker", "rho"], zip(sample.tickers, rho))
+    faster than numpy scalars and print the same digits.  A single column
+    is written in joined blocks of reprs, the bytes ``write_report`` writes."""
+    if sample.tickers is not None:
+        write_report(destination, ["ticker", "rho"], zip(sample.tickers, sample.rho.tolist()))
+        return
+    Path(destination).parent.mkdir(parents=True, exist_ok=True)
+    with open(destination, "w", newline="", encoding="utf-8") as fh:
+        fh.write("rho\n")
+        for start in range(0, sample.rho.size, _WRITE_BLOCK):
+            fh.write("\n".join(map(repr, sample.rho[start : start + _WRITE_BLOCK].tolist())) + "\n")
 
 
 # ---------------------------------------------------------------------------

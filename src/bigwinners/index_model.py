@@ -9,6 +9,8 @@ under-performance ratios.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +141,10 @@ def sample_ratio_summary(sample: ReturnSample, seed, replicates: int = 200) -> S
 
     A replicate's median almost surely lies within 8 sqrt(n) ranks of the
     sample's, so each is read from that window of values (``_median_within``).
+    The replicates run on up to ``os.cpu_count()`` threads.  Each takes its
+    number and its resample indices under one lock, so replicate i is the
+    i-th draw of the one generator and the result is the same bit for bit
+    whatever the thread count.
     """
     replicates = _check_count(replicates, "replicates", 2)  # a standard error (ddof=1) needs two
     rho = sample.rho
@@ -153,9 +159,25 @@ def sample_ratio_summary(sample: ReturnSample, seed, replicates: int = 200) -> S
     window = srt[max(half - width, 0)], srt[min(half + width, rho.size - 1)]
     rng = np.random.default_rng(seed)
     ratios = np.empty(replicates)
-    for i in range(replicates):
-        boot = rho[rng.integers(0, rho.size, size=rho.size)]
-        ratios[i] = np.mean(boot) / _median_within(boot, *window)
+    order = iter(range(replicates))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = next(order, None)
+                if i is None:
+                    return
+                idx = rng.integers(0, rho.size, size=rho.size)
+            boot = rho[idx]
+            ratios[i] = np.mean(boot) / _median_within(boot, *window)
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = min(replicates, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for worker in [pool.submit(work) for _ in range(workers)]:
+            worker.result()
     tail = 0.5 * (1.0 - RATIO_CI_LEVEL)
     lo, hi = np.quantile(ratios, [tail, 1.0 - tail])
     return SampleRatios(

@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bigwinners import index_model
 from bigwinners.distributions import fit_lognormal, lognormal_moments
 from bigwinners.empirical import ReturnSample, kde_mode
 from bigwinners.errors import ParameterError
@@ -247,3 +250,38 @@ def test_sample_ratio_summary_matches_the_np_median_bootstrap(n):
     tail = 0.5 * (1.0 - RATIO_CI_LEVEL)
     lo, hi = np.quantile(ratios, [tail, 1.0 - tail])
     assert (summary.ci_low, summary.ci_high, summary.stderr) == (lo, hi, np.std(ratios, ddof=1))
+
+
+@pytest.mark.parametrize("replicates", [2, 200])
+def test_sample_ratio_summary_is_the_same_for_any_thread_count(monkeypatch, replicates):
+    sample = simulate_index(SPX_LIKE, 999, seed=3)
+    summaries = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so out-of-turn draws would show
+    try:
+        for threads in (1, 2, 4):
+            monkeypatch.setattr(index_model.os, "cpu_count", lambda: threads)
+            summaries.append(sample_ratio_summary(sample, seed=4, replicates=replicates))
+    finally:
+        sys.setswitchinterval(interval)
+    for summary in summaries[1:]:
+        for name in summary.__dataclass_fields__:
+            assert getattr(summary, name) == getattr(summaries[0], name), name
+
+
+def test_sample_ratio_summary_raises_a_worker_exception(monkeypatch):
+    calls = []
+    lock = threading.Lock()
+
+    def failing(boot, lo, hi):
+        with lock:
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("third replicate")
+        return _median_within(boot, lo, hi)
+
+    monkeypatch.setattr(index_model, "_median_within", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="third replicate"):
+        sample_ratio_summary(simulate_index(SPX_LIKE, 999, seed=5), seed=6)
+    assert threading.active_count() == before

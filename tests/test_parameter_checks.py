@@ -118,6 +118,12 @@ CASES = {
                                     "n_stocks must be an integer, got 2.5"),
     "simulate_index_nan_n": (lambda: simulate_index(DRIFT, math.nan, 1), ParameterError,
                              "n_stocks must be an integer, got nan"),
+    "simulate_index_np_inf_n": (lambda: simulate_index(DRIFT, np.float64("inf"), 1), ParameterError,
+                                "n_stocks must be an integer, got inf"),
+    "simulate_index_np_minus_inf_n": (lambda: simulate_index(DRIFT, np.float64("-inf"), 1), ParameterError,
+                                      "n_stocks must be an integer, got -inf"),
+    "simulate_index_np_float32_inf_n": (lambda: simulate_index(DRIFT, np.float32("inf"), 1), ParameterError,
+                                        "n_stocks must be an integer, got inf"),
     "bootstrap_replicates_fractional": (lambda: kde_mode_bootstrap_stderr(SPREAD, seed=1, replicates=2.5),
                                         ParameterError, "replicates must be an integer, got 2.5"),
     "ratio_summary_replicates_fractional": (lambda: sample_ratio_summary(ReturnSample(SPREAD), seed=1, replicates=2.5),

@@ -1,5 +1,6 @@
 """Exact report bytes and the CLI's handling of report and input edge cases."""
 
+import csv
 import io
 import json
 import tempfile
@@ -110,6 +111,21 @@ def test_returns_csv_bytes_with_tickers(tmp_path):
     sample = ReturnSample(rho=np.array([2.5, 0.1 + 0.2]), tickers=("A,B", "C"))
     write_returns_csv(sample, tmp_path / "returns.csv")
     assert (tmp_path / "returns.csv").read_bytes() == b'ticker,rho\n"A,B",2.5\nC,0.30000000000000004\n'
+
+
+AWKWARD = [0.1 + 0.2, 1e-05, 1e16, 5e-324, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("size", [0, 1, 1 << 14, (1 << 14) + 1])
+def test_returns_csv_bytes_without_tickers(tmp_path, size):
+    rho = np.resize(AWKWARD + np.random.default_rng(1).lognormal(size=6).tolist(), size)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["rho"])
+    writer.writerows([value] for value in rho.tolist())
+    write_returns_csv(ReturnSample(rho=rho), tmp_path / "returns.csv")
+    assert (tmp_path / "returns.csv").read_bytes() == expected.getvalue().encode("utf-8")
+    assert size or expected.getvalue() == "rho\n"
 
 
 def test_closed_form_model_report_bytes(tmp_path):
