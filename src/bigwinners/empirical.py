@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import (LogNormalParams, MomentSummary, _check_count, _clean, fit_lognormal,
-                            lognormal_moments, quantile)
+from .distributions import (LOG_FLOAT_MAX, LogNormalParams, MomentSummary, _check_count, _clean,
+                            fit_lognormal, lognormal_moments, quantile)
 from .errors import DataError, InsufficientDataError, ParameterError, ParseError
 
 __all__ = [
@@ -428,11 +428,10 @@ def top_contribution(sample: ReturnSample, pct: float) -> float:
     k = max(1, math.floor(pct * n + 0.5))
     if k == n:
         raise ParameterError(f"pct={pct} would exclude all {n} returns")
-    labels = sample.tickers if sample.tickers is not None else tuple(
-        f"{i:08d}" for i in range(n)
-    )
-    # Object labels keep Python's string order (a numpy str array drops trailing NULs).
-    order = np.lexsort((np.array(labels, dtype=object), -sample.rho))
+    # Object tickers keep Python's string order (a numpy str array drops trailing NULs);
+    # without tickers, lexsort's stability keeps tied returns in position order.
+    ties = () if sample.tickers is None else (np.array(sample.tickers, dtype=object),)
+    order = np.lexsort((*ties, -sample.rho))
     rest = sample.rho[np.sort(order[k:])]
     total_mean = float(np.mean(sample.rho))
     return 100.0 * (1.0 - float(np.mean(rest)) / total_mean)
@@ -519,9 +518,9 @@ def kde_mode(x) -> KDEModeResult:
     ``exact_typical_mean_ratio``, the mode is the vertex of the parabola
     through the log objective at the argmax bin and its neighbours, or that
     bin's centre at an end bin, a non-finite log or a convex fit.  It is
-    flagged unstable when a rival local maximum comes within KDE_PEAK_GAP of
-    the top density or a +/-20% bandwidth change moves it by more than
-    KDE_SHIFT_FACTOR bandwidths.
+    flagged unstable when a local maximum more than a bin from the top comes
+    within KDE_PEAK_GAP of its density or a +/-20% bandwidth change moves it
+    by more than KDE_SHIFT_FACTOR bandwidths.
     """
     arr, t, h, log_scale = _kde_axis(x, "kde_mode")
     if h is None:
@@ -537,17 +536,10 @@ def kde_mode(x) -> KDEModeResult:
         if np.isfinite([a, b, c]).all() and a - 2 * b + c < 0:
             t_mode += 0.5 * (a - c) / (a - 2 * b + c) * float(centers[1] - centers[0])
 
-    # Rival-peak check on the (back-transformed) density heights.
-    interior = (obj[1:-1] > obj[:-2]) & (obj[1:-1] >= obj[2:])
-    peaks = np.where(interior)[0] + 1
-    stable = True
-    if peaks.size >= 2:
-        heights = np.sort(obj[peaks])[::-1]
-        gap_idx = np.abs(peaks - k) > 1
-        if np.any(gap_idx) and heights[1] >= (1.0 - KDE_PEAK_GAP) * heights[0]:
-            rivals = peaks[gap_idx]
-            if np.any(obj[rivals] >= (1.0 - KDE_PEAK_GAP) * obj[k]):
-                stable = False
+    # Rival-peak check on the (back-transformed) density: an interior local maximum
+    # more than a bin from the winner that comes within KDE_PEAK_GAP of it.
+    peaks = np.flatnonzero((obj[1:-1] > obj[:-2]) & (obj[1:-1] >= obj[2:])) + 1
+    stable = not np.any(obj[peaks[np.abs(peaks - k) > 1]] >= (1.0 - KDE_PEAK_GAP) * obj[k])
 
     # Bandwidth sensitivity check (grid-level is enough for a flag).
     for factor in (0.8, 1.2):
@@ -556,7 +548,8 @@ def kde_mode(x) -> KDEModeResult:
             stable = False
             break
 
-    mode = math.exp(t_mode) if log_scale else t_mode
+    # A log-axis mode past the float range is +inf, which clips to the sample maximum.
+    mode = (math.exp(t_mode) if t_mode <= LOG_FLOAT_MAX else math.inf) if log_scale else t_mode
     mode = float(np.clip(mode, np.min(arr), np.max(arr)))
     return KDEModeResult(mode=mode, bandwidth=h, stable=stable, log_scale=log_scale)
 
@@ -584,8 +577,8 @@ def kde_mode_bootstrap_stderr(x, seed, replicates: int = 32) -> float:
     probs = smoothed / smoothed.sum()
     draws = rng.multinomial(arr.size, probs, size=replicates)
     t_star = centers[np.argmax(_smooth(draws, h, width) * tilt, axis=1)]
-    modes = [math.exp(t) for t in t_star] if log_scale else t_star
-    with np.errstate(over="ignore"):
+    modes = [math.exp(t) if t <= LOG_FLOAT_MAX else math.inf for t in t_star] if log_scale else t_star
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in a spread past the float range
         stderr = float(np.std(modes, ddof=1))
     if not math.isfinite(stderr):
         raise ParameterError(f"bootstrap stderr: the spread of modes near {max(modes):.3g} overflows a float")
@@ -603,18 +596,8 @@ def tail_filter(sample: ReturnSample, threshold_log: float = TAIL_THRESHOLD_LOG)
     if threshold_log == math.inf:
         raise ParameterError(f"threshold_log must be below +inf, got {threshold_log}")
     keep = np.log(sample.rho) > threshold_log
-    removed = int(np.sum(~keep))
-    tickers = (
-        tuple(t for t, k in zip(sample.tickers, keep) if k)
-        if sample.tickers is not None
-        else None
-    )
-    return ReturnSample(
-        rho=sample.rho[keep],
-        tickers=tickers,
-        excluded=sample.excluded,
-        removed=removed,
-    )
+    tickers = None if sample.tickers is None else tuple(compress(sample.tickers, keep))
+    return ReturnSample(rho=sample.rho[keep], tickers=tickers, excluded=sample.excluded, removed=int(np.sum(~keep)))
 
 
 def summarize_index(sample: ReturnSample) -> IndexSummary:
@@ -622,7 +605,10 @@ def summarize_index(sample: ReturnSample) -> IndexSummary:
     n = len(sample)
     if n < 2:
         raise InsufficientDataError("summarize_index needs at least 2 returns")
-    mean = float(np.mean(sample.rho))
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(sample.rho))
+    if not math.isfinite(mean):  # before the median, the mode and the winner shares
+        raise ParameterError(f"the mean of the {n} returns overflows a float")
     median = float(np.median(sample.rho))
 
     mode: float | None = None

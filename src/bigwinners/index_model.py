@@ -90,6 +90,8 @@ def simulate_index(p: DriftModelParams, n_stocks: int, seed) -> ReturnSample:
     drifts = p.mu_d + p.sigma_d * rng.standard_normal(n_stocks)
     shocks = rng.standard_normal(n_stocks)
     log_rho = (drifts - 0.5 * p.sigma * p.sigma) * p.horizon + p.sigma * math.sqrt(p.horizon) * shocks
+    if (peak := float(np.max(log_rho))) > LOG_FLOAT_MAX:
+        raise ParameterError(f"simulated total return exp({peak:.6g}) overflows a float")
     return ReturnSample(rho=np.exp(log_rho))
 
 

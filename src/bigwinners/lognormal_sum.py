@@ -118,9 +118,12 @@ def _portfolio_means(p: LogNormalParams, n: int, reps: int, seed) -> tuple[np.nd
     rng = np.random.default_rng(seed)
     y = np.empty(reps)
     block = max(1, MC_BLOCK_DRAWS // n)
-    for done in range(0, reps, block):
-        b = min(block, reps - done)
-        y[done : done + b] = rng.lognormal(p.mu, p.sigma, size=(b, n)).mean(axis=1)
+    with np.errstate(over="ignore"):  # numpy's error state is per thread: set it in the worker
+        for done in range(0, reps, block):
+            b = min(block, reps - done)
+            y[done : done + b] = rng.lognormal(p.mu, p.sigma, size=(b, n)).mean(axis=1)
+    if not np.isfinite(y).all():
+        raise ParameterError(f"the mean of a portfolio of n={n} log-normal draws overflows a float")
     return y, rng
 
 

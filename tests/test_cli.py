@@ -555,8 +555,12 @@ def test_negative_number_after_a_flag_is_its_value(tmp_path, argv, flag, value, 
          "model: mu must be finite, got inf\n"),
         (["regime", "--mu", "400", "--sigma", "1", "--n-grid", "1", "--reps", "10000", "--seed", "1"],
          "regime: inline: bootstrap stderr: the spread of modes near "),
+        (["model", "--mu-d", "800", "--sigma-d", "0", "--sigma", "0.1", "--horizon", "1", "--simulate", "10",
+          "--seed", "1"], "model: simulated total return exp(800.055) overflows a float\n"),
+        (["regime", "--mu", "705", "--sigma", "2", "--reps", "10000", "--seed", "1", "--n-grid", "1,2"],
+         "regime: inline: the mean of a portfolio of n=1 log-normal draws overflows a float\n"),
     ],
-    ids=["model-ratio", "model-implied-law", "regime-stderr"],
+    ids=["model-ratio", "model-implied-law", "regime-stderr", "model-simulated-return", "regime-portfolio-mean"],
 )
 def test_overflow_exits_2_with_a_message(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -603,6 +607,15 @@ def test_analyze_mean_overflow_exits_2_and_writes_the_other_index(tmp_path, caps
     summary = list(csv.DictReader((out / "summary.csv").read_text(encoding="utf-8").splitlines()))
     assert [row["index"] for row in summary] == ["big", "calm"]
     assert (out / "qq_calm.csv").exists() and not (out / "qq_big.csv").exists()
+
+
+def test_analyze_returns_near_the_float_maximum_exit_2_naming_the_mean(tmp_path, capsys):
+    huge = make_return_panel(tmp_path, "huge", [1.7976931348623157e308] * 35 + [1.7958954417274534e308] * 5,
+                             end="2016-01-04")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--input", str(huge), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "analyze: huge: the mean of the 40 returns overflows a float\n"
 
 
 def test_analyze_variance_overflow_exits_2_naming_the_index(tmp_path, capsys):

@@ -273,6 +273,38 @@ class TestKdeMode:
         with pytest.raises(ParameterError, match=r"spread of modes near 2\.34e\+173 overflows a float"):
             kde_mode_bootstrap_stderr(x, seed=1)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_end_bin_winner_is_always_unstable(self, seed):
+        # The log-axis tilt hands bin 0 the win on a wide enough spread; the 0.8h grid's
+        # centres then all lie at least 0.8h(1 - 1/1024) > 0.5h from its centre.
+        rng = np.random.default_rng(seed)
+        x = np.exp(rng.normal(0.0, 15.0 * (1 + seed % 4), 20 + 30 * (seed % 3)))
+        _, t, h, log_scale = _kde_axis(x, "test")
+        assert log_scale and int(np.argmax(_grid_objective(t, h, log_scale)[1])) == 0
+        assert not kde_mode(x).stable
+
+    @pytest.mark.parametrize("weight,stable", [(0.97, False), (0.90, True)])
+    def test_rival_peak_within_five_percent_is_unstable(self, weight, stable):
+        # Two smooth clusters far apart on the raw axis: the smaller one's peak is a
+        # rival exactly when its height is within KDE_PEAK_GAP = 5% of the larger one's.
+        def cluster(centre, m):
+            return [centre + NormalDist().inv_cdf((i + 0.5) / m) for i in range(m)]
+        x = cluster(-10.0, 2000) + cluster(10.0, round(2000 * weight))
+        assert kde_mode(x).stable is stable
+
+    def test_mode_past_the_float_range_is_the_sample_maximum(self):
+        x = [1.7976931348623157e308] * 35 + [1.7958954417274534e308] * 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kde_mode(x).mode == 1.7976931348623157e308
+
+    def test_bootstrap_stderr_of_modes_past_the_float_range_is_a_parameter_error(self):
+        x = [1.7976931348623157e308] * 35 + [1.7958954417274534e308] * 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"spread of modes near inf overflows a float"):
+                kde_mode_bootstrap_stderr(x, seed=1)
+
 
 # ---------------------------------------------------------------------------
 # Tail filter
