@@ -469,15 +469,6 @@ def _kde_axis(x, who: str):
     return arr, t, h, log_scale
 
 
-def _histogram(t: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Bin centers, counts and bin width of ``t`` on a grid padded by 4h."""
-    lo = float(np.min(t)) - 4.0 * h
-    hi = float(np.max(t)) + 4.0 * h
-    edges = np.linspace(lo, hi, KDE_GRID_SIZE + 1)
-    counts, _ = np.histogram(t, bins=edges)
-    return 0.5 * (edges[:-1] + edges[1:]), counts, edges[1] - edges[0]
-
-
 def _smooth(counts: np.ndarray, h: float, width: float) -> np.ndarray:
     """Gaussian smoothing at h of binned counts along the last axis, zero off the grid.
 
@@ -499,15 +490,23 @@ def _smooth(counts: np.ndarray, h: float, width: float) -> np.ndarray:
     return out
 
 
+def _grid(t: np.ndarray, h: float, log_scale: bool) -> tuple[np.ndarray, float, np.ndarray, np.ndarray | float]:
+    """Centers, width, counts smoothed at h and tilt (e^-t, or 1.0 off the log axis) of a grid padded by 4h."""
+    edges = np.linspace(float(np.min(t)) - 4.0 * h, float(np.max(t)) + 4.0 * h, KDE_GRID_SIZE + 1)
+    counts, _ = np.histogram(t, bins=edges)
+    centers, width = 0.5 * (edges[:-1] + edges[1:]), edges[1] - edges[0]
+    shift = min(0.0, float(centers[0]) + LOG_FLOAT_MAX / 2)  # a constant factor: a finite tilt far below 0
+    return centers, width, _smooth(counts, h, width), np.exp(shift - centers) if log_scale else 1.0
+
+
 def _grid_objective(t: np.ndarray, h: float, log_scale: bool) -> tuple[np.ndarray, np.ndarray]:
     """Grid centers and the binned density objective whose argmax is the mode.
 
     In log scale the density of X at x=e^t is f_t(t)/e^t, so maximizing
     f_t(t)*e^{-t} finds the mode of X itself.
     """
-    centers, counts, width = _histogram(t, h)
-    dens = _smooth(counts, h, width) / (t.size * width)
-    return centers, dens * np.exp(-centers) if log_scale else dens
+    centers, width, smoothed, tilt = _grid(t, h, log_scale)
+    return centers, smoothed / (t.size * width) * tilt
 
 
 def kde_mode(x) -> KDEModeResult:
@@ -569,17 +568,17 @@ def kde_mode_bootstrap_stderr(x, seed, replicates: int = 32) -> float:
     arr, t, h, log_scale = _kde_axis(x, "bootstrap stderr")
     if h is None:
         return 0.0
-    centers, counts, width = _histogram(t, h)
-    tilt = np.exp(-centers) if log_scale else 1.0
+    centers, width, smoothed, tilt = _grid(t, h, log_scale)
 
     rng = np.random.default_rng(seed)
-    smoothed = _smooth(counts, h, width)
     probs = smoothed / smoothed.sum()
     draws = rng.multinomial(arr.size, probs, size=replicates)
     t_star = centers[np.argmax(_smooth(draws, h, width) * tilt, axis=1)]
     modes = [math.exp(t) if t <= LOG_FLOAT_MAX else math.inf for t in t_star] if log_scale else t_star
+    # Modes far below 1 are spread on a power-of-two upscale, so the spread cannot underflow.
+    scale = 2.0 ** min(1023, max(0, -math.frexp(float(np.max(np.abs(modes))))[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in a spread past the float range
-        stderr = float(np.std(modes, ddof=1))
+        stderr = float(np.std(np.multiply(modes, scale), ddof=1)) / scale
     if not math.isfinite(stderr):
         raise ParameterError(f"bootstrap stderr: the spread of modes near {max(modes):.3g} overflows a float")
     return stderr
@@ -600,15 +599,21 @@ def tail_filter(sample: ReturnSample, threshold_log: float = TAIL_THRESHOLD_LOG)
     return ReturnSample(rho=sample.rho[keep], tickers=tickers, excluded=sample.excluded, removed=int(np.sum(~keep)))
 
 
+def _finite_mean(rho: np.ndarray) -> float:
+    """Mean of the returns ``rho``; ParameterError where it overflows a float."""
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(rho))
+    if not math.isfinite(mean):
+        raise ParameterError(f"the mean of the {rho.size} returns overflows a float")
+    return mean
+
+
 def summarize_index(sample: ReturnSample) -> IndexSummary:
     """Assemble the total-return table row for one index."""
     n = len(sample)
     if n < 2:
         raise InsufficientDataError("summarize_index needs at least 2 returns")
-    with np.errstate(over="ignore"):
-        mean = float(np.mean(sample.rho))
-    if not math.isfinite(mean):  # before the median, the mode and the winner shares
-        raise ParameterError(f"the mean of the {n} returns overflows a float")
+    mean = _finite_mean(sample.rho)  # before the median, the mode and the winner shares
     median = float(np.median(sample.rho))
 
     mode: float | None = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import LOG_FLOAT_MAX, LogNormalParams, _check_count, _check_domain
-from .empirical import KDE_MIN_POINTS, ReturnSample, kde_mode
+from .empirical import ReturnSample, _finite_mean, kde_mode
 from .errors import ParameterError
 
 __all__ = [
@@ -150,11 +150,9 @@ def sample_ratio_summary(sample: ReturnSample, seed, replicates: int = 200) -> S
     """
     replicates = _check_count(replicates, "replicates", 2)  # a standard error (ddof=1) needs two
     rho = sample.rho
-    if rho.size < KDE_MIN_POINTS:
-        raise ParameterError(f"sample_ratio_summary needs at least {KDE_MIN_POINTS} returns")
-    mean = float(np.mean(rho))
+    mode = kde_mode(rho).mode  # first, for its check of the sample size
+    mean = _finite_mean(rho)
     median = float(np.median(rho))
-    mode = kde_mode(rho).mode
 
     srt = np.sort(rho)
     half, width = rho.size // 2, math.ceil(8.0 * math.sqrt(rho.size))
@@ -172,7 +170,8 @@ def sample_ratio_summary(sample: ReturnSample, seed, replicates: int = 200) -> S
                     return
                 idx = rng.integers(0, rho.size, size=rho.size)
             boot = rho[idx]
-            ratios[i] = np.mean(boot) / _median_within(boot, *window)
+            with np.errstate(over="ignore"):  # per thread; an overflowing mean is caught after the pool
+                ratios[i] = np.mean(boot) / _median_within(boot, *window)
 
     from concurrent.futures import ThreadPoolExecutor
 
@@ -180,6 +179,8 @@ def sample_ratio_summary(sample: ReturnSample, seed, replicates: int = 200) -> S
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for worker in [pool.submit(work) for _ in range(workers)]:
             worker.result()
+    if not np.isfinite(ratios).all():
+        raise ParameterError("the mean of a bootstrap resample overflows a float")
     tail = 0.5 * (1.0 - RATIO_CI_LEVEL)
     lo, hi = np.quantile(ratios, [tail, 1.0 - tail])
     return SampleRatios(

@@ -154,6 +154,19 @@ class TestRegime:
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "curve_inline.csv").read_bytes() == (out2 / "curve_inline.csv").read_bytes()
 
+    def test_returns_far_below_one_read_the_mu_0_ratios(self, tmp_path):
+        # The typical ratio does not depend on mu; at mu = -706 the KDE grid reaches
+        # below log values of -709.78, where an untilted e^-t overflows a float.
+        columns = {}
+        for mu in ("-706", "0"):
+            out = tmp_path / mu
+            assert main(["regime", "--mu", mu, "--sigma", "1", "--reps", "10000", "--seed", "1",
+                         "--n-grid", "1,4", "--out", str(out)]) == 0
+            lines = (out / "curve_inline.csv").read_text().strip().splitlines()
+            rows = list(csv.DictReader(lines[lines.index("n,ratio_analytic,ratio_mc,mc_stderr"):]))
+            columns[mu] = [float(row[name]) for row in rows for name in ("ratio_mc", "mc_stderr")]
+        assert columns["-706"] == pytest.approx(columns["0"], rel=1e-9)
+
     @pytest.mark.parametrize(
         "sigma,label",
         [("0.316", NARROW), ("0.317", MODERATELY_BROAD), ("1.999", MODERATELY_BROAD), ("2.0", VERY_BROAD)],
@@ -559,8 +572,11 @@ def test_negative_number_after_a_flag_is_its_value(tmp_path, argv, flag, value, 
           "--seed", "1"], "model: simulated total return exp(800.055) overflows a float\n"),
         (["regime", "--mu", "705", "--sigma", "2", "--reps", "10000", "--seed", "1", "--n-grid", "1,2"],
          "regime: inline: the mean of a portfolio of n=1 log-normal draws overflows a float\n"),
+        (["model", "--mu-d", "709", "--sigma-d", "0", "--sigma", "0.001", "--horizon", "1", "--simulate", "300",
+          "--seed", "1"], "model: the mean of the 300 returns overflows a float\n"),
     ],
-    ids=["model-ratio", "model-implied-law", "regime-stderr", "model-simulated-return", "regime-portfolio-mean"],
+    ids=["model-ratio", "model-implied-law", "regime-stderr", "model-simulated-return", "regime-portfolio-mean",
+         "model-simulated-mean"],
 )
 def test_overflow_exits_2_with_a_message(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

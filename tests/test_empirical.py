@@ -273,6 +273,17 @@ class TestKdeMode:
         with pytest.raises(ParameterError, match=r"spread of modes near 2\.34e\+173 overflows a float"):
             kde_mode_bootstrap_stderr(x, seed=1)
 
+    def test_mode_and_stderr_far_below_one_scale_with_the_sample(self):
+        # e^-706 puts the grid's low end below log values of -709.78, where an untilted
+        # e^-t overflows, and the modes near 1e-307, whose plain spread underflows.
+        x = np.random.default_rng(4).lognormal(0.0, 1.0, 2000)
+        f = math.exp(-706.0)
+        assert kde_mode(f * x).mode / f == pytest.approx(kde_mode(x).mode, rel=1e-9)
+        assert kde_mode_bootstrap_stderr(f * x, seed=5) / f == pytest.approx(kde_mode_bootstrap_stderr(x, seed=5),
+                                                                             rel=1e-9)
+        # Modes below the smallest normal float (2.2e-308): the upscale stops at 2^1023.
+        assert 0.0 < kde_mode_bootstrap_stderr(np.random.default_rng(1).lognormal(-735.0, 1.0, 500), seed=1) < 1e-300
+
     @pytest.mark.parametrize("seed", range(12))
     def test_end_bin_winner_is_always_unstable(self, seed):
         # The log-axis tilt hands bin 0 the win on a wide enough spread; the 0.8h grid's

@@ -110,6 +110,21 @@ def test_only_distributions_words_the_integer_count_rule():
     assert owners == ["distributions.py"]
 
 
+def test_only_grid_bins_and_tilts_the_kde_sample():
+    """``empirical._grid`` alone calls ``np.histogram`` and takes the tilt ``np.exp`` of the
+    grid centers, and ``index_model`` leaves the 5-point minimum to ``kde_mode``; a second
+    copy of either rule fails here."""
+    def bins_or_tilts(node):
+        name = ast.unparse(node.func)
+        return name == "np.histogram" or name == "np.exp" and "centers" in ast.unparse(node)
+
+    tree = ast.parse((SRC / "bigwinners" / "empirical.py").read_text(encoding="utf-8"))
+    owners = [getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+              if isinstance(node, ast.Call) and bins_or_tilts(node)]
+    assert owners == ["_grid", "_grid"]
+    assert "KDE_MIN_POINTS" not in (SRC / "bigwinners" / "index_model.py").read_text(encoding="utf-8")
+
+
 def test_no_module_names_scipy_stats():
     """scipy.stats costs about a second to import and no module needs it; a use fails here."""
     users = sorted(path.name for path in (SRC / "bigwinners").glob("*.py")

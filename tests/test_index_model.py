@@ -269,6 +269,13 @@ def test_sample_ratio_summary_is_the_same_for_any_thread_count(monkeypatch, repl
             assert getattr(summary, name) == getattr(summaries[0], name), name
 
 
+def test_sample_ratio_summary_resample_mean_overflow_is_a_parameter_error():
+    # The sample's mean is finite; a resample that draws 1e308 twice overflows.
+    sample = ReturnSample(rho=[1e308] + [1 + 0.001 * i for i in range(299)])
+    with pytest.raises(ParameterError, match="the mean of a bootstrap resample overflows a float"):
+        sample_ratio_summary(sample, seed=1)
+
+
 def test_sample_ratio_summary_raises_a_worker_exception(monkeypatch):
     calls = []
     lock = threading.Lock()
