@@ -55,6 +55,12 @@ SKEW_ALPHA_CAP = 50.0
 # |alpha| ~ 0.3 even on exactly normal data; asymmetry is kept only when it
 # beats the nested normal fit by a significant likelihood ratio.
 SKEW_SYMMETRY_LRT = 3.841
+# Floor of the skew-normal scale, in sample SDs: without it a few tied drifts drive
+# omega towards 0.  The stop rules of its Newton solve (``_skew_normal_mle``) follow.
+SKEW_OMEGA_FLOOR = 1e-8
+SKEW_NLL_RTOL = 1e-13
+SKEW_NEWTON_TOL = 1e-10
+SKEW_NEWTON_MAXITER = 100
 # Largest x whose e^x is a finite float.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -284,17 +290,39 @@ def fit_lognormal(x) -> LogNormalParams:
     return LogNormalParams(mu=mu, sigma=sigma)
 
 
-def _skew_normal_nll(theta: np.ndarray, x: np.ndarray) -> float:
-    zeta, omega, alpha = theta
-    t = (x - zeta) / omega
-    # log(2) - log(omega) + log phi(t) + log Phi(alpha*t), summed.
-    ll = (
-        x.size * (math.log(2.0) - math.log(omega))
-        - 0.5 * x.size * math.log(2.0 * math.pi)
-        - 0.5 * float(np.sum(t * t))
-        + float(np.sum(scipy.special.log_ndtr(alpha * t)))
-    )
-    return -ll
+def _skew_normal_nll(theta, t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Negative log-likelihood of the sample ``t`` at theta = (zeta, ln omega, alpha),
+    with its gradient and Hessian in theta."""
+    zeta, eta, alpha = theta
+    n, inv_omega = t.size, math.exp(-eta)
+    u = (t - zeta) * inv_omega
+    z = alpha * u
+    # log(omega) - log(2) + log(2 pi)/2 + u^2/2 - log Phi(alpha u), summed.
+    suu = float(u @ u)
+    log_cdf = scipy.special.log_ndtr(z)
+    nll = n * (eta - math.log(2.0) + 0.5 * math.log(2.0 * math.pi)) + 0.5 * suu - float(np.sum(log_cdf))
+    # Mills ratio m = phi(z)/Phi(z) = exp(log phi(z) - log Phi(z)), and its slope dm/dz =
+    # -m (z + m).  Below z = -1e4 the rounding of log Phi, eps z^2/2, would reach m; there
+    # m = sqrt(2/pi)/erfcx(-z/sqrt 2).
+    far = z < -1e4
+    m = np.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - log_cdf, where=~far, out=np.empty_like(z))
+    m[far] = math.sqrt(2.0 / math.pi) / scipy.special.erfcx(z[far] * -math.sqrt(0.5))
+    dm = -m * (z + m)
+    dmu = dm * u
+    su, sm, smu = float(np.sum(u)), float(np.sum(m)), float(m @ u)
+    sdm, sdmu, sdmuu = float(np.sum(dm)), float(np.sum(dmu)), float(dmu @ u)
+    grad = np.array([inv_omega * (alpha * sm - su), n - suu + alpha * smu, -smu])
+    h_zeta = inv_omega * np.array([
+        inv_omega * (n - alpha * alpha * sdm),
+        2.0 * su - alpha * sm - alpha * alpha * sdmu,
+        sm + alpha * sdmu,
+    ])
+    hess = np.array([
+        h_zeta,
+        [h_zeta[1], 2.0 * suu - alpha * alpha * sdmuu - alpha * smu, smu + alpha * sdmuu],
+        [h_zeta[2], smu + alpha * sdmuu, -sdmuu],
+    ])
+    return nll, grad, hess
 
 
 def _skew_normal_moment_start(x: np.ndarray) -> tuple[float, float, float]:
@@ -316,58 +344,73 @@ def _skew_normal_moment_start(x: np.ndarray) -> tuple[float, float, float]:
     return zeta, omega, alpha
 
 
-def fit_skew_normal(x) -> SkewNormalParams:
-    """Numerical MLE of the skew-normal law with a symmetry guard.
+def _skew_normal_mle(t: np.ndarray) -> tuple[np.ndarray, float]:
+    """theta = (zeta, ln omega, alpha) minimising ``_skew_normal_nll`` of the standardized
+    sample ``t``, and the minimum, from the method-of-moments start.
 
-    Started from method-of-moments values; |alpha| is bounded at
-    SKEW_ALPHA_CAP and the result is flagged ``capped`` when the bound is
-    active.  Because the profile likelihood is almost flat in alpha near
-    zero, the unconstrained MLE wanders to |alpha| ~ 0.3 on exactly
-    symmetric data; the fit therefore falls back to the nested normal
-    MLE (alpha = 0, zeta = mean, omega = std) unless asymmetry improves
-    the likelihood ratio beyond the chi-square(1) 95% cutoff.
+    Damped Newton: a variable on its bound (omega >= SKEW_OMEGA_FLOOR, |alpha| <=
+    SKEW_ALPHA_CAP) is held while the gradient pushes it outward; the Hessian of the
+    others, where indefinite or near-singular, is shifted past definite by the
+    gradient's norm; the step is clipped to the bounds and halved until the NLL falls.
+    The solve stops once the step's predicted gain, -grad.step/2, is at most
+    SKEW_NLL_RTOL of the NLL (about what a sum of n log-densities resolves), or once
+    halving leaves no step longer than SKEW_NEWTON_TOL (relative) that lowers it; it
+    raises FitFailureError after SKEW_NEWTON_MAXITER steps.
+    """
+    lower = np.array([-np.inf, math.log(SKEW_OMEGA_FLOOR), -SKEW_ALPHA_CAP])
+    upper = np.array([np.inf, np.inf, SKEW_ALPHA_CAP])
+    zeta, omega, alpha = _skew_normal_moment_start(t)
+    theta = np.clip([zeta, math.log(max(omega, SKEW_OMEGA_FLOOR)), alpha], lower, upper)
+    nll, grad, hess = _skew_normal_nll(theta, t)
+    for _ in range(SKEW_NEWTON_MAXITER):
+        free = ~((theta <= lower) & (grad > 0) | (theta >= upper) & (grad < 0))
+        h = hess[np.ix_(free, free)]
+        eig = np.linalg.eigvalsh(h)
+        floor = 1e-8 * float(eig[-1])
+        shift = 0.0 if eig[0] > floor else floor - float(eig[0]) + float(np.linalg.norm(grad[free]))
+        step = np.zeros(3)
+        step[free] = np.linalg.solve(h + shift * np.eye(h.shape[0]), -grad[free])
+        if -float(grad @ step) <= 2.0 * SKEW_NLL_RTOL * abs(nll):
+            return theta, nll
+        tol = SKEW_NEWTON_TOL * (1.0 + float(np.max(np.abs(theta))))
+        while np.max(np.abs((trial := np.clip(theta + step, lower, upper)) - theta)) > tol:
+            if (terms := _skew_normal_nll(trial, t))[0] < nll:
+                break
+            step *= 0.5
+        else:  # no step longer than the tolerance lowers the NLL
+            return theta, nll
+        theta, (nll, grad, hess) = trial, terms
+    raise FitFailureError("fit_skew_normal did not converge", iterations=SKEW_NEWTON_MAXITER)
+
+
+def fit_skew_normal(x) -> SkewNormalParams:
+    """Maximum-likelihood skew-normal fit with a symmetry guard.
+
+    The sample is standardized and the likelihood maximised by ``_skew_normal_mle``'s
+    bounded, damped Newton solve in (zeta, ln omega, alpha) (its docstring gives the
+    stop rules), started from method-of-moments values: omega >= SKEW_OMEGA_FLOOR
+    times the sample SD, and |alpha| <= SKEW_ALPHA_CAP, where the result is flagged
+    ``capped``.  Equal values raise FitFailureError (zero dispersion).  Because the
+    profile likelihood is almost flat in alpha near zero, the unconstrained MLE
+    wanders to |alpha| ~ 0.3 on exactly symmetric data; the fit therefore falls back
+    to the nested normal MLE (alpha = 0, zeta = mean, omega = std) unless asymmetry
+    improves the likelihood ratio beyond the chi-square(1) 95% cutoff.
     """
     arr = _clean(x, 3, "fit_skew_normal")
     sd = float(np.std(arr))
-    if sd == 0.0:
+    if sd == 0.0 or arr.min() == arr.max():  # equal values can round to sd > 0
         raise FitFailureError("fit_skew_normal: zero dispersion")
 
     mean = float(np.mean(arr))
-    nll_symmetric = _skew_normal_nll(np.array([mean, sd, 0.0]), arr)
-
-    z0, w0, a0 = _skew_normal_moment_start(arr)
-    a0 = float(np.clip(a0, -SKEW_ALPHA_CAP, SKEW_ALPHA_CAP))
-    start = np.array([z0, max(w0, 1e-8 * sd), a0])
-    bounds = [(None, None), (1e-8 * sd, None), (-SKEW_ALPHA_CAP, SKEW_ALPHA_CAP)]
-
-    res = scipy.optimize.minimize(
-        _skew_normal_nll, start, args=(arr,), method="L-BFGS-B", bounds=bounds
-    )
-    if not res.success:
-        # The flat alpha ridge can stall the quasi-Newton step; a simplex
-        # polish usually settles it.
-        res2 = scipy.optimize.minimize(
-            _skew_normal_nll,
-            res.x,
-            args=(arr,),
-            method="Nelder-Mead",
-            options={"maxiter": 2000, "xatol": 1e-9, "fatol": 1e-9},
-        )
-        if res2.fun <= res.fun and res2.success:
-            res = res2
-        else:
-            raise FitFailureError(
-                f"fit_skew_normal did not converge: {res.message}",
-                iterations=int(res.nit),
-            )
-
-    if 2.0 * (nll_symmetric - res.fun) < SKEW_SYMMETRY_LRT:
+    t = (arr - mean) / sd
+    (zeta, eta, alpha), nll = _skew_normal_mle(t)
+    nll_symmetric = 0.5 * (t.size * math.log(2.0 * math.pi) + float(t @ t))  # at theta = 0, Phi(0) = 1/2
+    if 2.0 * (nll_symmetric - nll) < SKEW_SYMMETRY_LRT:
         return SkewNormalParams(zeta=mean, omega=sd, alpha=0.0)
-
-    zeta, omega, alpha = res.x
-    alpha = float(np.clip(alpha, -SKEW_ALPHA_CAP, SKEW_ALPHA_CAP))
-    capped = abs(alpha) >= SKEW_ALPHA_CAP - 1e-9
-    return SkewNormalParams(zeta=float(zeta), omega=float(omega), alpha=alpha, capped=capped)
+    alpha = float(alpha)
+    return SkewNormalParams(
+        zeta=mean + sd * float(zeta), omega=sd * math.exp(eta), alpha=alpha, capped=abs(alpha) >= SKEW_ALPHA_CAP
+    )
 
 
 GAMMA_NEWTON_TOL = 1e-10

@@ -21,6 +21,7 @@ regression of drift on volatility, and their correlation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import compress
 
@@ -206,7 +207,8 @@ def build_panel(panel: PricePanel, dt=1.0, method: str = "endpoint") -> DriftVol
     (or too short to estimate) are excluded and listed.  Paths whose volatility
     estimate is zero (clamped, or a flat path) are left out of the gamma fit of
     volatilities only.  Distribution fits that fail are recorded per field and
-    the panel is still returned.
+    the panel is still returned; estimates too large for the fits' sums raise
+    ParameterError instead.
     """
     tickers, sizes, prices = panel.tickers, panel.sizes, panel.prices
     dt = np.asarray(dt, dtype=float)
@@ -219,13 +221,19 @@ def build_panel(panel: PricePanel, dt=1.0, method: str = "endpoint") -> DriftVol
     duration = (sizes - 1) * dt
     keep = (sizes >= 3) & (duration >= MIN_WINDOW_COVERAGE * duration.max(initial=0.0))
     used = tuple(compress(tickers, keep))
-    columns = _estimates(prices[np.repeat(keep, sizes)], sizes[keep], dt[keep], method) if used else ()
+    with np.errstate(over="ignore", invalid="ignore"):  # an estimate past the float range is caught below
+        columns = _estimates(prices[np.repeat(keep, sizes)], sizes[keep], dt[keep], method) if used else ()
     if len(used) < 3:
         raise InsufficientDataError(
             f"build_panel needs at least 3 usable paths, got {len(used)}"
         )
 
     mu_hats, sigma_hats, sigma_sq_raw, clamped = columns
+    # The fits multiply sums of up to three estimates over the panel (the Huber normal
+    # equations' sum(w x^2) * sum(w y)); past this bound one of them could overflow.
+    largest = float(np.nan_to_num(np.abs((mu_hats, sigma_sq_raw)), nan=np.inf).max())  # NaN is inf - inf
+    if not largest <= (sys.float_info.max / len(used) ** 2) ** (1.0 / 3.0):
+        raise ParameterError(f"annualised estimates up to {largest:.6g} overflow a float in the cross-sectional fits")
     fits: dict[str, object] = {}
     errors: list[tuple[str, str]] = []
     for name, fit, args in (

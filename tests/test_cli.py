@@ -604,6 +604,22 @@ def test_missing_or_invalid_setting_exits_2_before_any_work(tmp_path, monkeypatc
     assert not Path("out").exists()
 
 
+@pytest.mark.parametrize("dt", ["1e-320", "1e-300", "1e-120"])
+def test_gbm_estimates_past_the_float_range_exit_2_with_a_message(tmp_path, capsys, dt):
+    """At a tiny --dt the annualised drifts reach 1e117 and more (inf at 1e-320): gbm
+    exits 2 with one line before any fit or report, where it used to warn and write
+    inf and NaN."""
+    paths = {f"T{i}": simulate_gbm(GBMParams(0.12, 0.29), 1.0, 16, 1.0, seed=i).prices for i in range(6)}
+    argv = ["gbm", "--input", str(make_path_panel(tmp_path, "panel", paths)), "--dt", dt]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gbm: annualised estimates up to ") and err.count("\n") == 1
+    assert err.endswith(" overflow a float in the cross-sectional fits\n")
+    assert not out.exists()
+    assert main(argv[:-1] + ["1e-90", "--out", str(out)]) == 0  # the same panel well inside the range
+
+
 def test_regime_mean_overflow_exits_2_before_drawing(tmp_path, capsys):
     argv = ["regime", "--mu", "800", "--sigma", "1", "--reps", "10000", "--seed", "1", "--n-grid", "1"]
     out = tmp_path / "out"

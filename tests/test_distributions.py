@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from bigwinners import distributions
 from bigwinners.distributions import (
     AsymmetricLaplaceParams,
     LogNormalParams,
@@ -194,9 +195,10 @@ class TestFitSkewNormal:
             assert abs(got - want) <= 3 * max(s, 1e-4)
         assert not fit.capped
 
-    def test_constant_data_fails(self):
-        with pytest.raises(FitFailureError):
-            fit_skew_normal(np.full(100, 2.5))
+    @pytest.mark.parametrize("value, n", [(2.5, 100), (0.1, 3)])  # np.std of three 0.1s is 1.4e-17
+    def test_constant_data_fails(self, value, n):
+        with pytest.raises(FitFailureError, match="zero dispersion"):
+            fit_skew_normal(np.full(n, value))
 
     def test_cap_flag(self):
         # Half-normal-ish data drives alpha to the bound.
@@ -204,6 +206,26 @@ class TestFitSkewNormal:
         fit = fit_skew_normal(x)
         assert fit.capped
         assert abs(fit.alpha) == pytest.approx(50.0)
+
+    @pytest.mark.parametrize("theta", [(0.3, -0.2, 2.5), (0.0, math.log(1e-3), 20.0)], ids=["central", "far-tail"])
+    def test_nll_gradient_and_hessian_match_central_differences(self, theta):
+        """The Newton solve's derivatives, also where alpha*u lies below -1e4 and the
+        Mills ratio comes from erfcx."""
+        t, theta = np.array([-3.0, -1.0, 0.0, 0.5, 2.0]), np.array(theta)
+        _, grad, hess = distributions._skew_normal_nll(theta, t)
+        steps = 1e-6 * np.maximum(1.0, np.abs(theta))
+        ups = [distributions._skew_normal_nll(theta + e, t) for e in np.diag(steps)]
+        downs = [distributions._skew_normal_nll(theta - e, t) for e in np.diag(steps)]
+        grad_diff = [(up[0] - down[0]) / (2.0 * h) for up, down, h in zip(ups, downs, steps)]
+        hess_diff = [(up[1] - down[1]) / (2.0 * h) for up, down, h in zip(ups, downs, steps)]
+        assert np.allclose(grad_diff, grad, rtol=0.0, atol=1e-8 * np.abs(grad).max())
+        assert np.allclose(hess_diff, hess, rtol=0.0, atol=1e-5 * np.abs(hess).max())
+
+    def test_newton_solve_out_of_steps_fails_naming_them(self, monkeypatch):
+        monkeypatch.setattr(distributions, "SKEW_NEWTON_MAXITER", 1)
+        with pytest.raises(FitFailureError, match=r"did not converge \(after 1 iterations\)") as failure:
+            fit_skew_normal(sample(SkewNormalParams(0.06, 0.09, 1.88), 1000, 3))
+        assert failure.value.iterations == 1
 
 
 # ---------------------------------------------------------------------------

@@ -66,13 +66,11 @@ def test_import_loads_no_scipy_submodule():
 
 @pytest.mark.parametrize("command", ["analyze", "gbm"])
 def test_analyze_and_gbm_never_load_stats(price_file, tmp_path, command):
-    """analyze loads no scipy submodule at all.  gbm's skew-normal fit loads
-    optimize: the positive control, showing the guard sees what a command loads."""
+    """analyze loads no scipy submodule at all.  gbm's fits load special alone
+    (log_ndtr, erfcx, digamma, polygamma): the positive control, showing the guard
+    sees what a command loads."""
     loaded = cli_loaded(0, command, "--input", str(price_file), "--out", str(tmp_path))
-    if command == "analyze":
-        assert loaded == set()
-    else:
-        assert "optimize" in loaded and "stats" not in loaded
+    assert loaded == (set() if command == "analyze" else {"special"})
 
 
 @pytest.mark.parametrize(
@@ -95,12 +93,13 @@ def test_malformed_file_loads_no_scipy_submodule(tmp_path):
     assert cli_loaded(2, "analyze", "--input", str(bad), "--out", str(tmp_path)) == set()
 
 
-def test_only_the_skew_normal_fit_names_scipy_optimize():
-    """``kde_mode`` refines its mode with a three-point parabola and needs no
-    minimiser; a second user of scipy.optimize fails here."""
+def test_no_module_names_scipy_optimize():
+    """scipy.optimize loads linalg, sparse, spatial and fft with it, and no module needs
+    it: ``kde_mode`` refines its mode with a three-point parabola and the skew-normal
+    fit runs its own Newton solve.  A use fails here."""
     users = sorted(path.name for path in (SRC / "bigwinners").glob("*.py")
                    if "scipy.optimize" in path.read_text(encoding="utf-8"))
-    assert users == ["distributions.py"]
+    assert users == []
 
 
 def test_only_distributions_words_the_integer_count_rule():
