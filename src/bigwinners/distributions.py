@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import FitFailureError, InsufficientDataError, ParameterError
 
@@ -258,7 +257,9 @@ def quantile(p: LogNormalParams, q) -> np.ndarray:
     """
     if p.sigma <= 0:
         raise ParameterError("log-normal law requires sigma > 0")
-    return np.exp(p.sigma * scipy.special.ndtri(q)) * math.exp(p.mu)
+    from scipy.special import ndtri  # here, not at the top: only ``analyze --qq`` pays its import
+
+    return np.exp(p.sigma * ndtri(q)) * math.exp(p.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +291,74 @@ def fit_lognormal(x) -> LogNormalParams:
     return LogNormalParams(mu=mu, sigma=sigma)
 
 
+# Below this z, erfc(-z/sqrt 2) nears the subnormal floats and ``_log_ndtr`` sums the
+# asymptotic series of Phi, whose coefficients are (-1)^k (2k - 1)!!: at z = -37 the first
+# term left out is below 1e-20.
+LOG_NDTR_SERIES_BELOW = -37.0
+_LOG_NDTR_SERIES = (1.0, -1.0, 3.0, -15.0, 105.0, -945.0, 10395.0, -135135.0, 2027025.0, -34459425.0)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# Bernoulli numbers B_2 .. B_14 of the digamma and trigamma series.
+_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0, -691.0 / 2730.0, 7.0 / 6.0)
+
+
+def _log_ndtr(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log Phi(z) and the Mills ratio phi(z)/Phi(z) of the standard normal law, element by element.
+
+    At z <= -1, Phi(z) = erfc(x)/2 with x = -z/sqrt 2; above, log Phi(z) = log1p(-erfc(x)/2)
+    with x = z/sqrt 2 (``math.erfc``, one element at a time).  The ratio is
+    e^{-x^2}/(sqrt(2 pi) Phi) at that same rounded x, with x^2 split so that e^{-x^2} is
+    exact to rounding; on the left the rounding of x then cancels.  Below
+    LOG_NDTR_SERIES_BELOW, Phi(z) = phi(z)/(-z) (1 - 1/z^2 + 3/z^4 - ...).  Over z in
+    [-1e6, 0], both agree with scipy's ``log_ndtr`` and sqrt(2/pi)/``erfcx``(-z/sqrt 2)
+    within 8 eps relative; above, within 8 eps (1 + z^2), since there both follow erfc's
+    error at a rounded argument, about 2 x^2 eps, as scipy's own do
+    (``tests/test_scipy_reference.py``).
+    """
+    z = np.asarray(z, dtype=float)
+    log_cdf, mills = np.empty_like(z), np.empty_like(z)
+    far = z < LOG_NDTR_SERIES_BELOW
+    zf, zn = z[far], z[~far]
+    w, series = 1.0 / (zf * zf), np.zeros_like(zf)
+    for c in reversed(_LOG_NDTR_SERIES):
+        series = series * w + c
+    log_cdf[far] = np.log(series / -zf) - 0.5 * zf * zf - _LOG_SQRT_2PI
+    mills[far] = -zf / series
+    left = zn <= -1.0
+    x = np.where(left, -zn, zn) * math.sqrt(0.5)
+    half = 0.5 * np.fromiter(map(math.erfc, x.tolist()), float, x.size)
+    hi = (big := 134217729.0 * x) - (big - x)  # x's 26 leading bits: hi * hi is exact
+    gauss = np.exp(-hi * hi) * np.exp((hi - x) * (hi + x))
+    cdf = np.where(left, half, 1.0 - half)
+    log_cdf[~far] = np.where(left, np.log(cdf), np.log1p(-half))
+    mills[~far] = gauss / (math.sqrt(2.0 * math.pi) * cdf)
+    return log_cdf, mills
+
+
+def _psi(k: float) -> tuple[float, float]:
+    """Digamma and trigamma of k > 0.
+
+    The recurrences psi(k) = psi(k + 1) - 1/k and psi'(k) = psi'(k + 1) + 1/k^2 carry k up
+    to 20 or more, where the asymptotic series in the Bernoulli numbers,
+    psi(k) = ln k - 1/(2k) - sum B_2n/(2n k^2n) and psi'(k) = 1/k + 1/(2k^2) + sum B_2n/k^(2n+1),
+    leave out about 1e-20 relative.  Over k in [1e-8, 1e12] digamma is within 4e-15 of
+    scipy's times max(1, |psi|), and trigamma within 2e-15 relative
+    (``tests/test_scipy_reference.py``).
+    """
+    digamma = trigamma = 0.0
+    while k < 20.0:
+        digamma -= 1.0 / k
+        trigamma += 1.0 / (k * k)
+        k += 1.0
+    w = 1.0 / (k * k)
+    tail_d = tail_t = 0.0
+    for n in range(len(_BERNOULLI), 0, -1):
+        tail_d = tail_d * w + _BERNOULLI[n - 1] / (2 * n)
+        tail_t = tail_t * w + _BERNOULLI[n - 1]
+    digamma += math.log(k) - 0.5 / k - w * tail_d
+    trigamma += 1.0 / k + 0.5 * w + w / k * tail_t
+    return digamma, trigamma
+
+
 def _skew_normal_nll(theta, t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Negative log-likelihood of the sample ``t`` at theta = (zeta, ln omega, alpha),
     with its gradient and Hessian in theta."""
@@ -299,14 +368,9 @@ def _skew_normal_nll(theta, t: np.ndarray) -> tuple[float, np.ndarray, np.ndarra
     z = alpha * u
     # log(omega) - log(2) + log(2 pi)/2 + u^2/2 - log Phi(alpha u), summed.
     suu = float(u @ u)
-    log_cdf = scipy.special.log_ndtr(z)
-    nll = n * (eta - math.log(2.0) + 0.5 * math.log(2.0 * math.pi)) + 0.5 * suu - float(np.sum(log_cdf))
-    # Mills ratio m = phi(z)/Phi(z) = exp(log phi(z) - log Phi(z)), and its slope dm/dz =
-    # -m (z + m).  Below z = -1e4 the rounding of log Phi, eps z^2/2, would reach m; there
-    # m = sqrt(2/pi)/erfcx(-z/sqrt 2).
-    far = z < -1e4
-    m = np.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - log_cdf, where=~far, out=np.empty_like(z))
-    m[far] = math.sqrt(2.0 / math.pi) / scipy.special.erfcx(z[far] * -math.sqrt(0.5))
+    log_cdf, m = _log_ndtr(z)
+    nll = n * (eta - math.log(2.0) + _LOG_SQRT_2PI) + 0.5 * suu - float(np.sum(log_cdf))
+    # The Mills ratio m = phi(z)/Phi(z) has the slope dm/dz = -m (z + m).
     dm = -m * (z + m)
     dmu = dm * u
     su, sm, smu = float(np.sum(u)), float(np.sum(m)), float(m @ u)
@@ -432,8 +496,9 @@ def fit_gamma(x) -> GammaParams:
     k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     converged = False
     for _ in range(GAMMA_NEWTON_MAXITER):
-        f = math.log(k) - float(scipy.special.digamma(k)) - s
-        fprime = 1.0 / k - float(scipy.special.polygamma(1, k))
+        digamma, trigamma = _psi(k)
+        f = math.log(k) - digamma - s
+        fprime = 1.0 / k - trigamma
         if fprime == 0:  # k so large that the slope rounds to 0: Newton has stalled
             break
         step = f / fprime
@@ -500,9 +565,11 @@ def huber_regression(x, y) -> tuple[float, float, float]:
 
     The threshold is HUBER_TUNING times the MAD-based robust residual scale,
     re-estimated each iteration, for at most HUBER_MAX_ITER iterations
-    until the coefficients move less than HUBER_TOL (relative).  R^2 is
-    reported on all points against the robust line, so it can go negative
-    for adversarial data.
+    until the coefficients move less than HUBER_TOL (relative).  When they run
+    out, the least-squares line through the unit-weight points is the fit if it
+    passes within 1e-14 of the y span of each of them; else FitFailureError.
+    R^2 is reported on all points against the robust line, so it can go
+    negative for adversarial data.
     """
     xa = _clean(x, 3, "huber_regression")
     ya = _clean(y, 3, "huber_regression")
@@ -541,7 +608,14 @@ def huber_regression(x, y) -> tuple[float, float, float]:
             break
         a, b = a_new, b_new
     if not converged:
-        raise FitFailureError("huber_regression did not converge", iterations=HUBER_MAX_ITER)
+        # On points that lie on a line but for a few, the MAD scale shrinks only about 0.9 a
+        # step; the least-squares line through the unit-weight points is the fit when it
+        # passes through them to rounding.
+        xs, ys = xa[w == 1.0], ya[w == 1.0]
+        line = np.polyfit(xs, ys, 1) if np.unique(xs).size >= 2 else None
+        if line is None or np.max(np.abs(ys - np.polyval(line, xs))) > 1e-14 * y_span:
+            raise FitFailureError("huber_regression did not converge", iterations=HUBER_MAX_ITER)
+        a, b = line
 
     resid = ya - (a * xa + b)
     ss_res = float(np.sum(resid * resid))

@@ -315,6 +315,15 @@ class TestHuberRegression:
         assert abs(a - 2.0) <= 0.05
         assert abs(a_ols - 2.0) > abs(a - 2.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e10])
+    def test_points_on_a_line_but_one(self, scale):
+        """The MAD scale shrinks only about 0.9 a step here, so IRLS runs out of
+        iterations; the line through the five unit-weight points is the fit."""
+        x = np.arange(1.0, 7.0)
+        a, b, _ = huber_regression(x, scale * np.array([1.0, 2.0, 3.0, 4.0, 5.0, 60.0]))
+        assert abs(a / scale - 1.0) <= 1e-12
+        assert abs(b / scale) <= 1e-12
+
     def test_independent_r2_near_zero(self):
         rng = np.random.default_rng(16)
         x = rng.normal(0, 1, 10_000)

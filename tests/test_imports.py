@@ -1,10 +1,15 @@
-"""Each command loads only the scipy submodules it uses.
+"""Each command loads only the scipy it uses, and only ``analyze --qq`` uses any.
 
-The package imports plain ``scipy`` and calls ``scipy.<sub>.<fn>``, so a
-submodule loads on first use.  Each case runs in a fresh interpreter and
-lists the public scipy submodules (the module names in ``scipy.__all__``)
-left in ``sys.modules``; a later module-level ``from scipy import stats``
-would add its import cost to every command and fail here.
+No module imports scipy at its top: the two functions that need it, the
+log-normal ``quantile`` (``analyze --qq``) and the exact oracle
+``exact_typical_mean_ratio`` (no command), import their ``scipy.special``
+function in their own body, so only a call pays for it.  The skew-normal and
+gamma fits compute their special functions in ``distributions``.  Each case
+runs in a fresh interpreter and reads ``sys.modules``: whether ``scipy`` is
+there at all, and which public scipy submodules (the module names in
+``scipy.__all__``) are.  A module-level ``import scipy`` or ``from scipy import
+stats`` would add its import cost to every command and fail here, and so does
+the AST check of each module's imports.
 """
 
 import ast
@@ -66,22 +71,19 @@ def test_import_loads_no_scipy_submodule():
 
 @pytest.mark.parametrize("command", ["analyze", "gbm"])
 def test_analyze_and_gbm_never_load_stats(price_file, tmp_path, command):
-    """analyze loads no scipy submodule at all.  gbm's fits load special alone
-    (log_ndtr, erfcx, digamma, polygamma): the positive control, showing the guard
-    sees what a command loads."""
+    """Neither loads any scipy submodule: gbm's skew-normal and gamma fits take their
+    special functions from ``distributions._log_ndtr`` and ``distributions._psi``.
+    ``test_qq_loads_only_special`` is the positive control."""
     loaded = cli_loaded(0, command, "--input", str(price_file), "--out", str(tmp_path))
-    assert loaded == (set() if command == "analyze" else {"special"})
+    assert loaded == set()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["regime", "--mu", "0.5", "--sigma", "1.0", "--reps", "10000", "--n-grid", "1,4", "--seed", "1"],
-        ["model", "--mu-d", "0.12", "--sigma-d", "0.03", "--sigma", "0.1", "--horizon", "16",
-         "--simulate", "20000", "--seed", "1"],
-    ],
-    ids=lambda argv: argv[0],
-)
+REGIME_ARGV = ["regime", "--mu", "0.5", "--sigma", "1.0", "--reps", "10000", "--n-grid", "1,4", "--seed", "1"]
+MODEL_ARGV = ["model", "--mu-d", "0.12", "--sigma-d", "0.03", "--sigma", "0.1", "--horizon", "16",
+              "--simulate", "20000", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv", [REGIME_ARGV, MODEL_ARGV], ids=lambda argv: argv[0])
 def test_monte_carlo_commands_load_no_scipy_submodule(tmp_path, argv):
     """The Monte Carlo typical mean and its bootstrap take their KDE modes without scipy."""
     assert cli_loaded(0, *argv, "--out", str(tmp_path)) == set()
@@ -134,6 +136,72 @@ def test_no_module_names_scipy_stats():
 def test_qq_loads_only_special(price_file, tmp_path):
     """The log-normal QQ quantiles need only special.ndtri."""
     assert cli_loaded(0, "analyze", "--input", str(price_file), "--out", str(tmp_path), "--qq") == {"special"}
+
+
+@pytest.mark.parametrize(
+    "argv, expected_rc, imported",
+    [
+        ([], 0, False),
+        (["analyze", "--input", "PRICES"], 0, False),
+        (["analyze", "--input", "PRICES", "--format", "json"], 0, False),
+        (["analyze", "--input", "MALFORMED"], 2, False),
+        (["gbm", "--input", "PRICES"], 0, False),
+        (["gbm", "--input", "PRICES", "--estimator", "mle", "--format", "json"], 0, False),
+        (REGIME_ARGV, 0, False),
+        (MODEL_ARGV, 0, False),
+        (["analyze", "--input", "PRICES", "--qq"], 0, True),  # the positive control
+    ],
+    ids=["import", "analyze", "analyze-json", "analyze-malformed", "gbm", "gbm-mle-json", "regime-reps",
+         "model-simulate", "analyze-qq"],
+)
+def test_only_qq_imports_scipy_at_all(price_file, tmp_path, argv, expected_rc, imported):
+    """``import bigwinners.cli`` and every command but ``analyze --qq`` leave ``scipy``
+    itself out of ``sys.modules``: no module imports it at its top."""
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("ticker,date,adj_close\nAAA,2006-01-02,1.0\nAAA,not-a-date,2.0\n", encoding="utf-8")
+    paths = {"PRICES": str(price_file), "MALFORMED": str(malformed)}
+    args = [paths.get(arg, arg) for arg in argv] + (["--out", str(tmp_path / "out")] if argv else [])
+    run = f"rc = bigwinners.cli.main({args!r})\nassert rc == {expected_rc}, rc\n" if argv else ""
+    assert fresh_output(f"import sys, bigwinners.cli\n{run}print('scipy' in sys.modules)") == str(imported)
+
+
+def module_level_scipy_imports(source: str) -> list[int]:
+    """Lines of ``source`` that import scipy (or a part of it) outside every function body."""
+    tree = ast.parse(source)
+    in_function = {id(node) for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)}
+
+    def names_scipy(node) -> bool:
+        modules = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+        return any(module.split(".")[0] == "scipy" for module in modules)
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in in_function
+                  and names_scipy(node))
+
+
+def test_no_module_imports_scipy_outside_a_function():
+    users = {path.name: lines for path in sorted((SRC / "bigwinners").glob("*.py"))
+             if (lines := module_level_scipy_imports(path.read_text(encoding="utf-8")))}
+    assert users == {}
+
+
+def test_module_level_scipy_imports_sees_each_form():
+    source = (
+        "import scipy\n"
+        "from scipy import special\n"
+        "import numpy, scipy.special as sp\n"
+        "def f():\n"
+        "    import scipy\n"
+        "    from scipy.special import ndtr\n"
+        "class C:\n"
+        "    import scipy.stats\n"
+        "if True:\n"
+        "    from scipy.special import ndtri\n"
+        "from . import scipy_like\n"
+        "import scipyx\n"
+    )
+    assert module_level_scipy_imports(source) == [1, 2, 3, 8, 10]
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,10 @@
 bit, so KDE modes and their bootstrap stay the same while the package does not
 load ``scipy.ndimage``.  The skew-normal fit's Newton solve must reach at least
 the likelihood that ``scipy.optimize``'s L-BFGS-B reaches from the same start,
-while the package does not load ``scipy.optimize``.
+while the package does not load ``scipy.optimize``.  ``distributions._log_ndtr``
+and ``distributions._psi`` stand in for ``scipy.special``'s ``log_ndtr``,
+``erfcx``, ``digamma`` and ``polygamma``; they are held to tolerances, not bits,
+since ``math.erfc`` comes from the platform's C library.
 """
 
 import math
@@ -17,10 +20,16 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from bigwinners.distributions import (
+    GAMMA_NEWTON_MAXITER,
+    GAMMA_NEWTON_TOL,
+    LOG_NDTR_SERIES_BELOW,
     SKEW_ALPHA_CAP,
     SkewNormalParams,
+    _log_ndtr,
+    _psi,
     _skew_normal_mle,
     _skew_normal_moment_start,
+    fit_gamma,
     fit_skew_normal,
     sample,
 )
@@ -129,3 +138,82 @@ def test_skew_normal_fit_reaches_the_polished_optimum(seed, optimum):
     assert first.fun - polished.fun > 0.15
     fit = fit_skew_normal(x)
     assert _skew_normal_nll((fit.zeta, fit.omega, fit.alpha), x) <= polished.fun + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Special functions against scipy.special
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _normal_rtol(z: float) -> float:
+    """8 eps up to z = 0; above, erfc at a rounded argument x = z/sqrt 2 errs by about
+    2 x^2 eps = z^2 eps relative, in scipy's values as in the package's."""
+    return 8 * EPS * (1.0 + max(z, 0.0) ** 2)
+
+
+@SUITE
+@given(z=st.floats(-1e6, 40.0))
+@example(z=0.0)
+@example(z=-1.0)  # the last point of the left erfc branch
+@example(z=float(np.nextafter(-1.0, 0.0)))
+@example(z=LOG_NDTR_SERIES_BELOW)  # the first point of the erfc branches
+@example(z=float(np.nextafter(LOG_NDTR_SERIES_BELOW, -np.inf)))  # the first point of the series
+@example(z=-1e6)
+@example(z=40.0)  # Phi(-40) underflows: log Phi and the ratio round to 0
+def test_log_ndtr_matches_scipy(z):
+    log_cdf, mills = (float(v[0]) for v in _log_ndtr(np.array([z])))
+    # Values below 1e-300 are subnormal or 0 on both sides and are compared absolutely.
+    assert log_cdf == pytest.approx(float(scipy.special.log_ndtr(z)), rel=_normal_rtol(z), abs=1e-300)
+    reference = math.sqrt(2.0 / math.pi) / float(scipy.special.erfcx(-z * math.sqrt(0.5)))
+    assert mills == pytest.approx(reference, rel=_normal_rtol(z), abs=1e-300)
+
+
+def test_log_ndtr_of_an_array_is_element_by_element():
+    """Each branch gets its elements in place when one array mixes all three."""
+    z = np.array([-1e6, 3.0, LOG_NDTR_SERIES_BELOW, -1.0, -40.0, 0.0, -0.5, 39.0, -2.0])
+    by_element = np.array([[float(v[0]) for v in _log_ndtr(np.array([e]))] for e in z])
+    assert np.array_equal(np.column_stack(_log_ndtr(z)), by_element)
+
+
+@SUITE
+@given(k=st.floats(1e-8, 1e12))
+@example(k=1e-8)
+@example(k=1.4616321449683623)  # the root of digamma
+@example(k=20.0)  # the series without recurrence
+@example(k=float(np.nextafter(20.0, 0.0)))  # one recurrence step
+@example(k=1e12)
+def test_psi_matches_scipy(k):
+    """Digamma within 4e-15 of max(1, |psi|): near its root at 1.46 its recurrence
+    subtracts sums near 3.  Trigamma within 2e-15 relative."""
+    digamma, trigamma = _psi(k)
+    reference = float(scipy.special.digamma(k))
+    assert abs(digamma - reference) <= 4e-15 * max(1.0, abs(reference))
+    assert trigamma == pytest.approx(float(scipy.special.polygamma(1, k)), rel=2e-15, abs=0)
+
+
+def _scipy_gamma_shape(x):
+    """``fit_gamma``'s Newton loop with scipy's digamma and polygamma in place of ``_psi``."""
+    xbar = float(np.mean(x))
+    s = math.log(xbar) - float(np.mean(np.log(x)))
+    k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    for _ in range(GAMMA_NEWTON_MAXITER):
+        f = math.log(k) - float(scipy.special.digamma(k)) - s
+        fprime = 1.0 / k - float(scipy.special.polygamma(1, k))
+        k_new = k - f / fprime
+        if k_new <= 0:
+            k_new = k / 2.0
+        if abs(k_new - k) <= GAMMA_NEWTON_TOL * max(1.0, abs(k)):
+            return k_new
+        k = k_new
+    raise AssertionError("the scipy transcription did not converge")
+
+
+@pytest.mark.parametrize("shape", [0.05, 0.3, 1.0, 2.5, 7.0, 20.0, 60.0, 200.0])
+@pytest.mark.parametrize("n", [5, 50, 500, 20_000])
+def test_gamma_shape_matches_the_scipy_newton_loop(shape, n):
+    x = np.random.default_rng([n, int(100 * shape)]).gamma(shape, 1.3, n)
+    fit = fit_gamma(x)
+    assert fit.method == "mle"
+    assert fit.shape == pytest.approx(_scipy_gamma_shape(x), rel=1e-13, abs=0)
