@@ -257,9 +257,79 @@ def quantile(p: LogNormalParams, q) -> np.ndarray:
     """
     if p.sigma <= 0:
         raise ParameterError("log-normal law requires sigma > 0")
-    from scipy.special import ndtri  # here, not at the top: only ``analyze --qq`` pays its import
+    return np.exp(p.sigma * _ndtri(q)) * math.exp(p.mu)
 
-    return np.exp(p.sigma * ndtri(q)) * math.exp(p.mu)
+
+# Cephes ``ndtri`` (S. Moshier): rational approximations in (q - 1/2)^2 for
+# e^-2 < q < 1 - e^-2, and beyond in 1/x, x = sqrt(-2 ln q), split at x = 8 (q = e^-32).
+# Numerators, then denominators with their leading 1, highest power first.
+_NDTRI_EXP_M2 = 0.13533528323661269189
+_NDTRI_SQRT_2PI = 2.50662827463100050242
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x, coefs):
+    """Horner's sum of the polynomial with ``coefs`` (highest power first) at ``x``, in Cephes' order."""
+    acc = 0.0
+    for c in coefs:
+        acc = acc * x + c
+    return acc
+
+
+def _erfc(x) -> np.ndarray:
+    """erfc(x) element by element, by ``math.erfc``: numpy has no erfc."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _ndtr(z) -> np.ndarray:
+    """Phi(z) = erfc(-z/sqrt 2)/2, the standard normal CDF.  Where Phi(z) is a normal float
+    (z >= -37) it is within 4 eps (1 + z^2) of scipy's ``ndtr`` relative: erfc errs by about
+    2 x^2 eps at a rounded argument x (``tests/test_scipy_reference.py``)."""
+    return 0.5 * _erfc(-np.asarray(z, dtype=float) * math.sqrt(0.5))
+
+
+def _ndtri(q) -> np.ndarray:
+    """Inverse of the standard normal CDF: Cephes ``ndtri``, which scipy's ``special.ndtri``
+    runs, step for step, so the two agree to the bit (``tests/test_scipy_reference.py``).
+
+    -inf at q = 0, inf at q = 1, NaN off [0, 1], and a NaN q negated, as Cephes hands it
+    back.  The tail logarithms are ``math.log``, one element at a time: the C library's, as
+    in Cephes; numpy's vectorized log can differ in the last bits.
+    """
+    q = np.asarray(q, dtype=float)
+    x = np.where(np.isnan(q), -q, np.nan)
+    x[q == 0.0], x[q == 1.0] = -np.inf, np.inf
+    upper = q > 1.0 - _NDTRI_EXP_M2
+    y = np.where(upper, 1.0 - q, q)
+    mid = y > _NDTRI_EXP_M2
+    c = y[mid] - 0.5
+    c2 = c * c
+    x[mid] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0))) * _NDTRI_SQRT_2PI
+    tail = (y > 0.0) & ~mid
+    t = np.sqrt(-2.0 * np.fromiter(map(math.log, y[tail].tolist()), float))
+    w = 1.0 / t
+    series = np.where(t < 8.0, w * _polevl(w, _NDTRI_P1) / _polevl(w, _NDTRI_Q1),
+                      w * _polevl(w, _NDTRI_P2) / _polevl(w, _NDTRI_Q2))
+    r = t - np.fromiter(map(math.log, t.tolist()), float, t.size) / t - series
+    x[tail] = np.where(upper[tail], r, -r)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -315,23 +385,24 @@ def _log_ndtr(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (``tests/test_scipy_reference.py``).
     """
     z = np.asarray(z, dtype=float)
-    log_cdf, mills = np.empty_like(z), np.empty_like(z)
     far = z < LOG_NDTR_SERIES_BELOW
-    zf, zn = z[far], z[~far]
-    w, series = 1.0 / (zf * zf), np.zeros_like(zf)
-    for c in reversed(_LOG_NDTR_SERIES):
-        series = series * w + c
-    log_cdf[far] = np.log(series / -zf) - 0.5 * zf * zf - _LOG_SQRT_2PI
-    mills[far] = -zf / series
-    left = zn <= -1.0
-    x = np.where(left, -zn, zn) * math.sqrt(0.5)
-    half = 0.5 * np.fromiter(map(math.erfc, x.tolist()), float, x.size)
+    if far.any():  # split off the far tail only where there is one
+        zf, near = z[far], ~far
+        log_cdf, mills = np.empty_like(z), np.empty_like(z)
+        log_cdf[near], mills[near] = _log_ndtr(z[near])
+        series = _polevl(1.0 / (zf * zf), _LOG_NDTR_SERIES[::-1])
+        log_cdf[far] = np.log(series / -zf) - 0.5 * zf * zf - _LOG_SQRT_2PI
+        mills[far] = -zf / series
+        return log_cdf, mills
+    left = z <= -1.0
+    x = np.where(left, -z, z) * math.sqrt(0.5)
+    half = 0.5 * _erfc(x)
     hi = (big := 134217729.0 * x) - (big - x)  # x's 26 leading bits: hi * hi is exact
     gauss = np.exp(-hi * hi) * np.exp((hi - x) * (hi + x))
     cdf = np.where(left, half, 1.0 - half)
-    log_cdf[~far] = np.where(left, np.log(cdf), np.log1p(-half))
-    mills[~far] = gauss / (math.sqrt(2.0 * math.pi) * cdf)
-    return log_cdf, mills
+    log_cdf = np.log(cdf, where=left, out=np.empty_like(z))
+    np.log1p(-half, where=~left, out=log_cdf)
+    return log_cdf, gauss / (math.sqrt(2.0 * math.pi) * cdf)
 
 
 def _psi(k: float) -> tuple[float, float]:

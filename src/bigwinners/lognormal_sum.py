@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import LOG_FLOAT_MAX, LogNormalParams, _check_count, lognormal_mean
+from .distributions import LOG_FLOAT_MAX, LogNormalParams, _check_count, _ndtr, lognormal_mean
 from .empirical import kde_mode, kde_mode_bootstrap_stderr
 from .errors import ParameterError
 
@@ -163,14 +163,13 @@ def exact_typical_mean_ratio(p: LogNormalParams, n: int) -> float:
     n = _check_params(p, n)
     if n >= 2048:
         raise ParameterError(f"the exact oracle takes portfolio sizes 1..2047, got {n}")
-    from scipy.special import ndtr  # here, not at the top: no command runs the oracle
     mean = lognormal_mean(p)
     width = 4 * n * mean
     for _ in range(EXACT_MAX_DOUBLINGS):
         edges = np.linspace(0.0, width, EXACT_POINTS + 1)
         with np.errstate(divide="ignore"):
             z = (np.log(edges) - p.mu) / p.sigma
-        masses = np.diff(ndtr(z))
+        masses = np.diff(_ndtr(z))
         size = 1 << (n * 1024 - 1).bit_length()
         coarse = np.fft.rfft(masses.reshape(1024, -1).sum(axis=1), size)
         if n <= 2 or np.fft.irfft(coarse**n, size)[2048 - n :].sum() <= EXACT_WRAP_TOL:
@@ -178,7 +177,7 @@ def exact_typical_mean_ratio(p: LogNormalParams, n: int) -> float:
         width *= 2
     else:
         raise ParameterError(f"exact oracle: the {n}-draw sum still wraps around the window W = {width / 2:.3g}")
-    offset = (mean * ndtr(z[-1] - p.sigma) - edges[:-1] @ masses) / masses.sum()
+    offset = (mean * _ndtr(z[-1] - p.sigma) - edges[:-1] @ masses) / masses.sum()
     size = 2 * EXACT_POINTS
     conv = np.fft.irfft(np.fft.rfft(masses, size) ** n, size)[:EXACT_POINTS]
     k = int(np.argmax(conv))

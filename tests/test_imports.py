@@ -1,15 +1,14 @@
-"""Each command loads only the scipy it uses, and only ``analyze --qq`` uses any.
+"""No command loads scipy: the package runs on numpy alone.
 
-No module imports scipy at its top: the two functions that need it, the
-log-normal ``quantile`` (``analyze --qq``) and the exact oracle
-``exact_typical_mean_ratio`` (no command), import their ``scipy.special``
-function in their own body, so only a call pays for it.  The skew-normal and
-gamma fits compute their special functions in ``distributions``.  Each case
-runs in a fresh interpreter and reads ``sys.modules``: whether ``scipy`` is
-there at all, and which public scipy submodules (the module names in
-``scipy.__all__``) are.  A module-level ``import scipy`` or ``from scipy import
-stats`` would add its import cost to every command and fail here, and so does
-the AST check of each module's imports.
+``distributions`` computes the special functions itself: ``_ndtri`` for the
+log-normal ``quantile`` (``analyze --qq``), ``_erfc`` for the exact oracle
+``exact_typical_mean_ratio``, ``_log_ndtr`` and ``_psi`` for the skew-normal and
+gamma fits.  Each case runs in a fresh interpreter and reads ``sys.modules``:
+whether ``scipy`` is there at all, and which public scipy submodules (the module
+names in ``scipy.__all__``) are.  A module-level ``import scipy`` or ``from scipy
+import stats`` would add its import cost to every command and fail here, and so
+does the AST check of each module's imports; a fresh interpreter that cannot
+import scipy at all runs every command.
 """
 
 import ast
@@ -72,8 +71,7 @@ def test_import_loads_no_scipy_submodule():
 @pytest.mark.parametrize("command", ["analyze", "gbm"])
 def test_analyze_and_gbm_never_load_stats(price_file, tmp_path, command):
     """Neither loads any scipy submodule: gbm's skew-normal and gamma fits take their
-    special functions from ``distributions._log_ndtr`` and ``distributions._psi``.
-    ``test_qq_loads_only_special`` is the positive control."""
+    special functions from ``distributions._log_ndtr`` and ``distributions._psi``."""
     loaded = cli_loaded(0, command, "--input", str(price_file), "--out", str(tmp_path))
     assert loaded == set()
 
@@ -134,35 +132,50 @@ def test_no_module_names_scipy_stats():
 
 
 def test_qq_loads_only_special(price_file, tmp_path):
-    """The log-normal QQ quantiles need only special.ndtri."""
-    assert cli_loaded(0, "analyze", "--input", str(price_file), "--out", str(tmp_path), "--qq") == {"special"}
+    """The log-normal QQ quantiles take ndtri from ``distributions._ndtri``, not scipy.special."""
+    assert cli_loaded(0, "analyze", "--input", str(price_file), "--out", str(tmp_path), "--qq") == set()
 
 
 @pytest.mark.parametrize(
-    "argv, expected_rc, imported",
+    "argv, expected_rc",
     [
-        ([], 0, False),
-        (["analyze", "--input", "PRICES"], 0, False),
-        (["analyze", "--input", "PRICES", "--format", "json"], 0, False),
-        (["analyze", "--input", "MALFORMED"], 2, False),
-        (["gbm", "--input", "PRICES"], 0, False),
-        (["gbm", "--input", "PRICES", "--estimator", "mle", "--format", "json"], 0, False),
-        (REGIME_ARGV, 0, False),
-        (MODEL_ARGV, 0, False),
-        (["analyze", "--input", "PRICES", "--qq"], 0, True),  # the positive control
+        ([], 0),
+        (["analyze", "--input", "PRICES"], 0),
+        (["analyze", "--input", "PRICES", "--format", "json"], 0),
+        (["analyze", "--input", "MALFORMED"], 2),
+        (["gbm", "--input", "PRICES"], 0),
+        (["gbm", "--input", "PRICES", "--estimator", "mle", "--format", "json"], 0),
+        (REGIME_ARGV, 0),
+        (MODEL_ARGV, 0),
+        (["analyze", "--input", "PRICES", "--qq"], 0),
     ],
     ids=["import", "analyze", "analyze-json", "analyze-malformed", "gbm", "gbm-mle-json", "regime-reps",
          "model-simulate", "analyze-qq"],
 )
-def test_only_qq_imports_scipy_at_all(price_file, tmp_path, argv, expected_rc, imported):
-    """``import bigwinners.cli`` and every command but ``analyze --qq`` leave ``scipy``
-    itself out of ``sys.modules``: no module imports it at its top."""
+def test_no_command_imports_scipy_at_all(price_file, tmp_path, argv, expected_rc):
+    """``import bigwinners.cli`` and every command leave ``scipy`` itself out of
+    ``sys.modules``."""
     malformed = tmp_path / "malformed.csv"
     malformed.write_text("ticker,date,adj_close\nAAA,2006-01-02,1.0\nAAA,not-a-date,2.0\n", encoding="utf-8")
     paths = {"PRICES": str(price_file), "MALFORMED": str(malformed)}
     args = [paths.get(arg, arg) for arg in argv] + (["--out", str(tmp_path / "out")] if argv else [])
     run = f"rc = bigwinners.cli.main({args!r})\nassert rc == {expected_rc}, rc\n" if argv else ""
-    assert fresh_output(f"import sys, bigwinners.cli\n{run}print('scipy' in sys.modules)") == str(imported)
+    assert fresh_output(f"import sys, bigwinners.cli\n{run}print('scipy' in sys.modules)") == "False"
+
+
+def test_every_command_runs_where_scipy_cannot_be_imported(price_file, tmp_path):
+    """With ``sys.modules["scipy"] = None`` any scipy import raises ImportError; every
+    command, and the exact oracle, still runs."""
+    out = str(tmp_path / "out")
+    runs = [["analyze", "--input", str(price_file)], ["analyze", "--input", str(price_file), "--qq"],
+            ["gbm", "--input", str(price_file)], REGIME_ARGV, MODEL_ARGV]
+    code = (
+        "import sys\nsys.modules['scipy'] = None\n"
+        "import bigwinners.cli\nfrom bigwinners import LogNormalParams, exact_typical_mean_ratio\n"
+        f"assert [bigwinners.cli.main(argv + ['--out', {out!r}]) for argv in {runs!r}] == [0] * {len(runs)}\n"
+        "print(exact_typical_mean_ratio(LogNormalParams(0.0, 1.0), 4))\n"
+    )
+    assert 0.0 < float(fresh_output(code)) < 1.0
 
 
 def module_level_scipy_imports(source: str) -> list[int]:

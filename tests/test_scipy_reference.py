@@ -4,10 +4,12 @@
 bit, so KDE modes and their bootstrap stay the same while the package does not
 load ``scipy.ndimage``.  The skew-normal fit's Newton solve must reach at least
 the likelihood that ``scipy.optimize``'s L-BFGS-B reaches from the same start,
-while the package does not load ``scipy.optimize``.  ``distributions._log_ndtr``
-and ``distributions._psi`` stand in for ``scipy.special``'s ``log_ndtr``,
-``erfcx``, ``digamma`` and ``polygamma``; they are held to tolerances, not bits,
-since ``math.erfc`` comes from the platform's C library.
+while the package does not load ``scipy.optimize``.  ``distributions._ndtri``
+is Cephes ``ndtri``, as scipy's is, and must equal it bit for bit.
+``distributions._log_ndtr``, ``_ndtr`` and ``_psi`` stand in for
+``scipy.special``'s ``log_ndtr``, ``erfcx``, ``ndtr``, ``digamma`` and
+``polygamma``; they are held to tolerances, not bits, since ``math.erfc`` comes
+from the platform's C library.
 """
 
 import math
@@ -26,6 +28,8 @@ from bigwinners.distributions import (
     SKEW_ALPHA_CAP,
     SkewNormalParams,
     _log_ndtr,
+    _ndtr,
+    _ndtri,
     _psi,
     _skew_normal_mle,
     _skew_normal_moment_start,
@@ -175,6 +179,40 @@ def test_log_ndtr_of_an_array_is_element_by_element():
     z = np.array([-1e6, 3.0, LOG_NDTR_SERIES_BELOW, -1.0, -40.0, 0.0, -0.5, 39.0, -2.0])
     by_element = np.array([[float(v[0]) for v in _log_ndtr(np.array([e]))] for e in z])
     assert np.array_equal(np.column_stack(_log_ndtr(z)), by_element)
+
+
+def _neighbours(v: float, steps: int = 20) -> list[float]:
+    """``v`` and the ``steps`` floats on either side of it."""
+    out, lo, hi = [v], v, v
+    for _ in range(steps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+def test_ndtri_equals_scipy_to_the_bit():
+    """Seeded uniforms, log-spaced tails on both sides, QQ plotting positions, the floats
+    around each branch point (e^-2, 1 - e^-2 and e^-32) and around 0 and 1, NaN, and
+    points off [0, 1]."""
+    edges = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 1.0 - math.exp(-32.0), 0.0, 1.0]
+    q = np.concatenate([
+        np.random.default_rng(11).uniform(size=200_000),
+        np.logspace(-320, -1, 20_000),
+        1.0 - np.logspace(-16, -1, 20_000),
+        *[(np.arange(n) + 0.5) / n for n in (10, 99, 1000, 19_042)],
+        [v for edge in edges for v in _neighbours(edge)],
+        [math.nan, -math.nan, -0.1, 1.1, -math.inf, math.inf],
+    ])
+    assert np.array_equal(_ndtri(q).view(np.int64), scipy.special.ndtri(q).view(np.int64))
+
+
+def test_ndtr_matches_scipy_where_phi_is_a_normal_float():
+    """Within 4 eps (1 + z^2) relative over z in [-37, 8]; the worst measured was 5.7e-14,
+    at z = -36.9, deep in the left tail."""
+    z = np.concatenate([np.linspace(-37.0, 8.0, 90_001), np.random.default_rng(12).uniform(-37.0, 8.0, 100_000)])
+    reference = scipy.special.ndtr(z)
+    assert np.all(np.abs(_ndtr(z) - reference) <= 4 * EPS * (1.0 + z * z) * reference)
+    assert (_ndtr(-math.inf), _ndtr(math.inf)) == (0.0, 1.0)
 
 
 @SUITE
