@@ -367,8 +367,10 @@ def fit_lognormal(x) -> LogNormalParams:
 LOG_NDTR_SERIES_BELOW = -37.0
 _LOG_NDTR_SERIES = (1.0, -1.0, 3.0, -15.0, 105.0, -945.0, 10395.0, -135135.0, 2027025.0, -34459425.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# Bernoulli numbers B_2 .. B_14 of the digamma and trigamma series.
-_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0, -691.0 / 2730.0, 7.0 / 6.0)
+# The trigamma and digamma series' coefficients, highest power first: the Bernoulli
+# numbers B_2k for k = 7 down to 1, and B_2k/(2k).
+_TRIGAMMA_SERIES = (7.0 / 6.0, -691.0 / 2730.0, 5.0 / 66.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 1.0 / 6.0)
+_DIGAMMA_SERIES = tuple(b / (2 * k) for k, b in zip(range(7, 0, -1), _TRIGAMMA_SERIES))
 
 
 def _log_ndtr(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -397,6 +399,9 @@ def _log_ndtr(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     left = z <= -1.0
     x = np.where(left, -z, z) * math.sqrt(0.5)
     half = 0.5 * _erfc(x)
+    # e^{-x^2} is 0 past x = 27.3; capping x at 30 keeps the split's remainder
+    # (hi - x)(hi + x), about 2^-26 x^2, from overflowing its exp at large x.
+    x = np.minimum(x, 30.0)
     hi = (big := 134217729.0 * x) - (big - x)  # x's 26 leading bits: hi * hi is exact
     gauss = np.exp(-hi * hi) * np.exp((hi - x) * (hi + x))
     cdf = np.where(left, half, 1.0 - half)
@@ -421,12 +426,8 @@ def _psi(k: float) -> tuple[float, float]:
         trigamma += 1.0 / (k * k)
         k += 1.0
     w = 1.0 / (k * k)
-    tail_d = tail_t = 0.0
-    for n in range(len(_BERNOULLI), 0, -1):
-        tail_d = tail_d * w + _BERNOULLI[n - 1] / (2 * n)
-        tail_t = tail_t * w + _BERNOULLI[n - 1]
-    digamma += math.log(k) - 0.5 / k - w * tail_d
-    trigamma += 1.0 / k + 0.5 * w + w / k * tail_t
+    digamma += math.log(k) - 0.5 / k - w * _polevl(w, _DIGAMMA_SERIES)
+    trigamma += 1.0 / k + 0.5 * w + w / k * _polevl(w, _TRIGAMMA_SERIES)
     return digamma, trigamma
 
 

@@ -4,7 +4,7 @@ The average of N draws from a broad log-normal law sits, typically, well
 below the true mean: the closed forms here give the ratio of the typical
 (modal) sample mean to the true mean in three shape regimes, the Monte
 Carlo estimator measures the same ratio directly from simulated portfolios,
-and the exact oracle reads it off the FFT power of exact bin masses.
+and the exact oracle reads it off the convolution power of exact bin masses.
 """
 
 from __future__ import annotations
@@ -49,12 +49,9 @@ MIN_MC_REPS = 10_000
 # allocator instead of mapped afresh on every block.
 MC_BLOCK_DRAWS = 2**16
 
-# Lattice of the exact oracle: EXACT_POINTS bins over [0, W), W doubled from
-# 4 n E[X] (at most EXACT_MAX_DOUBLINGS times) until at most EXACT_WRAP_TOL of
-# the n-draw sum can wrap around the FFT window.
+# Lattice of the exact oracle: EXACT_POINTS bins over [0, W), W = 4 n E[X];
+# the n-draw sum's mode must lie at least EXACT_MIN_BINS bins above zero.
 EXACT_POINTS = 2**18
-EXACT_WRAP_TOL = 1e-6
-EXACT_MAX_DOUBLINGS = 24
 EXACT_MIN_BINS = 100
 
 
@@ -150,36 +147,29 @@ def mc_typical_mean(p: LogNormalParams, n: int, reps: int, seed) -> tuple[float,
 def exact_typical_mean_ratio(p: LogNormalParams, n: int) -> float:
     """Typical-to-true mean ratio from the exact law of the n-draw average.
 
-    An oracle independent of the closed forms and of Monte Carlo.  The FFT
-    power of one draw's exact bin masses over [0, W), zero-padded to twice
-    that, is the law of the sum below W, exactly: such a sum has every draw
-    below W.  The wrapped mass is bounded on 1024 coarse bins convolved with
-    no wrap: flooring a draw loses less than a coarse bin, so it is at most
-    the mass from coarse bin 2048 - n up, which needs n < 2048.  Each draw
-    adds its mean offset within its bin (exact partial expectations); a
-    parabola through the log masses refines the mode, which must lie
+    An oracle independent of the closed forms and of Monte Carlo.  The n-th
+    convolution power of one draw's exact bin masses over [0, W), W = 4 n E[X],
+    cut back to [0, W) after each product, is the law of the sum below W,
+    exactly: the draws are >= 0, so such a sum has every partial sum below W.
+    Each draw adds its mean offset within its bin (exact partial expectations);
+    a parabola through the log masses refines the mode, which must lie
     EXACT_MIN_BINS bins above zero.
     """
     n = _check_params(p, n)
-    if n >= 2048:
-        raise ParameterError(f"the exact oracle takes portfolio sizes 1..2047, got {n}")
     mean = lognormal_mean(p)
-    width = 4 * n * mean
-    for _ in range(EXACT_MAX_DOUBLINGS):
-        edges = np.linspace(0.0, width, EXACT_POINTS + 1)
-        with np.errstate(divide="ignore"):
-            z = (np.log(edges) - p.mu) / p.sigma
-        masses = np.diff(_ndtr(z))
-        size = 1 << (n * 1024 - 1).bit_length()
-        coarse = np.fft.rfft(masses.reshape(1024, -1).sum(axis=1), size)
-        if n <= 2 or np.fft.irfft(coarse**n, size)[2048 - n :].sum() <= EXACT_WRAP_TOL:
-            break
-        width *= 2
-    else:
-        raise ParameterError(f"exact oracle: the {n}-draw sum still wraps around the window W = {width / 2:.3g}")
+    edges = np.linspace(0.0, 4 * n * mean, EXACT_POINTS + 1)
+    with np.errstate(divide="ignore"):
+        z = (np.log(edges) - p.mu) / p.sigma
+    masses = np.diff(_ndtr(z))
     offset = (mean * _ndtr(z[-1] - p.sigma) - edges[:-1] @ masses) / masses.sum()
-    size = 2 * EXACT_POINTS
-    conv = np.fft.irfft(np.fft.rfft(masses, size) ** n, size)[:EXACT_POINTS]
+    size = 2 * EXACT_POINTS  # a product of two EXACT_POINTS-term arrays fits without wrapping
+    spectrum = np.fft.rfft(masses, size) if n & (n - 1) else None  # a power of two only squares
+    conv = masses
+    for bit in bin(n)[3:]:  # square-and-multiply, each product cut back to [0, W)
+        square = np.fft.rfft(conv, size)
+        conv = np.fft.irfft(square * square, size)[:EXACT_POINTS]
+        if bit == "1":
+            conv = np.fft.irfft(np.fft.rfft(conv, size) * spectrum, size)[:EXACT_POINTS]
     k = int(np.argmax(conv))
     if not EXACT_MIN_BINS <= k < EXACT_POINTS - 1:
         raise ParameterError(f"exact oracle: the {n}-draw sum's mode is in lattice bin {k} of {EXACT_POINTS}")

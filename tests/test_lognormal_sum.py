@@ -181,9 +181,22 @@ class TestExactTypicalMeanRatio:
     def test_invalid_n(self):
         with pytest.raises(ParameterError):
             exact_typical_mean_ratio(LogNormalParams(0.0, 1.0), 0)
-        # The wrap bound gives up a coarse bin per draw: at n = 2048, all 2048 of them.
-        with pytest.raises(ParameterError):
-            exact_typical_mean_ratio(LogNormalParams(0.0, 1.0), 2048)
+
+    def test_serves_n_past_2047(self):
+        # The truncated power has no upper limit on n.  Seed fixed up front; about 2 s.
+        p = LogNormalParams(0.0, 1.0)
+        ratios = [exact_typical_mean_ratio(p, n) for n in (1024, 2048, 4096)]
+        assert ratios[0] < ratios[1] < ratios[2] < 1.0, ratios
+        mc, se = mc_typical_mean(p, 2048, 10_000, np.random.SeedSequence(4096))
+        assert abs(mc - ratios[1]) <= max(3 * se, 0.01), (mc, se, ratios[1])
+
+    def test_lattice_fine_enough_at_sigma_2_5(self, monkeypatch):
+        # At sigma = 2.5, n = 1024 the value on 2^18 bins lies within 1e-5 of the
+        # value on 2^20: W stays 4 n E[X] however wide the law.  About 2.5 s.
+        p = LogNormalParams(0.0, 2.5)
+        default = exact_typical_mean_ratio(p, 1024)
+        monkeypatch.setattr(lognormal_sum, "EXACT_POINTS", 2**20)
+        assert abs(exact_typical_mean_ratio(p, 1024) - default) <= 1e-5
 
 
 class TestRegimeCurve:
