@@ -7,7 +7,9 @@ Each option is declared once, in ``OPTIONS``, and takes the first value set
 by its flag or by the ``[<command>]``, ``[common]`` or ``[DEFAULT]`` section
 of an INI config file.  Every stochastic report embeds seed, reps and
 library version in a header comment record, and reruns with identical
-config and seed are byte-identical.
+config and seed are byte-identical.  ``gbm``, ``index_model`` and
+``lognormal_sum`` are imported inside the one command that runs each, so a
+launch runs only its own command's modules.
 
 Exit codes: 0 success, 2 input or parameter error, 3 partial fit failure
 (partial results are still written).
@@ -39,9 +41,6 @@ from .empirical import (
     write_returns_csv,
 )
 from .errors import BigWinnersError, DataError, InsufficientDataError, ParameterError
-from .gbm import build_panel, write_panel_csv
-from .index_model import DriftModelParams, implied_lognormal, model_ratios, sample_ratio_summary, simulate_index
-from .lognormal_sum import regime_curve
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -310,6 +309,8 @@ def _regime_param_sets(args) -> list[tuple[str, LogNormalParams]]:
 
 def cmd_regime(args) -> int:
     """typical-mean ratio curves"""
+    from .lognormal_sum import regime_curve
+
     sets = _regime_param_sets(args)
     reps, seed, fmt = args.reps, args.seed, args.format
     if reps > 0 and seed is None:
@@ -330,6 +331,8 @@ _ESTIMATE_FIELDS = ["ticker", "mu_hat", "sigma_hat", "sigma_sq_raw", "clamped"]
 
 def cmd_gbm(args) -> int:
     """drift/volatility panel analysis"""
+    from .gbm import build_panel, write_panel_csv
+
     if not args.input:
         raise ParameterError("an --input price file is required")
 
@@ -353,6 +356,8 @@ _MODEL_FIELDS = [
 
 def cmd_model(args) -> int:
     """distributed-drift closed forms"""
+    from .index_model import DriftModelParams, implied_lognormal, model_ratios, sample_ratio_summary, simulate_index
+
     mu_d, sigma_d, sigma, horizon = args.mu_d, args.sigma_d, args.sigma, args.horizon
     if None in (mu_d, sigma_d, sigma, horizon):
         raise ParameterError("--mu-d, --sigma-d, --sigma and --horizon are required")

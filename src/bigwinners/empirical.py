@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
-import json
 import math
 from array import array
 from dataclasses import dataclass
@@ -134,7 +133,6 @@ class KDEModeResult:
 _COLUMNS = ("ticker", "date", "adj_close")
 _CHUNK_BYTES = 1 << 20  # bytes of plain rows load_panel parses at once
 _FIELD_BYTES = 64  # widest bulk field; merging the chunks pads every distinct ticker to the widest one
-_NOT_PLAIN = bytes(range(10)) + bytes(range(11, 32)) + b'"' + bytes(range(127, 256))  # all but \n and printable ASCII
 _DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # byte positions of the digits of dddd-dd-dd
 _DATE_PLACES = 10 ** np.arange(7, -1, -1)  # place values of those digits: yyyy-mm-dd -> yyyymmdd
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
@@ -196,17 +194,23 @@ def _csv_records(fh, lineno: int, encoding: str = "utf-8"):
 def _bulk_rows(chunk: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """``chunk``'s lines as (ticker, date, price) records, the ticker and date as their
     raw bytes and the price as ``float`` reads it, and each date as the integer of its
-    digits; or None if the chunk is empty or fails the gate ``load_panel`` names."""
-    if not chunk or len(chunk.translate(None, _NOT_PLAIN)) != len(chunk):
+    digits; or None if the chunk is not whole lines or fails the gate ``load_panel`` names."""
+    if not chunk.endswith(b"\n") or not chunk.isascii() or b'"' in chunk or b"\x7f" in chunk:
         return None
     raw = np.frombuffer(chunk, dtype=np.uint8)
-    stops = np.flatnonzero((raw == 44) | (raw == 10))  # commas and newlines: 44, 44, 10 on each line
-    if stops.size % 3 or not (raw[stops].reshape(-1, 3) == (44, 44, 10)).all():
+    ends = np.flatnonzero(raw == 10)
+    commas = np.flatnonzero(raw == 44)
+    if commas.size != 2 * ends.size or np.count_nonzero(raw < 32) != ends.size:  # no control byte but \n
         return None
-    widths = np.diff(stops, prepend=-1).reshape(-1, 3) - 1  # field lengths, line by line
-    if widths.max() > min(_FIELD_BYTES, csv.field_size_limit()) or (widths[:, 1] != 10).any():
+    # Each line's ticker and price lengths; neither negative puts commas 2i and 2i + 1 on line i.
+    first, second = commas[0::2], commas[1::2]
+    tickers = first - np.concatenate(([0], ends[:-1] + 1))
+    prices = ends - second - 1
+    if (second - first != 11).any() or min(tickers.min(), prices.min()) < 0:  # a date is 10 bytes
         return None
-    ticker_bytes = max(int(widths[:, 0].max()), 1)
+    if max(tickers.max(), 10, prices.max()) > min(_FIELD_BYTES, csv.field_size_limit()):
+        return None
+    ticker_bytes = max(int(tickers.max()), 1)
     try:
         rows = np.loadtxt(io.StringIO(chunk.decode("ascii")), delimiter=",", comments=None, quotechar=None,
                           ndmin=1, dtype=[("ticker", f"S{ticker_bytes}"), ("date", "S10"), ("price", "f8")])
@@ -252,7 +256,7 @@ def load_panel(source) -> PricePanel:
     decoded and numbered once, after the last one.
     ``csv.reader`` reads from the first chunk that fails it on, storing the same
     rows and lines.
-    One stable lexsort by (ticker, date) then groups the panel, and a faulty
+    One stable sort by (ticker, date) then groups the panel, and a faulty
     file reports the physical line its first offending record ends on, with
     the message rebuilt from that row alone.  A byte that is not UTF-8 is
     such a fault, found in each distinct string like any other.
@@ -338,9 +342,9 @@ def load_panel(source) -> PricePanel:
     met = list(codes_of_name)
     tickers = tuple(sorted(met))
     rank = {name: i for i, name in enumerate(tickers)}
-    ranks = np.array([rank[n] for n in met])[codes]
+    ranks = np.array([rank[n] for n in met], dtype=np.int64)[codes]
     days = np.array(day_of_raw, dtype=np.int64)[d]
-    order = np.lexsort((days, ranks))
+    order = np.argsort(ranks * _SEGMENT_DAYS + days, kind="stable")  # ticker-major files are nearly in order
     codes, days = codes[order], days[order]
     dates = days.view("datetime64[D]")
     same = codes[1:] == codes[:-1]
@@ -670,6 +674,8 @@ def write_report(destination, fieldnames, rows, fmt: str = "csv", meta: dict | N
     Path(destination).parent.mkdir(parents=True, exist_ok=True)
     with open(destination, "w", newline="", encoding="utf-8") as fh:
         if fmt == "json":  # the bytes of json.dump(payload, fh, indent=2) plus a newline
+            import json  # here, so a launch that writes only CSV does not load it
+
             head = [{"_meta": meta}] if meta else []
             objects = [dict(zip(fieldnames, row)) for row in rows]
             if not (objects and all(objects)):  # indent=2 writes an empty list or object as [] or {}

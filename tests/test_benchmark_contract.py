@@ -75,7 +75,7 @@ def test_cli_gbm_runs_through_the_traced_build_panel(tmp_path):
     """The traced ``gbm`` command reaches the estimator through ``gbm.build_panel``,
     so the benchmark's gbm layer reads what the command runs."""
     tracer = load_tracer()
-    cli = package_module(tracer, "cli")  # imports every traced module
+    cli = package_module(tracer, "cli")  # registers every traced module; install() runs the lazy ones
     rng = np.random.default_rng(0)
     rows = [
         f"T{i},{dt.date(2006, 1, 2) + dt.timedelta(days=j)},{price!r}"

@@ -9,6 +9,9 @@ names in ``scipy.__all__``) are.  A module-level ``import scipy`` or ``from scip
 import stats`` would add its import cost to every command and fail here, and so
 does the AST check of each module's imports; a fresh interpreter that cannot
 import scipy at all runs every command.
+
+The same fresh interpreters check which of the modules that only one command
+runs (``gbm``, ``index_model``, ``lognormal_sum``) each launch runs.
 """
 
 import ast
@@ -131,11 +134,6 @@ def test_no_module_names_scipy_stats():
     assert users == []
 
 
-def test_qq_loads_only_special(price_file, tmp_path):
-    """The log-normal QQ quantiles take ndtri from ``distributions._ndtri``, not scipy.special."""
-    assert cli_loaded(0, "analyze", "--input", str(price_file), "--out", str(tmp_path), "--qq") == set()
-
-
 @pytest.mark.parametrize(
     "argv, expected_rc",
     [
@@ -230,15 +228,71 @@ def test_thread_pool_loads_only_when_regime_draws(tmp_path, argv, loaded):
     assert fresh_output(f"import sys, bigwinners.cli\n{run}print('concurrent.futures' in sys.modules)") == loaded
 
 
+PUBLIC_NAMES = {
+    "AsymmetricLaplaceParams", "GammaParams", "LogNormalParams", "MomentSummary", "SkewNormalParams",
+    "fit_asymmetric_laplace", "fit_gamma", "fit_lognormal", "fit_skew_normal", "huber_regression",
+    "lognormal_moments", "pearson_correlation", "sample",
+    "IndexSummary", "KDEModeResult", "PricePanel", "ReturnSample", "fit_macroscopic", "kde_mode", "load_panel",
+    "qq_data", "summarize_index", "tail_filter", "top_contribution", "total_returns",
+    "DriftVolPanel", "GBMEstimate", "GBMParams", "PricePath", "build_panel", "estimate_gbm", "simulate_gbm",
+    "DriftModelParams", "UnderperformanceRatios", "implied_lognormal", "model_ratios", "simulate_index",
+    "classify_regime", "exact_typical_mean_ratio", "mc_typical_mean", "regime_curve", "typical_mean_ratio",
+}
+
+
 def test_package_imports_only_names_in_each_modules_all():
     """The public surface is each module's ``__all__``: ``bigwinners/__init__.py``
-    re-exports from it and adds no name of its own."""
+    re-exports from it, eagerly or through its lazy name table, and adds no name
+    of its own; together the two are the 42 public names."""
+    import bigwinners
+
     tree = ast.parse((SRC / "bigwinners" / "__init__.py").read_text(encoding="utf-8"))
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
     assert imports
+    eager = set()
     for node in imports:
         module = importlib.import_module(f"bigwinners.{node.module}")
         assert {alias.name for alias in node.names} <= set(module.__all__), node.module
+        eager |= {alias.name for alias in node.names}
+    for short, names in bigwinners._LAZY.items():
+        assert set(names) <= set(importlib.import_module(f"bigwinners.{short}").__all__), short
+    lazy = [name for names in bigwinners._LAZY.values() for name in names]
+    assert len(eager) + len(lazy) == len(PUBLIC_NAMES) == 42
+    assert eager | set(lazy) == PUBLIC_NAMES
+
+
+LAZY_MODULES = ("gbm", "index_model", "lognormal_sum")
+
+
+@pytest.mark.parametrize(
+    "argv, ran",
+    [
+        ([], []),
+        (["analyze", "--input", "PRICES"], []),
+        (["analyze", "--input", "PRICES", "--qq"], []),
+        (["gbm", "--input", "PRICES"], ["gbm"]),
+        (REGIME_ARGV, ["lognormal_sum"]),
+        (MODEL_ARGV, ["index_model"]),
+    ],
+    ids=["import", "analyze", "analyze-qq", "gbm", "regime-reps", "model-simulate"],
+)
+def test_each_launch_runs_only_its_commands_module(price_file, tmp_path, argv, ran):
+    """``import bigwinners.cli`` registers ``gbm``, ``index_model`` and ``lognormal_sum``
+    unrun, and each command runs only its own one of them.  A lazy module's type is
+    ``importlib.util._LazyModule`` until it runs (``type()`` does not run it).  The
+    package's lazy names are then the submodules' own objects."""
+    args = [str(price_file) if arg == "PRICES" else arg for arg in argv] + (["--out", str(tmp_path)] if argv else [])
+    run = f"assert bigwinners.cli.main({args!r}) == 0\n" if argv else ""
+    code = (
+        f"import sys, types, bigwinners.cli\n{run}"
+        f"ran = [m for m in {LAZY_MODULES!r} if type(sys.modules['bigwinners.' + m]) is types.ModuleType]\n"
+        "from bigwinners import build_panel, regime_curve, simulate_index\n"
+        "from bigwinners import gbm, index_model, lognormal_sum\n"
+        "assert build_panel is gbm.build_panel and regime_curve is lognormal_sum.regime_curve\n"
+        "assert simulate_index is index_model.simulate_index\n"
+        "print(ran)\n"
+    )
+    assert fresh_output(code) == repr(ran)
 
 
 def unused_imports(source: str) -> list[str]:

@@ -106,13 +106,18 @@ TICKERS = {
     "CC": ["CC", "\tCC"],
 }
 # Spellings of each day: canonical, padded, and valid but non-canonical ISO
-# forms (basic and week dates, accepted by newer Pythons only).
+# forms (basic and week dates, accepted by newer Pythons only).  The first and
+# last days ``dt.date`` holds, and a day before 1970, put negative and extreme
+# day numbers into the sort.
 DAYS = {
     dt.date(2006, 1, 2): ["2006-01-02", " 2006-01-02", "20060102", "2006-W01-1"],
     dt.date(2006, 1, 3): ["2006-01-03", "2006-01-03 ", "2006-W01-2"],
     dt.date(2005, 12, 30): ["2005-12-30", "20051230"],
     dt.date(2006, 2, 1): ["2006-02-01"],
     dt.date(2007, 6, 15): ["2007-06-15"],
+    dt.date(1, 1, 1): ["0001-01-01"],
+    dt.date(1969, 12, 31): ["1969-12-31", "19691231"],
+    dt.date(9999, 12, 31): ["9999-12-31"],
 }
 GOOD_PRICES = ["10.5", "1_000", " 10.0 ", "1e3", "0.25", "7"]
 # Date strings numpy's datetime parser accepts but the loader must reject,
@@ -420,6 +425,8 @@ GATE_EDGE_ROWS = (
                                            b"2006/01/02", b"2005-:1-02")]  # the last two have 2006-01-02's digit key
     + [b" T001 ,2006-01-02,5\n", b" T001 ,2006-01-02,-1\n", b"T001  ,2006-02-30,5\n", b"T001,2006-02-30 ,5\n",
        b"T001, 2006-01-0x,5\n"]
+    # DEL, NUL, a tab and a quote: the gate tests DEL, the quote and control bytes apart
+    + [_priced(b"5\x7f"), b"A\x00A,2006-01-02,5\n", b"\tAAA,2006-01-02,5\n", b'"AAA",2006-01-02,5\n']
 )
 
 
