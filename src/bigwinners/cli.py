@@ -22,6 +22,7 @@ import configparser
 import csv
 import dataclasses
 import datetime as dt
+import gc
 import re
 import sys
 from pathlib import Path
@@ -428,5 +429,20 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
 
 
+def run() -> int:
+    """``main`` as a program: the console script and ``python -m bigwinners.cli``.
+
+    Once ``main`` ends, ``gc.freeze()`` moves every tracked object to the
+    permanent generation, so the interpreter's cycle collection at exit skips
+    the objects the imports made.  Atexit handlers, stream flushing and
+    reference-count finalization still run.  ``main`` itself does not freeze:
+    tests and tracers call it in process.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -434,19 +434,21 @@ def _psi(k: float) -> tuple[float, float]:
 def _skew_normal_nll(theta, t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Negative log-likelihood of the sample ``t`` at theta = (zeta, ln omega, alpha),
     with its gradient and Hessian in theta."""
+    # Sums of products are np.sum(a * b), not a @ b: BLAS splits a long dot product
+    # over its threads, so its bits and its time would follow the thread count.
     zeta, eta, alpha = theta
     n, inv_omega = t.size, math.exp(-eta)
     u = (t - zeta) * inv_omega
     z = alpha * u
     # log(omega) - log(2) + log(2 pi)/2 + u^2/2 - log Phi(alpha u), summed.
-    suu = float(u @ u)
+    suu = float(np.sum(u * u))
     log_cdf, m = _log_ndtr(z)
     nll = n * (eta - math.log(2.0) + _LOG_SQRT_2PI) + 0.5 * suu - float(np.sum(log_cdf))
     # The Mills ratio m = phi(z)/Phi(z) has the slope dm/dz = -m (z + m).
     dm = -m * (z + m)
     dmu = dm * u
-    su, sm, smu = float(np.sum(u)), float(np.sum(m)), float(m @ u)
-    sdm, sdmu, sdmuu = float(np.sum(dm)), float(np.sum(dmu)), float(dmu @ u)
+    su, sm, smu = float(np.sum(u)), float(np.sum(m)), float(np.sum(m * u))
+    sdm, sdmu, sdmuu = float(np.sum(dm)), float(np.sum(dmu)), float(np.sum(dmu * u))
     grad = np.array([inv_omega * (alpha * sm - su), n - suu + alpha * smu, -smu])
     h_zeta = inv_omega * np.array([
         inv_omega * (n - alpha * alpha * sdm),
@@ -540,7 +542,7 @@ def fit_skew_normal(x) -> SkewNormalParams:
     mean = float(np.mean(arr))
     t = (arr - mean) / sd
     (zeta, eta, alpha), nll = _skew_normal_mle(t)
-    nll_symmetric = 0.5 * (t.size * math.log(2.0 * math.pi) + float(t @ t))  # at theta = 0, Phi(0) = 1/2
+    nll_symmetric = 0.5 * (t.size * math.log(2.0 * math.pi) + float(np.sum(t * t)))  # at theta = 0, Phi(0) = 1/2
     if 2.0 * (nll_symmetric - nll) < SKEW_SYMMETRY_LRT:
         return SkewNormalParams(zeta=mean, omega=sd, alpha=0.0)
     alpha = float(alpha)

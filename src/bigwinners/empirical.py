@@ -489,8 +489,11 @@ def _smooth(counts: np.ndarray, h: float, width: float) -> np.ndarray:
     padded = np.zeros(counts.shape[:-1] + (n + 2 * r,))
     padded[..., r:r + n] = counts
     out = padded[..., r:r + n] * weights[r]
+    pair = np.empty_like(out)
     for j in range(r, 0, -1):
-        out += (padded[..., r - j:r - j + n] + padded[..., r + j:r + j + n]) * weights[r + j]
+        np.add(padded[..., r - j:r - j + n], padded[..., r + j:r + j + n], out=pair)
+        pair *= weights[r + j]
+        out += pair
     return out
 
 

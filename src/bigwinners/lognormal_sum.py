@@ -161,7 +161,7 @@ def exact_typical_mean_ratio(p: LogNormalParams, n: int) -> float:
     with np.errstate(divide="ignore"):
         z = (np.log(edges) - p.mu) / p.sigma
     masses = np.diff(_ndtr(z))
-    offset = (mean * _ndtr(z[-1] - p.sigma) - edges[:-1] @ masses) / masses.sum()
+    offset = (mean * _ndtr(z[-1] - p.sigma) - np.sum(edges[:-1] * masses)) / masses.sum()
     size = 2 * EXACT_POINTS  # a product of two EXACT_POINTS-term arrays fits without wrapping
     spectrum = np.fft.rfft(masses, size) if n & (n - 1) else None  # a power of two only squares
     conv = masses
@@ -189,7 +189,8 @@ def regime_curve(
     ``reps=0`` skips the simulation columns.  Each grid point gets its own
     child seed, so extending the grid never perturbs earlier points.  The
     points' draws run on up to ``os.cpu_count()`` threads, largest n first;
-    their KDE modes then run on the calling thread in grid order, so every
+    their KDE modes run on the calling thread in grid order, each once its
+    point's draws are done and while the larger n still draw, so every
     point equals ``mc_typical_mean(p, n, reps, child_seed)`` whatever the
     thread count.
     """
@@ -210,7 +211,7 @@ def regime_curve(
     seeds = dict(zip(grid, np.random.SeedSequence(seed).spawn(len(grid))))
     with ThreadPoolExecutor(max_workers=min(len(grid), os.cpu_count() or 1)) as pool:
         draws = {n: pool.submit(_portfolio_means, p, n, reps, seeds[n]) for n in reversed(grid)}
-    return tuple(
-        CurvePoint(n, a, *_mode_ratio(mean, *draws[n].result()))
-        for n, a in zip(grid, analytic)
-    )
+        return tuple(
+            CurvePoint(n, a, *_mode_ratio(mean, *draws[n].result()))
+            for n, a in zip(grid, analytic)
+        )

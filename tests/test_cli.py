@@ -1,9 +1,13 @@
 import argparse
 import csv
 import datetime as dt
+import gc
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -946,3 +950,63 @@ def test_readme_library_tour_prints_what_each_call_returns():
     for call, digits in printed.items():
         decimals = len(digits.split(".")[1])
         assert f"{eval(call, scope):.{decimals}f}" == digits, call
+
+
+# ---------------------------------------------------------------------------
+# The launched program: ``run`` wraps ``main`` and freezes the heap as it ends
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def launch(argv, code=None):
+    """(exit code, stdout, stderr) of ``python -m bigwinners.cli argv`` (or ``python -c code``)
+    in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    program = ["-c", code] if code else ["-m", "bigwinners.cli"]
+    done = subprocess.run([sys.executable, *program, *argv], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    return done.returncode, done.stdout, done.stderr
+
+
+def reports(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("case", ["model-export-sample", "gbm", "gbm-fit-failure"])
+def test_launch_writes_what_main_writes(tmp_path, capsys, case):
+    """A launched run gives the same reports, stderr and exit code as ``main`` in process."""
+    if case == "model-export-sample":
+        argv = [*MODEL_ARGS, "--simulate", "2000", "--seed", "1", "--export-sample"]
+    else:
+        paths = ({f"T{i:03d}": simulate_gbm(GBMParams(0.12, 0.29), 1.0, 16, 1.0, seed=i).prices for i in range(50)}
+                 if case == "gbm" else {f"T{i}": [5.0] * 17 for i in range(5)})
+        argv = ["gbm", "--input", str(make_path_panel(tmp_path, "panel", paths))]
+    rc = main(argv + ["--out", str(tmp_path / "in_process")])
+    err = capsys.readouterr().err
+    assert rc == (3 if case == "gbm-fit-failure" else 0)
+    assert launch(argv + ["--out", str(tmp_path / "launched")]) == (rc, "", err)
+    assert reports(tmp_path / "launched") == reports(tmp_path / "in_process")
+
+
+def test_main_in_process_freezes_nothing(tmp_path):
+    assert main([*MODEL_ARGS, "--simulate", "2000", "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_run_freezes_the_heap_once_main_returns(tmp_path):
+    code = ("import gc, bigwinners.cli\n"
+            "rc = bigwinners.cli.run()\nprint(rc, gc.get_freeze_count() > 1000)\n")
+    assert launch([*MODEL_ARGS, "--out", str(tmp_path)], code) == (0, "0 True\n", "")
+
+
+def test_console_script_is_run():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^bigwinners = "(.*)"$', text, flags=re.M) == ["bigwinners.cli:run"]
+
+
+def test_launched_help_exits_0_and_bad_flag_exits_2():
+    rc, out, err = launch(["--help"])
+    assert (rc, err) == (0, "") and out.startswith("usage: bigwinners ")
+    rc, out, err = launch(["gbm", "--no-such-flag"])
+    assert (rc, out) == (2, "") and "unrecognized arguments: --no-such-flag" in err
