@@ -553,44 +553,49 @@ def fit_skew_normal(x) -> SkewNormalParams:
 
 GAMMA_NEWTON_TOL = 1e-10
 GAMMA_NEWTON_MAXITER = 100
+# The rounding stop holds only while its band is at most this much of k; beyond, f is noise.
+GAMMA_ROUNDING_STOP_MAX = 1e-8
 
 
 def fit_gamma(x) -> GammaParams:
-    """Gamma MLE: Newton iteration on ln k - psi(k) = ln(mean) - mean(ln).
+    """Gamma MLE: Newton iteration on ln k - psi(k) = s, s = ln(mean) - mean(ln).
 
-    Falls back to method of moments when Newton stalls; the result's
-    ``method`` field records which route produced it.
+    Newton returns ``method="mle"`` once a step moves k by at most GAMMA_NEWTON_TOL
+    relative, or by no more than the rounding of f = ln k - psi(k) - s explains,
+    2 eps (|ln k| + |psi(k)|) / |f'(k)|, while that is at most GAMMA_ROUNDING_STOP_MAX of k
+    (near k = 1e5 it exceeds the tolerance, beyond k near 4e5 that cap).  A gap
+    s within 16 eps max(1, max |ln x|) is rounding, not data, so Newton is skipped; that,
+    a slope that rounds to 0, or GAMMA_NEWTON_MAXITER steps give ``method="moments"``,
+    and a variance that rounds to 0 raises FitFailureError.
     """
     arr = _clean(x, 3, "fit_gamma", positive=True)
     xbar = float(np.mean(arr))
     s = math.log(xbar) - float(np.mean(np.log(arr)))
-    if s <= 0 or not math.isfinite(s) or arr.min() == arr.max():  # equal values can round to s > 0
+    low, high = arr.min(), arr.max()
+    if s <= 0 or not math.isfinite(s) or low == high:  # equal values can round to s > 0
         raise FitFailureError("fit_gamma: zero dispersion (ln-mean gap is not positive)")
 
-    k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    converged = False
-    for _ in range(GAMMA_NEWTON_MAXITER):
-        digamma, trigamma = _psi(k)
-        f = math.log(k) - digamma - s
-        fprime = 1.0 / k - trigamma
-        if fprime == 0:  # k so large that the slope rounds to 0: Newton has stalled
-            break
-        step = f / fprime
-        k_new = k - step
-        if k_new <= 0:
-            k_new = k / 2.0
-        if abs(k_new - k) <= GAMMA_NEWTON_TOL * max(1.0, abs(k)):
+    eps = sys.float_info.epsilon
+    if s > 16.0 * eps * max(1.0, -math.log(low), math.log(high)):
+        k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+        for _ in range(GAMMA_NEWTON_MAXITER):
+            digamma, trigamma = _psi(k)
+            log_k = math.log(k)
+            f = log_k - digamma - s
+            fprime = 1.0 / k - trigamma
+            if fprime == 0:  # k so large that the slope rounds to 0: Newton has stalled
+                break
+            k_new = k - f / fprime
+            if k_new <= 0:
+                k_new = k / 2.0
+            moved, rounding = abs(k_new - k), 2.0 * eps * (abs(log_k) + abs(digamma)) / abs(fprime)
+            if moved <= GAMMA_NEWTON_TOL * max(1.0, abs(k)) or moved <= rounding <= GAMMA_ROUNDING_STOP_MAX * k:
+                return GammaParams(shape=k_new, rate=k_new / xbar, method="mle")
             k = k_new
-            converged = True
-            break
-        k = k_new
-
-    if converged and math.isfinite(k) and k > 0:
-        return GammaParams(shape=k, rate=k / xbar, method="mle")
 
     var = float(np.var(arr))
     if var <= 0:
-        raise FitFailureError("fit_gamma: zero variance", iterations=GAMMA_NEWTON_MAXITER)
+        raise FitFailureError("fit_gamma: zero variance")
     return GammaParams(shape=xbar * xbar / var, rate=xbar / var, method="moments")
 
 
@@ -654,15 +659,13 @@ def huber_regression(x, y) -> tuple[float, float, float]:
 
     a, b = np.polyfit(xa, ya, 1)
     y_span = float(np.max(np.abs(ya))) + 1.0
-    converged = False
     for _ in range(HUBER_MAX_ITER):
         resid = ya - (a * xa + b)
         med = float(np.median(resid))
         mad = float(np.median(np.abs(resid - med)))
         scale = mad * MAD_TO_SIGMA
         if scale <= 1e-14 * y_span:
-            converged = True  # residuals numerically flat: exact fit
-            break
+            break  # residuals numerically flat: exact fit
         c = HUBER_TUNING * scale
         absr = np.abs(resid)
         w = np.where(absr <= c, 1.0, c / np.maximum(absr, 1e-300))
@@ -676,12 +679,11 @@ def huber_regression(x, y) -> tuple[float, float, float]:
             raise FitFailureError("huber_regression: degenerate weighted system")
         a_new = (sw * swxy - swx * swy) / det
         b_new = (swxx * swy - swx * swxy) / det
-        if max(abs(a_new - a), abs(b_new - b)) <= HUBER_TOL * (1.0 + abs(a) + abs(b)):
-            a, b = a_new, b_new
-            converged = True
-            break
+        settled = max(abs(a_new - a), abs(b_new - b)) <= HUBER_TOL * (1.0 + abs(a) + abs(b))
         a, b = a_new, b_new
-    if not converged:
+        if settled:
+            break
+    else:
         # On points that lie on a line but for a few, the MAD scale shrinks only about 0.9 a
         # step; the least-squares line through the unit-weight points is the fit when it
         # passes through them to rounding.

@@ -143,10 +143,10 @@ def sample_ratio_summary(sample: ReturnSample, seed, replicates: int = 200) -> S
 
     A replicate's median almost surely lies within 8 sqrt(n) ranks of the
     sample's, so each is read from that window of values (``_median_within``).
-    The replicates run on up to ``os.cpu_count()`` threads.  Each takes its
-    number and its resample indices under one lock, so replicate i is the
-    i-th draw of the one generator and the result is the same bit for bit
-    whatever the thread count.
+    The replicates run on up to ``os.cpu_count()`` threads, one pool task
+    each.  A task takes its replicate number and its resample indices under
+    one lock, so replicate i is the i-th draw of the one generator and the
+    result is the same bit for bit whatever the thread count.
     """
     replicates = _check_count(replicates, "replicates", 2)  # a standard error (ddof=1) needs two
     rho = sample.rho
@@ -154,31 +154,26 @@ def sample_ratio_summary(sample: ReturnSample, seed, replicates: int = 200) -> S
     mean = _finite_mean(rho)
     median = float(np.median(rho))
 
-    srt = np.sort(rho)
     half, width = rho.size // 2, math.ceil(8.0 * math.sqrt(rho.size))
-    window = srt[max(half - width, 0)], srt[min(half + width, rho.size - 1)]
+    bounds = [max(half - width, 0), min(half + width, rho.size - 1)]
+    window = np.partition(rho, bounds)[bounds]
     rng = np.random.default_rng(seed)
     ratios = np.empty(replicates)
     order = iter(range(replicates))
     lock = threading.Lock()
 
-    def work():
-        while True:
-            with lock:
-                i = next(order, None)
-                if i is None:
-                    return
-                idx = rng.integers(0, rho.size, size=rho.size)
-            boot = rho[idx]
-            with np.errstate(over="ignore"):  # per thread; an overflowing mean is caught after the pool
-                ratios[i] = np.mean(boot) / _median_within(boot, *window)
+    def replicate(_):
+        with lock:
+            i = next(order)
+            idx = rng.integers(0, rho.size, size=rho.size)
+        boot = rho[idx]
+        with np.errstate(over="ignore"):  # per thread; an overflowing mean is caught after the pool
+            ratios[i] = np.mean(boot) / _median_within(boot, *window)
 
     from concurrent.futures import ThreadPoolExecutor
 
-    workers = min(replicates, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for worker in [pool.submit(work) for _ in range(workers)]:
-            worker.result()
+    with ThreadPoolExecutor(max_workers=min(replicates, os.cpu_count() or 1)) as pool:
+        list(pool.map(replicate, range(replicates)))
     if not np.isfinite(ratios).all():
         raise ParameterError("the mean of a bootstrap resample overflows a float")
     tail = 0.5 * (1.0 - RATIO_CI_LEVEL)

@@ -260,6 +260,25 @@ class TestFitGamma:
         assert fit.method == "moments"
         assert fit.shape == np.mean(x) ** 2 / np.var(x)
 
+    @pytest.mark.parametrize("scale, eps", [(1e-155, 1e-8), (1e-155, 1e-12), (1e-200, 1e-15)])
+    def test_log_mean_gap_within_rounding_is_no_mle(self, scale, eps):
+        """The true ln-mean gap (below 1e-16) is lost in the rounding of ln x (about eps * 357
+        or 460): Newton on it would fit that rounding.  The moments route takes the sample,
+        and its variance underflows to 0, a data fault with no iteration count."""
+        with pytest.raises(FitFailureError) as failure:
+            fit_gamma(scale * np.array([1.0, 1.0 + eps, 1.0]))
+        assert str(failure.value) == "fit_gamma: zero variance"
+        assert failure.value.iterations is None
+
+    @pytest.mark.parametrize("eps", [1e-7, 2e-7, 3e-7])
+    def test_newton_lost_in_rounding_falls_back_to_moments(self, eps):
+        """Shapes near 1e14: ln k - psi(k), about 1/(2k), is below the rounding of ln k
+        (about 32 eps), so the rounding stop's band is many times k and is not used."""
+        x = np.array([1.0, 1.0 + eps, 1.0])
+        fit = fit_gamma(x)
+        assert fit.method == "moments"
+        assert fit.shape == np.mean(x) ** 2 / np.var(x)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
             fit_gamma([1.0, 0.0, 2.0])

@@ -256,3 +256,15 @@ def test_gamma_shape_matches_the_scipy_newton_loop(shape, n):
     fit = fit_gamma(x)
     assert fit.method == "mle"
     assert fit.shape == pytest.approx(_scipy_gamma_shape(x), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_gamma_shape_near_1e5_is_the_likelihood_root(seed):
+    """Near k = 1e5 the rounding of ln k - psi(k) moves a Newton step by more than the
+    relative tolerance, so only the rounding stop ends the solve."""
+    x = np.random.default_rng(seed).gamma(1e5, 0.01, 2000)
+    s = math.log(float(np.mean(x))) - float(np.mean(np.log(x)))
+    root = scipy.optimize.brentq(lambda k: math.log(k) - float(scipy.special.digamma(k)) - s, 1e4, 1e6)
+    fit = fit_gamma(x)
+    assert fit.method == "mle"
+    assert fit.shape == pytest.approx(root, rel=1e-8, abs=0)
