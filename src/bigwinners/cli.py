@@ -59,14 +59,14 @@ def _non_negative_int(text) -> int:
             return value
     except ValueError:
         pass
-    raise ParameterError(f"expected a non-negative integer, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
 def _parse_bool(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     except KeyError:
-        raise ParameterError(f"expected 1/yes/true/on or 0/no/false/off, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected 1/yes/true/on or 0/no/false/off, got {text!r}") from None
 
 
 def _parse_window(text: str) -> tuple[dt.date, dt.date]:
@@ -75,9 +75,9 @@ def _parse_window(text: str) -> tuple[dt.date, dt.date]:
         start = dt.date.fromisoformat(start_s.strip())
         end = dt.date.fromisoformat(end_s.strip())
     except ValueError:
-        raise ParameterError(f"bad window {text!r}; expected START:END ISO dates") from None
+        raise argparse.ArgumentTypeError(f"bad window {text!r}; expected START:END ISO dates") from None
     if end <= start:
-        raise ParameterError(f"window end must follow start, got {text!r}")
+        raise argparse.ArgumentTypeError(f"window end must follow start, got {text!r}")
     return start, end
 
 
@@ -85,9 +85,9 @@ def _parse_grid(text: str) -> list[int]:
     try:
         grid = [int(part) for part in text.replace(" ", "").split(",") if part]
     except ValueError:
-        raise ParameterError(f"bad n-grid {text!r}; expected comma-separated integers") from None
+        raise argparse.ArgumentTypeError(f"bad n-grid {text!r}; expected comma-separated integers") from None
     if not grid:
-        raise ParameterError("n-grid must be nonempty")
+        raise argparse.ArgumentTypeError("n-grid must be nonempty")
     return grid
 
 
@@ -99,7 +99,7 @@ def _parse_inputs(text: str) -> list[str]:
 def _choice(*choices: str):
     def choice(text: str) -> str:
         if text not in choices:
-            raise ParameterError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+            raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
         return text
 
     choice.metavar = "{" + ",".join(choices) + "}"
@@ -182,24 +182,10 @@ def _resolve(args: argparse.Namespace, config: configparser.ConfigParser) -> arg
             if config.has_option(section, key):
                 try:
                     setattr(args, key, convert(config.get(section, key)))
-                except (ValueError, configparser.Error) as exc:
+                except (argparse.ArgumentTypeError, ValueError, configparser.Error) as exc:
                     raise ParameterError(f"config [{section}] {key}: {exc}") from None
                 break
     return args
-
-
-def _flag(convert):
-    """``convert`` as an argparse ``type=`` that prints its ParameterError text
-    (argparse prints only the converter's name for a ValueError)."""
-
-    def flag(text):
-        try:
-            return convert(text)
-        except ParameterError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    flag.__name__ = convert.__name__
-    return flag
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
             elif convert is _parse_inputs:
                 p.add_argument(flag, action="append", help=text)
             else:
-                p.add_argument(flag, type=_flag(convert), metavar=getattr(convert, "metavar", None), help=text)
+                p.add_argument(flag, type=convert, metavar=getattr(convert, "metavar", None), help=text)
     return parser
 
 

@@ -706,6 +706,9 @@ def pearson_correlation(x, y) -> float:
     ya = _clean(y, 2, "pearson_correlation")
     if xa.size != ya.size:
         raise ParameterError("pearson_correlation requires equal-length vectors")
+    # The largest magnitude of each vector scaled into [0.5, 1) by a power of two, which is
+    # exact, so the sums of squares cannot overflow and in-range results keep their bits.
+    xa, ya = (np.ldexp(v, -math.frexp(float(np.max(np.abs(v))))[1]) for v in (xa, ya))
     if float(np.ptp(xa)) == 0.0 or float(np.ptp(ya)) == 0.0:
         raise ParameterError("pearson_correlation requires nonzero dispersion")
     r = float(np.corrcoef(xa, ya)[0, 1])

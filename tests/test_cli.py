@@ -60,6 +60,17 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(src), "--out", str(out)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "idx: line 1: empty file"),
+        ("ticker,date,adj_close\nAAA,2006-01-02,1.0\nAAA,2021-12-30,2.5\n",
+         "idx: summarize_index needs at least 2 returns"),
+    ])
+    def test_empty_file_or_one_ticker_exits_2(self, tmp_path, capsys, text, message):
+        src = tmp_path / "idx.csv"
+        src.write_text(text)
+        assert main(["analyze", "--input", str(src), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"analyze: {message}\n"
+
     def test_fit_failure_exits_3_with_summary_written(self, tmp_path, capsys):
         # Five of six returns fall below the left-tail cutoff, leaving one to fit.
         src = make_return_panel(tmp_path, "thin", [0.01] * 5 + [2.0])

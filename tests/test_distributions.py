@@ -254,7 +254,8 @@ class TestFitGamma:
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-9, 1e-10, 1e-14])
     def test_vanishing_newton_slope_falls_back_to_moments(self, eps):
-        """Values this close give a shape so large that the Newton slope rounds to 0."""
+        """Values this close give an ln-mean gap s (8.5e-17 down to 1.1e-29) within the
+        16 eps rounding bound, so Newton is skipped and the moments estimate is the fit."""
         x = np.array([1.0, 1.0 + eps, 1.0])
         fit = fit_gamma(x)
         assert fit.method == "moments"
@@ -369,6 +370,22 @@ class TestPearsonCorrelation:
     def test_zero_dispersion_fails(self):
         with pytest.raises(ParameterError):
             pearson_correlation(np.ones(5), np.arange(5.0))
+
+    @pytest.mark.parametrize("x, y, r", [
+        ([1e200, 2e200, 3e200], [1.0, 2.0, 3.0], 1.0),
+        ([1e160, 2e160, 4e160], [1e160, 2e160, 4e160], 1.0),
+        ([1e308, -1e308, 1.0], [1.0, 2.0, 3.0], -0.5),
+    ])
+    def test_values_whose_squares_overflow(self, x, y, r):
+        assert pearson_correlation(x, y) == r
+
+    def test_power_of_two_scale_keeps_the_bits(self):
+        # Scaling by a power of two is exact, so it moves no bit of an in-range result.
+        rng = np.random.default_rng(29)
+        for scale in (2.0 ** -160, 1.0, 2.0 ** 160):
+            x, y = rng.standard_normal(50), rng.standard_normal(50)
+            y += 0.3 * x
+            assert pearson_correlation(x * scale, y) == float(np.corrcoef(x, y)[0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,10 @@ class TestKdeMode:
         log_f = np.log(np.exp(-0.5 * ((s[:, None] - t) / h) ** 2).sum(axis=1)) - (s if log_scale else 0.0)
         assert abs(t_mode - s[np.argmax(log_f)]) <= width
 
+    def test_bootstrap_stderr_of_a_constant_sample_is_zero(self):
+        # A constant sample has no bandwidth to resample at: its mode has no spread.
+        assert kde_mode_bootstrap_stderr(np.full(10, 2.5), seed=1) == 0.0
+
     def test_bootstrap_stderr_that_overflows_is_a_parameter_error(self):
         # Modes near 1e173 square past the largest float; no inf and no warning.
         x = np.exp(400.0 + np.random.default_rng(1).standard_normal(1000))

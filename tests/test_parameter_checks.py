@@ -12,10 +12,13 @@ from bigwinners.distributions import (
     GammaParams,
     LogNormalParams,
     SkewNormalParams,
+    fit_lognormal,
+    huber_regression,
     lognormal_moments,
+    pearson_correlation,
     sample,
 )
-from bigwinners.empirical import ReturnSample, kde_mode_bootstrap_stderr, tail_filter
+from bigwinners.empirical import ReturnSample, kde_mode, kde_mode_bootstrap_stderr, tail_filter
 from bigwinners.errors import DataError, InsufficientDataError, ParameterError
 from bigwinners.gbm import GBMParams, PricePath, build_panel, simulate_gbm
 from bigwinners.index_model import DriftModelParams, model_ratios, sample_ratio_summary, simulate_index
@@ -52,6 +55,8 @@ CASES = {
                         "prices must be finite and strictly positive"),
     "path_x0_mismatch": (lambda: PricePath(2.0, np.array([1.0, 2.0]), 1.0), ParameterError,
                          "prices[0] must equal the positive starting price x0"),
+    "path_no_prices": (lambda: PricePath(1.0, np.array([]), 1.0), ParameterError,
+                       "a price path needs at least 1 price"),
     "simulate_gbm_dt": (lambda: simulate_gbm(GBMParams(0.1, 0.2), 1.0, 4, 0.0, 1), ParameterError,
                         "dt must be > 0, got 0.0"),
     "simulate_gbm_dt_inf": (lambda: simulate_gbm(GBMParams(0.1, 0.2), 1.0, 4, math.inf, 1), ParameterError,
@@ -90,6 +95,15 @@ CASES = {
                            "threshold_log must not be NaN"),
     "tail_threshold_inf": (lambda: tail_filter(ReturnSample(np.array([1.0, 2.0])), math.inf), ParameterError,
                            "threshold_log must be below +inf, got inf"),
+    # Spread by subnormal steps: the range is nonzero, but the squared deviations underflow to a zero std.
+    "kde_mode_zero_bandwidth": (lambda: kde_mode([0.0, 5e-324, 1e-323, 0.0, 5e-324]), ParameterError,
+                                "kde_mode: could not form a positive bandwidth"),
+    "fit_lognormal_inf": (lambda: fit_lognormal([1.0, math.inf, 2.0]), ParameterError,
+                          "fit_lognormal requires finite values"),
+    "huber_unequal_lengths": (lambda: huber_regression(SPREAD, SPREAD[:-1]), ParameterError,
+                              "huber_regression requires equal-length vectors"),
+    "pearson_unequal_lengths": (lambda: pearson_correlation(SPREAD, SPREAD[:-1]), ParameterError,
+                                "pearson_correlation requires equal-length vectors"),
     "bootstrap_replicates_zero": (lambda: kde_mode_bootstrap_stderr(SPREAD, seed=1, replicates=0), ParameterError,
                                   "replicates must be >= 2, got 0"),
     "bootstrap_replicates_one": (lambda: kde_mode_bootstrap_stderr(SPREAD, seed=1, replicates=1), ParameterError,
@@ -100,6 +114,7 @@ CASES = {
                                      ParameterError, "replicates must be >= 2, got 1"),
     "regime_curve_fractional_n": (lambda: regime_curve(UNIT, [1.5, 2]), ParameterError,
                                   "portfolio size must be an integer, got 1.5"),
+    "regime_curve_empty_grid": (lambda: regime_curve(UNIT, []), ParameterError, "n_grid must be nonempty"),
     "typical_ratio_fractional_n": (lambda: typical_mean_ratio(UNIT, 2.5), ParameterError,
                                    "portfolio size must be an integer, got 2.5"),
     "typical_ratio_nan_n": (lambda: typical_mean_ratio(UNIT, math.nan), ParameterError,
