@@ -12,7 +12,7 @@ first attribute access, so a launch does not compile or run the other
 commands' modules.  Their names are served by the module ``__getattr__``
 below.  Before Python 3.13 two threads that first touch an unloaded lazy
 module at once can both run it, so first use stays on the calling thread
-(the CLI imports each inside the command that runs it).
+(``cli`` reads each only inside the command that runs it).
 """
 
 import importlib.util

@@ -8,8 +8,8 @@ by its flag or by the ``[<command>]``, ``[common]`` or ``[DEFAULT]`` section
 of an INI config file.  Every stochastic report embeds seed, reps and
 library version in a header comment record, and reruns with identical
 config and seed are byte-identical.  ``gbm``, ``index_model`` and
-``lognormal_sum`` are imported inside the one command that runs each, so a
-launch runs only its own command's modules.
+``lognormal_sum`` are the package's lazy modules: each runs on first use, in
+the one command that uses it, so a launch runs only its command's modules.
 
 Exit codes: 0 success, 2 input or parameter error, 3 partial fit failure
 (partial results are still written).
@@ -27,7 +27,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, gbm, index_model, lognormal_sum
 from .distributions import LogNormalParams
 from .empirical import (
     KDE_MIN_POINTS,
@@ -296,8 +296,6 @@ def _regime_param_sets(args) -> list[tuple[str, LogNormalParams]]:
 
 def cmd_regime(args) -> int:
     """typical-mean ratio curves"""
-    from .lognormal_sum import regime_curve
-
     sets = _regime_param_sets(args)
     reps, seed, fmt = args.reps, args.seed, args.format
     if reps > 0 and seed is None:
@@ -305,7 +303,7 @@ def cmd_regime(args) -> int:
     meta = {"seed": seed, "reps": reps, "version": __version__} if reps > 0 else {"version": __version__}
     for name, params in sorted(sets, key=lambda item: item[0]):
         try:
-            points = regime_curve(params, args.n_grid, reps=reps, seed=seed)
+            points = lognormal_sum.regime_curve(params, args.n_grid, reps=reps, seed=seed)
         except ParameterError as exc:
             raise ParameterError(f"{name}: {exc}") from None
         rows = [dataclasses.astuple(point) for point in points]
@@ -318,16 +316,14 @@ _ESTIMATE_FIELDS = ["ticker", "mu_hat", "sigma_hat", "sigma_sq_raw", "clamped"]
 
 def cmd_gbm(args) -> int:
     """drift/volatility panel analysis"""
-    from .gbm import build_panel, write_panel_csv
-
     if not args.input:
         raise ParameterError("an --input price file is required")
 
-    panel = build_panel(load_panel(args.input), args.dt, args.estimator)
+    panel = gbm.build_panel(load_panel(args.input), args.dt, args.estimator)
     columns = (panel.mu_hats, panel.sigma_hats, panel.sigma_sq_raw, panel.clamped)
     estimate_rows = zip(panel.tickers, *(column.tolist() for column in columns))
     write_report(args.out / f"estimates.{args.format}", _ESTIMATE_FIELDS, estimate_rows, args.format)
-    write_panel_csv(panel, args.out / "panel.csv")
+    gbm.write_panel_csv(panel, args.out / "panel.csv")
 
     for name, message in panel.fit_errors:
         print(f"gbm: fit failure in {name}: {message}", file=sys.stderr)
@@ -343,8 +339,6 @@ _MODEL_FIELDS = [
 
 def cmd_model(args) -> int:
     """distributed-drift closed forms"""
-    from .index_model import DriftModelParams, implied_lognormal, model_ratios, sample_ratio_summary, simulate_index
-
     mu_d, sigma_d, sigma, horizon = args.mu_d, args.sigma_d, args.sigma, args.horizon
     if None in (mu_d, sigma_d, sigma, horizon):
         raise ParameterError("--mu-d, --sigma-d, --sigma and --horizon are required")
@@ -354,14 +348,14 @@ def cmd_model(args) -> int:
         raise ParameterError("--export-sample needs --simulate > 0")
     if 0 < args.simulate < KDE_MIN_POINTS:
         raise ParameterError(f"--simulate must be 0 or at least {KDE_MIN_POINTS}, got {args.simulate}")
-    params = DriftModelParams(mu_d=mu_d, sigma_d=sigma_d, sigma=sigma, horizon=horizon)
-    implied = implied_lognormal(params)
-    ratios = model_ratios(params)
+    params = index_model.DriftModelParams(mu_d=mu_d, sigma_d=sigma_d, sigma=sigma, horizon=horizon)
+    implied = index_model.implied_lognormal(params)
+    ratios = index_model.model_ratios(params)
     mc_columns = (None, None, None, None)
     meta = {"version": __version__}
     if args.simulate > 0:
-        sample = simulate_index(params, args.simulate, args.seed)
-        summary = sample_ratio_summary(sample, seed=args.seed + 1)
+        sample = index_model.simulate_index(params, args.simulate, args.seed)
+        summary = index_model.sample_ratio_summary(sample, seed=args.seed + 1)
         mc_columns = (summary.mean_over_median, summary.ci_low, summary.ci_high, summary.stderr)
         meta = {"seed": args.seed, "reps": args.simulate, "version": __version__}
         if args.export_sample:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -535,12 +536,16 @@ def fit_skew_normal(x) -> SkewNormalParams:
     improves the likelihood ratio beyond the chi-square(1) 95% cutoff.
     """
     arr = _clean(x, 3, "fit_skew_normal")
-    sd = float(np.std(arr))
+    # Moments of a copy scaled by a power of two, which is exact, so the squares cannot overflow.
+    e = math.frexp(float(np.max(np.abs(arr))))[1]
+    scaled = np.ldexp(arr, -e)
+    sd = float(np.std(scaled))
     if sd == 0.0 or arr.min() == arr.max():  # equal values can round to sd > 0
         raise FitFailureError("fit_skew_normal: zero dispersion")
 
-    mean = float(np.mean(arr))
-    t = (arr - mean) / sd
+    mean = float(np.mean(scaled))
+    t = (scaled - mean) / sd
+    mean, sd = math.ldexp(mean, e), math.ldexp(sd, e)
     (zeta, eta, alpha), nll = _skew_normal_mle(t)
     nll_symmetric = 0.5 * (t.size * math.log(2.0 * math.pi) + float(np.sum(t * t)))  # at theta = 0, Phi(0) = 1/2
     if 2.0 * (nll_symmetric - nll) < SKEW_SYMMETRY_LRT:
@@ -657,7 +662,9 @@ def huber_regression(x, y) -> tuple[float, float, float]:
     if float(np.ptp(xa)) == 0.0:
         raise FitFailureError("huber_regression: x has zero dispersion")
 
-    a, b = np.polyfit(xa, ya, 1)
+    with warnings.catch_warnings():  # a rank-deficient x is left to the IRLS's own error
+        warnings.simplefilter("ignore", getattr(np, "exceptions", np).RankWarning)
+        a, b = np.polyfit(xa, ya, 1)
     y_span = float(np.max(np.abs(ya))) + 1.0
     for _ in range(HUBER_MAX_ITER):
         resid = ya - (a * xa + b)
@@ -693,9 +700,11 @@ def huber_regression(x, y) -> tuple[float, float, float]:
             raise FitFailureError("huber_regression did not converge", iterations=HUBER_MAX_ITER)
         a, b = line
 
-    resid = ya - (a * xa + b)
+    # Residuals and deviations scaled by a power of two, which is exact, so the squares cannot overflow.
+    e = math.frexp(float(np.max(np.abs(ya))))[1]
+    resid, dev = (np.ldexp(v, -e) for v in (ya - (a * xa + b), ya - np.mean(ya)))
     ss_res = float(np.sum(resid * resid))
-    ss_tot = float(np.sum((ya - np.mean(ya)) ** 2))
+    ss_tot = float(np.sum(dev ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(a), float(b), float(r2)
 

@@ -21,6 +21,7 @@ from bigwinners.empirical import KDE_MIN_POINTS
 from bigwinners.gbm import GBMParams, PricePath, estimate_gbm, simulate_gbm, write_panel_csv
 from bigwinners.lognormal_sum import MODERATELY_BROAD, NARROW, VERY_BROAD, classify_regime, regime_formula_values
 from conftest import build_panel_of_paths
+from test_acceptance import REFERENCE_FITS
 
 
 def make_return_panel(tmp_path, name, rhos, start="2006-01-02", end="2021-12-30"):
@@ -816,6 +817,24 @@ def test_params_file_row_without_index_or_sigma_exits_2_naming_it(tmp_path, caps
     assert main(["regime", "--params-file", str(params), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"regime: params file {params}: row 'row0' has no mu or sigma\n"
     assert not out.exists()
+
+
+def test_reference_fits_example_is_the_papers_table_and_runs(tmp_path):
+    """``examples/reference_fits.csv`` holds the paper's 34 (index, mu, sigma) fits, the
+    rows of ``REFERENCE_FITS``; ``regime --params-file`` writes each index's analytic curve."""
+    path = Path(__file__).resolve().parents[1] / "examples" / "reference_fits.csv"
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [(row["index"], float(row["mu"]), float(row["sigma"])) for row in csv.DictReader(fh)]
+    assert rows == [fit[:3] for fit in REFERENCE_FITS]
+    assert main(["regime", "--params-file", str(path), "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"curve_{name}.csv" for name, *_ in rows)
+    grid = [2**k for k in range(11)]  # the default --n-grid
+    for name, mu, sigma in rows:
+        lines = (tmp_path / f"curve_{name}.csv").read_text().splitlines()
+        curve = list(csv.DictReader(lines[lines.index("n,ratio_analytic,ratio_mc,mc_stderr"):]))
+        assert [int(row["n"]) for row in curve] == grid
+        law = LogNormalParams(mu, sigma)
+        assert [float(row["ratio_analytic"]) for row in curve] == [bw.typical_mean_ratio(law, n) for n in grid]
 
 
 @pytest.mark.parametrize(

@@ -227,6 +227,10 @@ class TestFitSkewNormal:
             fit_skew_normal(sample(SkewNormalParams(0.06, 0.09, 1.88), 1000, 3))
         assert failure.value.iterations == 1
 
+    def test_values_whose_squares_overflow(self):
+        fit = fit_skew_normal([1e200, 2e200, 5e200, 1e201])
+        assert (fit.zeta, fit.omega, fit.alpha) == (pytest.approx(4.5e200), 3.5e200, 0.0)
+
 
 # ---------------------------------------------------------------------------
 # Gamma fit
@@ -354,6 +358,17 @@ class TestHuberRegression:
     def test_degenerate_x_fails(self):
         with pytest.raises(FitFailureError):
             huber_regression(np.ones(10), np.arange(10.0))
+
+    def test_rank_deficient_x_raises_the_fits_own_error(self):
+        """x one ulp apart: the start's polyfit warns RankWarning, which the suite's
+        warnings-as-errors would raise; the fit raises its own FitFailureError instead."""
+        x = [1.0, np.nextafter(1.0, 2.0)] * 2 + [1.0]
+        with pytest.raises(FitFailureError, match="degenerate weighted system"):
+            huber_regression(x, [1.0, 2.0, 3.0, 4.0, 5.0])
+
+    def test_r2_of_values_whose_squares_overflow(self):
+        x, y = np.arange(1.0, 6.0), np.array([1.0, 2.0, 3.0, 4.0, 6.0])
+        assert huber_regression(x, 1e200 * y)[2] == huber_regression(x, y)[2] == 0.9324324324324325
 
 
 class TestPearsonCorrelation:

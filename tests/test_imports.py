@@ -318,3 +318,24 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_unused_imports_sees_each_import_form():
     source = "import a.b\nimport c as d\nfrom e import f, g as h\nfrom __future__ import annotations\nf(a)\n"
     assert unused_imports(source) == ["d", "h"]
+
+
+def test_no_function_imports_a_package_module():
+    """Each module names the package's modules once, at module level, so what a launch
+    runs is decided in one place: ``cli`` takes the lazy ``gbm``, ``index_model`` and
+    ``lognormal_sum`` as ``from . import`` names, which do not run them, and reads each
+    only inside its command.  A package import inside a function fails here; standard
+    library imports there (``json``, ``concurrent.futures``) stay."""
+    def imports_package(node) -> bool:
+        if isinstance(node, ast.ImportFrom):
+            return node.level > 0 or (node.module or "").split(".")[0] == "bigwinners"
+        return isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "bigwinners" for alias in node.names)
+
+    inside = {}
+    for path in sorted((SRC / "bigwinners").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = sorted({node.lineno for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for node in ast.walk(fn) if imports_package(node)})
+        if lines:
+            inside[path.name] = lines
+    assert inside == {}
